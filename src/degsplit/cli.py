@@ -17,13 +17,7 @@ import json
 import math
 import sys
 
-from .errors import (
-    DegsplitError,
-    GenerationFailedError,
-    SolverError,
-    TooFewCellsError,
-    TooLargeError,
-)
+from .errors import DegsplitError, SolverError
 from .geometry import DemandScheme, GridInstance, solve_squares
 from .graph import Demands, LoopMode, WeightedGraph, build_graph
 from .oracle import brute_force_solve, random_feasible_instance
@@ -34,8 +28,8 @@ EXIT_NO_PARTITION = 1
 EXIT_INPUT = 2
 
 
-class InputError(Exception):
-    pass
+class InputError(DegsplitError):
+    """A malformed or unreadable input file or flag value."""
 
 
 def _read_lines(path):
@@ -72,6 +66,7 @@ def parse_graph_file(path, loop_mode: LoopMode) -> WeightedGraph:
 def parse_demands_file(path, graph: WeightedGraph) -> Demands:
     a = [0.0] * graph.n
     b = [0.0] * graph.n
+    seen = set()
     for lineno, text in _read_lines(path):
         parts = text.split()
         if len(parts) != 3:
@@ -79,6 +74,9 @@ def parse_demands_file(path, graph: WeightedGraph) -> Demands:
         label, a_text, b_text = parts
         if label not in graph.label_index:
             raise InputError(f"{path}:{lineno}: unknown vertex {label!r}")
+        if label in seen:
+            raise InputError(f"{path}:{lineno}: vertex {label!r} listed twice")
+        seen.add(label)
         x = graph.label_index[label]
         try:
             a[x] = float(a_text)
@@ -114,11 +112,13 @@ def parse_partition_file(path, graph: WeightedGraph) -> Partition:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
+    if not (isinstance(payload, dict) and all(isinstance(payload.get(k), list) for k in "AB")):
+        raise InputError(f"{path}: expected an object with 'A' and 'B' label lists")
     try:
         side_a = [graph.label_index[str(u)] for u in payload["A"]]
         side_b = [graph.label_index[str(u)] for u in payload["B"]]
     except KeyError as exc:
-        raise InputError(f"{path}: missing or unknown vertex {exc}") from exc
+        raise InputError(f"{path}: unknown vertex {exc}") from exc
     try:
         return Partition(frozenset(side_a), frozenset(side_b))
     except ValueError as exc:
@@ -221,22 +221,18 @@ def render_squares_svg(path, instance, side_a, r, show_circle=None, scale=20):
 def _cmd_solve(args) -> int:
     graph = parse_graph_file(args.graph, args.loop_mode)
     demands = parse_demands_file(args.demands, graph)
-    try:
-        partition, cert = solve(graph, demands, max_moves=args.max_moves)
-    except SolverError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)
-        return EXIT_NO_PARTITION
-    violations = verify_partition(graph, demands, partition, tol=args.tolerance)
+    # solve returns only partitions that pass its exact gate
+    partition, cert = solve(graph, demands, max_moves=args.max_moves)
     payload = {
         "A": _labels(graph, partition.a),
         "B": _labels(graph, partition.b),
         "h_trace": cert.h_trace,
         "moves": len(cert.moves),
-        "violations": _violation_payload(graph, violations),
+        "violations": [],
         "feasible": cert.feasibility.feasible,
     }
     _emit(payload, args.format)
-    return EXIT_OK if not violations else EXIT_NO_PARTITION
+    return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
@@ -270,22 +266,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_squares(args) -> int:
     cells = parse_cells_file(args.cells)
-    try:
-        instance = GridInstance(tuple(cells), args.radius)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    instance = GridInstance(tuple(cells), args.radius)
     scheme = (
         DemandScheme.HALF_DEGREE
         if args.scheme == "half-degree"
         else DemandScheme.PHYSICAL_MAJORITY
     )
-    try:
-        result = solve_squares(
-            instance, scheme, loop_mode=args.loop_mode, max_moves=args.max_moves
-        )
-    except SolverError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)
-        return EXIT_NO_PARTITION
+    result = solve_squares(
+        instance, scheme, loop_mode=args.loop_mode, max_moves=args.max_moves
+    )
     payload = {
         "A": [list(c) for c in result.side_a],
         "B": [list(c) for c in result.side_b],
@@ -309,15 +298,12 @@ def _cmd_squares(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        graph, demands = random_feasible_instance(
-            args.n,
-            args.edge_probability,
-            (args.weight_min, args.weight_max),
-            args.seed,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    graph, demands = random_feasible_instance(
+        args.n,
+        args.edge_probability,
+        (args.weight_min, args.weight_max),
+        args.seed,
+    )
     graph_text = format_graph_file(graph)
     demands_text = format_demands_file(graph, demands)
     with open(args.out_graph, "w", encoding="utf-8") as handle:
@@ -352,54 +338,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph_files=True):
+    def subcommand(name, func, help_text, graph_files=True, loop_mode=True, max_moves=False):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        p.add_argument("--format", choices=("json", "text"), default="json")
         if graph_files:
             p.add_argument("--graph", required=True, help="edge list file")
             p.add_argument("--demands", required=True, help="demands file")
-        p.add_argument(
-            "--loop-mode",
-            dest="loop_mode",
-            type=_loop_mode,
-            default=LoopMode.DOUBLE,
-            metavar="once|double",
-            help="loop degree convention (default: double)",
-        )
-        p.add_argument("--tolerance", type=float, default=0.0)
-        p.add_argument("--max-moves", dest="max_moves", type=int, default=DEFAULT_MAX_MOVES)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "text"), default="json")
+        if loop_mode:
+            p.add_argument(
+                "--loop-mode",
+                dest="loop_mode",
+                type=_loop_mode,
+                default=LoopMode.DOUBLE,
+                metavar="once|double",
+                help="loop degree convention (default: double)",
+            )
+        if max_moves:
+            p.add_argument(
+                "--max-moves", dest="max_moves", type=int, default=DEFAULT_MAX_MOVES,
+                help=f"hill-climb move cap (default: {DEFAULT_MAX_MOVES})",
+            )
+        return p
 
-    p_solve = sub.add_parser("solve", help="compute a stable partition")
-    common(p_solve)
-    p_solve.set_defaults(func=_cmd_solve)
+    subcommand("solve", _cmd_solve, "compute a stable partition", max_moves=True)
+    subcommand("oracle", _cmd_oracle, "brute-force stable-partition existence")
 
-    p_oracle = sub.add_parser("oracle", help="brute-force stable-partition existence")
-    common(p_oracle)
-    p_oracle.set_defaults(func=_cmd_oracle)
-
-    p_verify = sub.add_parser("verify", help="check a partition against demands")
-    common(p_verify)
+    p_verify = subcommand("verify", _cmd_verify, "check a partition against demands")
     p_verify.add_argument("--partition", required=True, help="JSON file with A/B label lists")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.add_argument(
+        "--tolerance", type=float, default=0.0,
+        help="report only misses larger than this (default: 0)",
+    )
 
-    p_squares = sub.add_parser("squares", help="two-color grid cells")
-    common(p_squares, graph_files=False)
+    p_squares = subcommand(
+        "squares", _cmd_squares, "two-color grid cells", graph_files=False, max_moves=True
+    )
     p_squares.add_argument("--cells", required=True, help="cell list file")
     p_squares.add_argument("--radius", type=float, required=True)
     p_squares.add_argument("--scheme", choices=("half-degree", "physical"), default="half-degree")
     p_squares.add_argument("--svg", help="write an SVG rendering here")
     p_squares.add_argument("--show-circle", dest="show_circle", help="overlay circle at cell 'i,j'")
-    p_squares.set_defaults(func=_cmd_squares)
 
-    p_gen = sub.add_parser("gen", help="generate a random feasible instance")
-    common(p_gen, graph_files=False)
+    p_gen = subcommand(
+        "gen", _cmd_gen, "generate a random feasible instance",
+        graph_files=False, loop_mode=False,
+    )
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--edge-probability", dest="edge_probability", type=float, default=0.5)
     p_gen.add_argument("--weight-min", dest="weight_min", type=float, default=0.5)
     p_gen.add_argument("--weight-max", dest="weight_max", type=float, default=1.0)
     p_gen.add_argument("--out-graph", dest="out_graph", required=True)
     p_gen.add_argument("--out-demands", dest="out_demands", required=True)
-    p_gen.set_defaults(func=_cmd_gen)
 
     return parser
 
@@ -409,26 +400,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(json.dumps({"error": "InputError", "message": str(exc)}) + "\n")
-        return EXIT_INPUT
-    except (TooLargeError, TooFewCellsError, GenerationFailedError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return EXIT_INPUT
     except SolverError as exc:
-        # solver failures outside command handlers (e.g. single-vertex input)
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
+        _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)
         return EXIT_NO_PARTITION
-    except DegsplitError as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
+    except (DegsplitError, ValueError) as exc:
+        # library calls reject bad flag values with ValueError
+        name = type(exc).__name__ if isinstance(exc, DegsplitError) else "InputError"
+        sys.stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
         return EXIT_INPUT
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -91,22 +91,21 @@ def minimal_satisfying_set(
     """A non-empty inclusion-minimal set whose members all meet their demand
     inside it.
 
-    Starts from the full core and repeatedly restarts after any single-vertex
-    deletion (ascending index) whose core is still non-empty; stops when every
-    deletion collapses the core.  No proper non-empty subset of the result has
-    the all-members property.
+    Starts from the full core and makes one pass over its members in
+    ascending index: each member still present is deleted, and the core of
+    the rest replaces the current set whenever it is non-empty.  No restart
+    is needed because peel is monotone (the core of a subset lies inside the
+    core of any superset): a deletion that collapsed a superset collapses
+    every subset too.  So no proper non-empty subset of the result has the
+    all-members property.
     """
     universe = frozenset(range(graph.n)) if within is None else frozenset(within)
     current = peel(graph, universe, demands, tol)
     if not current:
         raise NoSatisfyingSetError("no non-empty subset meets the demands")
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for v in sorted(current):
+    for v in sorted(current):
+        if v in current:
             candidate = peel(graph, current - {v}, demands, tol)
             if candidate:
                 current = candidate
-                shrinking = True
-                break
     return current

@@ -200,11 +200,6 @@ def induced_degree(graph: WeightedGraph, subset, x: int) -> float:
     return total
 
 
-def degree_profile(graph: WeightedGraph) -> tuple[list[float], list[float]]:
-    """Copies of the cached per-vertex degree and max-incident-weight arrays."""
-    return list(graph.d), list(graph.W)
-
-
 def without_loops(graph: WeightedGraph) -> WeightedGraph:
     """The same graph with every loop removed (degrees recomputed)."""
     if not graph.has_loops():

@@ -6,8 +6,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GenerationFailedError, TooLargeError
 from .graph import Demands, LoopMode, WeightedGraph, build_graph
 from .solver import Partition
@@ -23,7 +21,11 @@ class OracleResult:
     count: int
 
 
-def _weight_matrix(graph: WeightedGraph) -> np.ndarray:
+def _weight_matrix(graph: WeightedGraph):
+    # numpy is imported here and in brute_force_solve only, so that the
+    # solver and the other CLI subcommands never pay for loading it
+    import numpy as np
+
     m = np.zeros((graph.n, graph.n))
     for x in range(graph.n):
         for y, w in graph.adjacency[x]:
@@ -47,6 +49,8 @@ def brute_force_solve(graph: WeightedGraph, demands: Demands) -> OracleResult:
         raise ValueError("demands do not match the graph")
     if n < 2:
         return OracleResult(False, None, 0)
+
+    import numpy as np
 
     weights = _weight_matrix(graph)
     totals = weights.sum(axis=0)

@@ -127,6 +127,11 @@ def _require_matching(graph: WeightedGraph, demands: Demands) -> None:
         raise ValueError(f"expected demands for {graph.n} vertices, got {len(demands)}")
 
 
+def _report(slack: list[float]) -> FeasibilityReport:
+    violations = tuple(x for x, s in enumerate(slack) if s < 0.0)
+    return FeasibilityReport(tuple(slack), violations, not violations)
+
+
 def check_feasibility(graph: WeightedGraph, demands: Demands) -> FeasibilityReport:
     """Per-vertex slack d - a - b - 2W, loop-corrected.
 
@@ -142,8 +147,7 @@ def check_feasibility(graph: WeightedGraph, demands: Demands) -> FeasibilityRepo
         if graph.loops[x]:
             s += factor * graph.loops[x]
         slack.append(s)
-    violations = tuple(x for x in range(graph.n) if slack[x] < 0.0)
-    return FeasibilityReport(tuple(slack), violations, not violations)
+    return _report(slack)
 
 
 def _h(graph: WeightedGraph, side_a, side_b, demands: Demands) -> float:
@@ -431,10 +435,12 @@ def solve(
         slacks.append(induced_degree(graph, members, x) - dem)
     cert.verification = slacks
 
-    violations = verify_partition(graph, demands, partition)
-    if violations:
+    # the exact gate: with finite doubles deg - dem < 0 exactly when
+    # deg < dem, the test verify_partition makes at tol = 0
+    misses = sum(1 for s in slacks if s < 0.0)
+    if misses:
         raise UnstablePartitionError(
-            f"{len(violations)} vertices miss their demand; "
+            f"{misses} vertices miss their demand; "
             "the input violates the degree precondition"
         )
     return partition, cert
@@ -468,16 +474,13 @@ def reduce_loops(graph: WeightedGraph, demands: Demands) -> LoopReduction:
     )
     reduced = Demands(a, b)
 
-    # Reduced-instance slack d' - a' - b' - 2W, factored so that the original
-    # demands cancel against the original degree before any loop shift; the
-    # naive order loses a few ulps exactly where the slack is zero.
-    slack = []
+    # Reduced-instance slack d' - a' - b' - 2W: the loop-corrected original
+    # slack minus the loop share the zero clamp kept out of each demand.
+    # Cancelling the original demands against the original degree first
+    # keeps zero slack exact; the naive order loses a few ulps there.
+    slack = list(check_feasibility(graph, demands).slack)
     for x in range(graph.n):
         loop_share = factor * graph.loops[x]
-        s = graph.d[x] - demands.a[x] - demands.b[x] - 2.0 * graph.W[x] + loop_share
-        s -= max(0.0, loop_share - demands.a[x])
-        s -= max(0.0, loop_share - demands.b[x])
-        slack.append(s)
-    violations = tuple(x for x in range(graph.n) if slack[x] < 0.0)
-    report = FeasibilityReport(tuple(slack), violations, not violations)
-    return LoopReduction(bare, reduced, report)
+        slack[x] -= max(0.0, loop_share - demands.a[x])
+        slack[x] -= max(0.0, loop_share - demands.b[x])
+    return LoopReduction(bare, reduced, _report(slack))

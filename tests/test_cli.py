@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import degsplit
 from degsplit.cli import main
 
 K9_EDGES = "".join(
@@ -116,6 +119,111 @@ def test_input_errors_exit_two(capsys, tmp_path):
     tri = write(tmp_path, "tri.edges", "x y 1\ny z 1\n")
     code, _, err = run_cli(capsys, ["solve", "--graph", tri, "--demands", unknown])
     assert code == 2
+
+
+def assert_input_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert set(payload) == {"error", "message"}
+    return payload
+
+
+@pytest.fixture
+def grid_cells(tmp_path):
+    return write(
+        tmp_path, "grid.cells", "".join(f"{i} {j}\n" for i in range(4) for j in range(4))
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "--max-moves", "0"],
+        ["squares", "--max-moves", "0"],
+        ["verify", "--tolerance", "-1"],
+    ],
+    ids=["solve-max-moves", "squares-max-moves", "verify-tolerance"],
+)
+def test_bad_flag_values_exit_two(capsys, tmp_path, k9_files, grid_cells, command):
+    graph, dem3, _ = k9_files
+    good = {"A": [f"v{i}" for i in range(4)], "B": [f"v{i}" for i in range(4, 9)]}
+    files = {
+        "solve": ["--graph", graph, "--demands", dem3],
+        "verify": ["--graph", graph, "--demands", dem3,
+                   "--partition", write(tmp_path, "p.json", json.dumps(good))],
+        "squares": ["--cells", grid_cells, "--radius", "2.1"],
+    }[command[0]]
+    payload = assert_input_error(*run_cli(capsys, command + files))
+    assert payload["error"] == "InputError"
+
+
+@pytest.mark.parametrize("text", ["[1,2]", '{"A": 5, "B": []}', '{"A": ["v0"]}'])
+def test_malformed_partition_file_exits_two(capsys, tmp_path, k9_files, text):
+    graph, dem3, _ = k9_files
+    partition = write(tmp_path, "bad.json", text)
+    payload = assert_input_error(*run_cli(
+        capsys,
+        ["verify", "--graph", graph, "--demands", dem3, "--partition", partition],
+    ))
+    assert payload["error"] == "InputError"
+
+
+def test_duplicate_demand_line_exits_two(capsys, tmp_path, k9_files):
+    graph, _, _ = k9_files
+    dem = write(tmp_path, "dup.dem", "v0 1 1\nv1 1 1\nv0 2 2\n")
+    payload = assert_input_error(
+        *run_cli(capsys, ["solve", "--graph", graph, "--demands", dem])
+    )
+    assert payload["error"] == "InputError"
+    assert ":3:" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve", "--seed", "1"], ["squares", "--tolerance", "0"]], ids=["seed", "tolerance"]
+)
+def test_flag_of_another_subcommand_is_rejected(capsys, k9_files, grid_cells, argv):
+    graph, dem3, _ = k9_files
+    files = (
+        ["--graph", graph, "--demands", dem3]
+        if argv[0] == "solve"
+        else ["--cells", grid_cells, "--radius", "2.1"]
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(argv + files)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_numpy_stays_unloaded_off_the_oracle_path(tmp_path, k9_files, grid_cells):
+    graph, dem3, _ = k9_files
+    good = {"A": [f"v{i}" for i in range(4)], "B": [f"v{i}" for i in range(4, 9)]}
+    files = ["--graph", graph, "--demands", dem3]
+    commands = [
+        ["solve", *files],
+        ["verify", *files, "--partition", write(tmp_path, "p.json", json.dumps(good))],
+        ["squares", "--cells", grid_cells, "--radius", "2.1"],
+        ["gen", "--n", "6", "--out-graph", str(tmp_path / "g.edges"),
+         "--out-demands", str(tmp_path / "g.dem")],
+    ]
+    script = (
+        "import sys\n"
+        "import degsplit\n"
+        "assert 'numpy' not in sys.modules, 'import degsplit'\n"
+        "from degsplit.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+    )
+    src = str(Path(degsplit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_comments_and_loops_parse(capsys, tmp_path):

@@ -3,12 +3,17 @@ import random
 import pytest
 
 from degsplit import (
+    DemandScheme,
+    GridInstance,
     NoSatisfyingSetError,
     build_graph,
+    build_grid_graph,
     induced_degree,
     is_meager,
     minimal_satisfying_set,
     peel,
+    reduce_loops,
+    squares_demands,
 )
 
 from conftest import complete_graph, qualifying_subsets, random_graph
@@ -142,3 +147,64 @@ class TestMinimalSatisfyingSet:
             assert peel(g, result, a) == result
             for v in result:
                 assert peel(g, result - {v}, a) == frozenset()
+
+
+def restart_minimal_satisfying_set(graph, demands, within=None, tol=0.0):
+    """Reference: the earlier search, which restarts from the lowest vertex
+    after every deletion whose core stays non-empty."""
+    universe = frozenset(range(graph.n)) if within is None else frozenset(within)
+    current = peel(graph, universe, demands, tol)
+    if not current:
+        raise NoSatisfyingSetError("no non-empty subset meets the demands")
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        for v in sorted(current):
+            candidate = peel(graph, current - {v}, demands, tol)
+            if candidate:
+                current = candidate
+                shrinking = True
+                break
+    return current
+
+
+class TestMinimalSetMatchesRestartSearch:
+    """The one-pass search returns exactly the set the restarting search
+    returns, because peel is monotone."""
+
+    @staticmethod
+    def assert_same(graph, demands, within=None, tol=0.0):
+        try:
+            expected = restart_minimal_satisfying_set(graph, demands, within, tol)
+        except NoSatisfyingSetError:
+            with pytest.raises(NoSatisfyingSetError):
+                minimal_satisfying_set(graph, demands, within, tol)
+            return False
+        assert minimal_satisfying_set(graph, demands, within, tol) == expected
+        return True
+
+    @pytest.mark.parametrize("tol", [0.0, 0.3])
+    def test_random_weighted_graphs(self, tol):
+        rng = random.Random(31)
+        solved = 0
+        for _ in range(60):
+            n = rng.randint(2, 14)
+            g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
+            a = [rng.uniform(0.0, 3.0) for _ in range(n)]
+            solved += self.assert_same(g, a, tol=tol)
+        assert solved >= 20
+
+    def test_unit_weight_zero_slack_graphs(self):
+        # a = (d - 2W) / 2 on unit weights: zero slack, exact half-integers
+        rng = random.Random(8)
+        for _ in range(6):
+            g = random_graph(rng, 40, 0.3, weight_range=(1.0, 1.0))
+            a = [max(0.0, (d - 2.0) / 2.0) for d in g.d]
+            active = [x for x in range(g.n) if g.d[x] > 0.0]
+            assert self.assert_same(g, a, within=active)
+
+    @pytest.mark.parametrize("width,height,r", [(6, 6, 2.1), (7, 5, 2.6), (8, 6, 3.1)])
+    def test_reduced_half_degree_grids(self, width, height, r):
+        graph = build_grid_graph(GridInstance.rectangle(width, height, r))
+        reduction = reduce_loops(graph, squares_demands(graph, DemandScheme.HALF_DEGREE))
+        assert self.assert_same(reduction.graph, reduction.demands.a)

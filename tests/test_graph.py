@@ -12,7 +12,6 @@ from degsplit import (
     NonPositiveWeightError,
     VertexNotInSetError,
     build_graph,
-    degree_profile,
     induced_degree,
     without_loops,
 )
@@ -73,25 +72,17 @@ def test_induced_degree_requires_membership(triangle):
 
 
 def test_degree_profile_path(path3):
-    d, w = degree_profile(path3)
-    assert d == [1.0, 2.0, 1.0]
-    assert w == [1.0, 1.0, 1.0]
+    assert path3.d == (1.0, 2.0, 1.0)
+    assert path3.W == (1.0, 1.0, 1.0)
 
 
 def test_degree_profile_single_vertex():
     g = build_graph([], vertices=["x"])
-    assert degree_profile(g) == ([0.0], [0.0])
+    assert (g.d, g.W) == ((0.0,), (0.0,))
 
 
 def test_degree_profile_k9(k9):
-    d, _ = degree_profile(k9)
-    assert d == [8.0] * 9
-
-
-def test_profile_copies_do_not_alias(triangle):
-    d, w = degree_profile(triangle)
-    d[0] = 99.0
-    assert triangle.d[0] == 2.0
+    assert k9.d == (8.0,) * 9
 
 
 def test_without_loops():

@@ -281,6 +281,15 @@ class TestSolve:
         with pytest.raises(UnstablePartitionError):
             solve(g, dem)
 
+    def test_gate_rejects_the_smallest_miss(self):
+        # the gate is exact: a miss of one subnormal ulp is still a miss
+        g = build_graph([("x", "y", 1.0), ("y", "z", 1.0), ("z", "x", 1.0)],
+                        vertices=["x", "y", "z", "u"])
+        tiny = 5e-324
+        dem = Demands((0.0, 0.0, 0.0, tiny), (0.0, 0.0, 0.0, tiny))
+        with pytest.raises(UnstablePartitionError):
+            solve(g, dem)
+
     def test_all_isolated(self):
         g = build_graph([], vertices=["p", "q", "r"])
         part, _ = solve(g, Demands.constant(3, 0.0, 0.0))
@@ -372,6 +381,15 @@ class TestReduceLoops:
         g = build_graph([("x", "y", 1.0), ("x", "x", 1.0)], LoopMode.ONCE)
         red = reduce_loops(g, Demands((3.0, 0.0), (0.5, 0.0)))
         assert red.demands.a == (2.0, 0.0)
+
+    def test_precondition_is_the_reduced_instance_slack(self):
+        # loops above and below the demands, so each clamp is hit and missed;
+        # halves and small integers keep every sum exact
+        edges = [("x", "y", 1.0), ("y", "z", 2.0), ("x", "x", 1.0), ("z", "z", 3.0)]
+        dem = Demands((3.0, 1.0, 0.5), (0.5, 0.0, 4.0))
+        for mode in (LoopMode.ONCE, LoopMode.DOUBLE):
+            red = reduce_loops(build_graph(edges, mode), dem)
+            assert red.precondition == check_feasibility(red.graph, red.demands)
 
     def test_stability_transfers_to_original(self):
         rng = random.Random(99)
