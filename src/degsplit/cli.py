@@ -145,10 +145,22 @@ def format_graph_file(graph: WeightedGraph) -> str:
 
 
 def format_demands_file(graph: WeightedGraph, demands: Demands) -> str:
+    """Demand lines of the vertices a graph file names: those with an edge
+    or a loop."""
     lines = sorted(
-        (str(graph.labels[x]), demands.a[x], demands.b[x]) for x in range(graph.n)
+        (str(graph.labels[x]), demands.a[x], demands.b[x])
+        for x in range(graph.n)
+        if graph.adjacency[x] or graph.loops[x] > 0.0
     )
     return "".join(f"{u} {a!r} {b!r}\n" for u, a, b in lines)
+
+
+def _write_text(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _labels(graph: WeightedGraph, members) -> list[str]:
@@ -214,8 +226,7 @@ def render_squares_svg(path, instance, side_a, r, show_circle=None, scale=20):
             'fill="none" stroke="#555555" stroke-width="1"/>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def _cmd_solve(args) -> int:
@@ -304,13 +315,12 @@ def _cmd_gen(args) -> int:
         (args.weight_min, args.weight_max),
         args.seed,
     )
-    graph_text = format_graph_file(graph)
-    demands_text = format_demands_file(graph, demands)
-    with open(args.out_graph, "w", encoding="utf-8") as handle:
-        handle.write(graph_text)
-    with open(args.out_demands, "w", encoding="utf-8") as handle:
-        handle.write(demands_text)
     edge_count = sum(len(row) for row in graph.adjacency) // 2
+    if not edge_count:
+        # a graph file without lines cannot be read back
+        raise InputError("no edge was drawn; raise --edge-probability or --n")
+    _write_text(args.out_graph, format_graph_file(graph))
+    _write_text(args.out_demands, format_demands_file(graph, demands))
     _emit(
         {
             "graph": args.out_graph,

@@ -4,6 +4,15 @@
 falls below its threshold until none remains.  The surviving set is the
 unique maximal subset in which every vertex meets its threshold, and it does
 not depend on the deletion order.
+
+Both ``peel`` and ``minimal_satisfying_set`` run one cascade engine in the
+manner of Batagelj and Zaversnik's O(m) cores algorithm: each member keeps
+its induced degree, seeded by ``induced_degree``, and a deletion subtracts
+its edge weight from every neighbour still present.  Subtraction drifts a
+few ulps from the ascending sum ``induced_degree`` returns, so the exact-tie
+rule applies: when |deg(x) - (threshold(x) - tol)| <= 4 (k + 2) 2^-53 d(x),
+with k the number of x's neighbours, x is decided on the exact ascending sum
+instead.  Every decision is therefore the one exact recomputation makes.
 """
 
 from __future__ import annotations
@@ -15,6 +24,9 @@ from .errors import NoSatisfyingSetError
 from .graph import WeightedGraph, induced_degree
 
 Thresholds = Sequence[float]
+
+# unit roundoff of a double
+_ROUNDOFF = 2.0 ** -53
 
 
 def _check_thresholds(graph: WeightedGraph, thresholds: Thresholds) -> None:
@@ -33,6 +45,46 @@ def _check_subset(graph: WeightedGraph, subset: Iterable[int]) -> set[int]:
     return members
 
 
+def _below(graph, members, deg, floor, x) -> bool:
+    # deg[x] and the ascending sum each lie within len(adjacency[x]) + 1
+    # roundings of the true degree, and each subtraction adds one more; no
+    # partial sum exceeds d[x], so a rounding is at most _ROUNDOFF * d[x].
+    # Outside this band both values fall on the same side of the floor.
+    margin = deg[x] - floor
+    if abs(margin) <= 4 * (len(graph.adjacency[x]) + 2) * _ROUNDOFF * graph.d[x]:
+        return induced_degree(graph, members, x) < floor
+    return deg[x] < floor
+
+
+def _delete(adjacency, members, deg, x, stack, removed, log) -> None:
+    # remove x, subtract its weights from the members left and queue them;
+    # ``log`` (when kept) records each change as (vertex, old degree)
+    members.remove(x)
+    removed.append(x)
+    for y, w in adjacency[x]:
+        if y in members:
+            if log is not None:
+                log.append((y, deg[y]))
+            deg[y] -= w
+            stack.append(y)
+
+
+def _cascade(graph, members, deg, thresholds, tol, stack, removed, log=None) -> None:
+    # delete every queued vertex below its threshold, and in turn whatever
+    # those deletions push below theirs
+    while stack:
+        x = stack.pop()
+        if x in members and _below(graph, members, deg, thresholds[x] - tol, x):
+            _delete(graph.adjacency, members, deg, x, stack, removed, log)
+
+
+def _core(graph, members, thresholds, tol) -> dict[int, float]:
+    # peel ``members`` in place; returns the induced degree of each survivor
+    deg = {x: induced_degree(graph, members, x) for x in members}
+    _cascade(graph, members, deg, thresholds, tol, list(members), [])
+    return deg
+
+
 def peel(
     graph: WeightedGraph,
     subset: Iterable[int],
@@ -42,27 +94,16 @@ def peel(
     """Maximal T within ``subset`` where every member keeps induced degree
     >= thresholds[x] - tol.  Possibly empty.
 
-    Deletion order: the most violating vertex first (smallest degree-minus-
-    threshold margin, ties by index).  The order only fixes the trace; the
-    returned set is the same for any order.
+    The deletion order is that of a work stack and is not part of the
+    contract: adding a positive weight to an ascending sum never lowers it,
+    so any order returns the same set.  Degrees are kept incrementally; a
+    degree within a few ulps of its threshold is recomputed exactly with
+    ``induced_degree``, so the result is the one exact recomputation gives.
     """
     _check_thresholds(graph, thresholds)
     members = _check_subset(graph, subset)
-    deg = {x: induced_degree(graph, members, x) for x in members}
-    while True:
-        worst = None
-        worst_key = None
-        for x in members:
-            if deg[x] < thresholds[x] - tol:
-                key = (deg[x] - thresholds[x], x)
-                if worst is None or key < worst_key:
-                    worst, worst_key = x, key
-        if worst is None:
-            return frozenset(members)
-        members.remove(worst)
-        for y, _ in graph.adjacency[worst]:
-            if y in members:
-                deg[y] = induced_degree(graph, members, y)
+    _core(graph, members, thresholds, tol)
+    return frozenset(members)
 
 
 def is_meager(
@@ -98,14 +139,24 @@ def minimal_satisfying_set(
     core of any superset): a deletion that collapsed a superset collapses
     every subset too.  So no proper non-empty subset of the result has the
     all-members property.
+
+    One degree map serves the whole pass.  A trial cascades only from the
+    deleted vertex's neighbours; when it empties the set, the deleted
+    vertices come back and the logged degree changes are undone.
     """
-    universe = frozenset(range(graph.n)) if within is None else frozenset(within)
-    current = peel(graph, universe, demands, tol)
-    if not current:
+    _check_thresholds(graph, demands)
+    members = _check_subset(graph, range(graph.n) if within is None else within)
+    deg = _core(graph, members, demands, tol)
+    if not members:
         raise NoSatisfyingSetError("no non-empty subset meets the demands")
-    for v in sorted(current):
-        if v in current:
-            candidate = peel(graph, current - {v}, demands, tol)
-            if candidate:
-                current = candidate
-    return current
+    for v in sorted(members):
+        if v not in members:
+            continue
+        stack, removed, log = [], [], []
+        _delete(graph.adjacency, members, deg, v, stack, removed, log)
+        _cascade(graph, members, deg, demands, tol, stack, removed, log)
+        if not members:
+            members.update(removed)
+            for y, old in reversed(log):
+                deg[y] = old
+    return frozenset(members)

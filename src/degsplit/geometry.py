@@ -110,32 +110,53 @@ def circle_square_area(dx: float, dy: float, r: float) -> float:
     return min(1.0, max(0.0, area))
 
 
+def _stencil(r: float, width: int, height: int) -> list[tuple[int, int, float]]:
+    # offsets (dx, dy) > (0, 0) in lexicographic order, |dx| < width and
+    # |dy| < height, whose squares overlap the disk around the origin, with
+    # their weights; only center distances < r + sqrt(1/2) can overlap
+    reach2 = (r + math.sqrt(0.5)) ** 2
+    span = math.ceil(r + math.sqrt(0.5))
+    span_x, span_y = min(span, width - 1), min(span, height - 1)
+    offsets = []
+    for dx in range(span_x + 1):
+        for dy in range(-span_y if dx else 1, span_y + 1):
+            if dx * dx + dy * dy >= reach2:
+                continue
+            w = circle_square_area(dx, dy, r)
+            if w > MIN_EDGE_WEIGHT:
+                offsets.append((dx, dy, w))
+    return offsets
+
+
 def build_grid_graph(instance: GridInstance, loop_mode: LoopMode = LoopMode.DOUBLE) -> WeightedGraph:
     """Grid graph of an instance: one vertex per cell labelled by the cell
     pair, w_xy the overlap of x's disk with square y, loops the overlap with
     the cell's own square.
 
-    Only cells with center distance < r + sqrt(1/2) can overlap; beyond that
-    the weight is exactly zero and no edge is created.
+    Built from an offset stencil: the weight depends only on the offset
+    between two cells, so it is computed once per offset within reach
+    (center distance < r + sqrt(1/2); beyond that the weight is exactly zero
+    and no edge is created) and inside the cells' bounding box, and each
+    cell looks its stencil neighbours up among the cells.  Each unordered
+    pair is listed once.  The cost is O(n * |stencil|), where |stencil| is
+    about pi (r + 0.71)^2 / 2 and at most twice the bounding box area.
     """
     cells = instance.cells
     if len(cells) < 2:
         raise TooFewCellsError("a grid instance needs at least two cells")
-    r = instance.r
-    reach2 = (r + math.sqrt(0.5)) ** 2
-    loop_w = circle_square_area(0.0, 0.0, r)
+    loop_w = circle_square_area(0.0, 0.0, instance.r)
+    width = cells[-1][0] - cells[0][0] + 1
+    height = max(j for _, j in cells) - min(j for _, j in cells) + 1
+    stencil = _stencil(instance.r, width, height)
+    present = set(cells)
 
     edges: list[tuple[Cell, Cell, float]] = []
-    for idx, (i, j) in enumerate(cells):
+    for i, j in cells:
         if loop_w > MIN_EDGE_WEIGHT:
             edges.append(((i, j), (i, j), loop_w))
-        for k, l in cells[idx + 1:]:
-            ddx, ddy = k - i, l - j
-            if ddx * ddx + ddy * ddy >= reach2:
-                continue
-            w = circle_square_area(ddx, ddy, r)
-            if w > MIN_EDGE_WEIGHT:
-                edges.append(((i, j), (k, l), w))
+        for dx, dy, w in stencil:
+            if (i + dx, j + dy) in present:
+                edges.append(((i, j), (i + dx, j + dy), w))
     return build_graph(edges, loop_mode, vertices=cells)
 
 

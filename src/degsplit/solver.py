@@ -399,6 +399,8 @@ def solve(
     if graph.n < 2:
         raise SingleVertexGraphError("no partition exists with fewer than two vertices")
     _require_matching(graph, demands)
+    if max_moves < 1:
+        raise ValueError("max_moves must be at least 1")
 
     cert = SolveCertificate()
     cert.phase_log.append(PHASE_FEASIBILITY)

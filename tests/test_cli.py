@@ -305,6 +305,53 @@ def test_gen_roundtrip_and_determinism(capsys, tmp_path):
     assert format_graph_file(reparsed) == first_graph
 
 
+@pytest.mark.parametrize("command", ["gen", "squares"])
+def test_unwritable_output_exits_two(capsys, tmp_path, grid_cells, command):
+    missing = tmp_path / "missing"
+    argv = {
+        "gen": ["gen", "--n", "7", "--edge-probability", "0.8",
+                "--out-graph", str(missing / "g.edges"),
+                "--out-demands", str(missing / "g.dem")],
+        "squares": ["squares", "--cells", grid_cells, "--radius", "2.1",
+                    "--svg", str(missing / "x.svg")],
+    }[command]
+    payload = assert_input_error(*run_cli(capsys, argv))
+    assert payload["error"] == "InputError"
+    assert not missing.exists()
+
+
+def test_gen_output_with_an_isolated_vertex_solves(capsys, tmp_path):
+    # vertex 0 draws no edge: the graph file cannot name it, so neither may
+    # the demands file
+    out_graph = str(tmp_path / "g.edges")
+    out_dem = str(tmp_path / "g.dem")
+    code, out, _ = run_cli(
+        capsys,
+        ["gen", "--n", "8", "--edge-probability", "0.35", "--seed", "7",
+         "--out-graph", out_graph, "--out-demands", out_dem],
+    )
+    assert code == 0
+    assert json.loads(out)["n"] == 8
+    assert not any(
+        line.split()[0] == "0" for line in open(out_dem, encoding="utf-8")
+    )
+    code, out, _ = run_cli(capsys, ["solve", "--graph", out_graph, "--demands", out_dem])
+    assert code == 0
+    assert len(json.loads(out)["A"]) + len(json.loads(out)["B"]) == 7
+
+
+def test_gen_without_edges_exits_two(capsys, tmp_path):
+    out_graph = tmp_path / "g.edges"
+    out_dem = tmp_path / "g.dem"
+    payload = assert_input_error(*run_cli(
+        capsys,
+        ["gen", "--n", "5", "--edge-probability", "0.2", "--seed", "3",
+         "--out-graph", str(out_graph), "--out-demands", str(out_dem)],
+    ))
+    assert payload["error"] == "InputError"
+    assert not out_graph.exists() and not out_dem.exists()
+
+
 def test_identical_argv_identical_output(capsys, k9_files):
     graph, dem3, _ = k9_files
     argv = ["solve", "--graph", graph, "--demands", dem3]

@@ -149,18 +149,40 @@ class TestMinimalSatisfyingSet:
                 assert peel(g, result - {v}, a) == frozenset()
 
 
+def reference_peel(graph, subset, thresholds, tol=0.0):
+    """Reference: the earlier peel, which re-sums each neighbour's induced
+    degree after every deletion and deletes the most violating vertex first
+    (smallest degree-minus-threshold margin, ties by index)."""
+    members = set(subset)
+    deg = {x: induced_degree(graph, members, x) for x in members}
+    while True:
+        worst = None
+        worst_key = None
+        for x in members:
+            if deg[x] < thresholds[x] - tol:
+                key = (deg[x] - thresholds[x], x)
+                if worst is None or key < worst_key:
+                    worst, worst_key = x, key
+        if worst is None:
+            return frozenset(members)
+        members.remove(worst)
+        for y, _ in graph.adjacency[worst]:
+            if y in members:
+                deg[y] = induced_degree(graph, members, y)
+
+
 def restart_minimal_satisfying_set(graph, demands, within=None, tol=0.0):
     """Reference: the earlier search, which restarts from the lowest vertex
     after every deletion whose core stays non-empty."""
     universe = frozenset(range(graph.n)) if within is None else frozenset(within)
-    current = peel(graph, universe, demands, tol)
+    current = reference_peel(graph, universe, demands, tol)
     if not current:
         raise NoSatisfyingSetError("no non-empty subset meets the demands")
     shrinking = True
     while shrinking:
         shrinking = False
         for v in sorted(current):
-            candidate = peel(graph, current - {v}, demands, tol)
+            candidate = reference_peel(graph, current - {v}, demands, tol)
             if candidate:
                 current = candidate
                 shrinking = True
@@ -169,8 +191,9 @@ def restart_minimal_satisfying_set(graph, demands, within=None, tol=0.0):
 
 
 class TestMinimalSetMatchesRestartSearch:
-    """The one-pass search returns exactly the set the restarting search
-    returns, because peel is monotone."""
+    """The one-pass incremental search returns exactly the set the
+    restarting, re-summing search returns, because peel is monotone and
+    every peel decision is the exact one."""
 
     @staticmethod
     def assert_same(graph, demands, within=None, tol=0.0):
@@ -208,3 +231,53 @@ class TestMinimalSetMatchesRestartSearch:
         graph = build_grid_graph(GridInstance.rectangle(width, height, r))
         reduction = reduce_loops(graph, squares_demands(graph, DemandScheme.HALF_DEGREE))
         assert self.assert_same(reduction.graph, reduction.demands.a)
+
+
+# weights whose sums round: subtracting them one by one from an ascending sum
+# drifts away from the ascending sum of the rest
+TIE_WEIGHTS = (0.1, 0.2, 0.3, 0.7, 1.0 / 3.0)
+
+
+def planted_tight_core(rng, n, p, tol=0.0):
+    """A random graph whose thresholds inside a random subset S equal each
+    member's ascending induced degree in S plus ``tol``, and 1e9 elsewhere,
+    so every member of S sits on its threshold once the rest is peeled
+    away."""
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                w = rng.choice(TIE_WEIGHTS + (None,))
+                edges.append((i, j, rng.uniform(0.05, 1.0) if w is None else w))
+    graph = build_graph(edges, vertices=range(n))
+    planted = {x for x in range(n) if rng.random() < 0.6}
+    thresholds = [1e9] * n
+    for x in planted:
+        thresholds[x] = induced_degree(graph, planted, x) + tol
+    return graph, thresholds
+
+
+class TestPlantedTightCore:
+    """Degrees that land exactly on their thresholds after a cascade: the
+    incremental degrees are a few ulps off there, and only the exact-tie
+    recomputation keeps every decision equal to the reference's."""
+
+    @pytest.mark.parametrize("tol", [0.0, 0.5])
+    def test_peel_matches_reference(self, tol):
+        rng = random.Random(2024)
+        nonempty = 0
+        for _ in range(300):
+            graph, thresholds = planted_tight_core(rng, rng.randint(4, 16), 0.6, tol)
+            expected = reference_peel(graph, range(graph.n), thresholds, tol)
+            assert peel(graph, range(graph.n), thresholds, tol) == expected
+            nonempty += bool(expected)
+        assert nonempty >= 100
+
+    @pytest.mark.parametrize("tol", [0.0, 0.5])
+    def test_minimal_set_matches_reference(self, tol):
+        rng = random.Random(77)
+        solved = 0
+        for _ in range(150):
+            graph, thresholds = planted_tight_core(rng, rng.randint(4, 14), 0.6, tol)
+            solved += TestMinimalSetMatchesRestartSearch.assert_same(graph, thresholds, tol=tol)
+        assert solved >= 50

@@ -11,12 +11,14 @@ from degsplit import (
     GridInstance,
     LoopMode,
     TooFewCellsError,
+    build_graph,
     build_grid_graph,
     circle_square_area,
     solve_squares,
     squares_demands,
     verify_partition,
 )
+from degsplit.geometry import MIN_EDGE_WEIGHT
 from degsplit.solver import reduce_loops
 
 
@@ -153,6 +155,61 @@ class TestBuildGridGraph:
     def test_too_few_cells(self):
         with pytest.raises(TooFewCellsError):
             build_grid_graph(GridInstance(((0, 0),), 1.0))
+
+
+def reference_grid_graph(instance, loop_mode):
+    """Reference: the earlier build, which checks every pair of cells."""
+    cells = instance.cells
+    r = instance.r
+    reach2 = (r + math.sqrt(0.5)) ** 2
+    loop_w = circle_square_area(0.0, 0.0, r)
+    edges = []
+    for idx, (i, j) in enumerate(cells):
+        if loop_w > MIN_EDGE_WEIGHT:
+            edges.append(((i, j), (i, j), loop_w))
+        for k, l in cells[idx + 1:]:
+            ddx, ddy = k - i, l - j
+            if ddx * ddx + ddy * ddy >= reach2:
+                continue
+            w = circle_square_area(ddx, ddy, r)
+            if w > MIN_EDGE_WEIGHT:
+                edges.append(((i, j), (k, l), w))
+    return build_graph(edges, loop_mode, vertices=cells)
+
+
+def _ragged_cells(seed):
+    rng = random.Random(seed)
+    cells = set()
+    while len(cells) < 40:
+        cells.add((rng.randint(-7, 6), rng.randint(-9, 3)))
+    return tuple(cells)
+
+
+GRID_SHAPES = {
+    "rect-1x2": tuple((0, j) for j in range(2)),
+    "rect-7x4": tuple((i, j) for i in range(7) for j in range(4)),
+    "rect-12x12": tuple((i, j) for i in range(12) for j in range(12)),
+    "ragged-a": _ragged_cells(1),
+    "ragged-b": _ragged_cells(2),
+    "far-apart": ((-3, 0), (0, 0), (9, -8)),
+}
+
+
+class TestGridGraphMatchesPairScan:
+    """The stencil build gives the graph the pair scan gives, bit for bit."""
+
+    @pytest.mark.parametrize("r", [0.3, 0.5, 0.71, 1.0, 2.1, 3.1, 4.4])
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    @pytest.mark.parametrize("shape", sorted(GRID_SHAPES))
+    def test_same_graph(self, shape, r, loop_mode):
+        instance = GridInstance(GRID_SHAPES[shape], r)
+        g = build_grid_graph(instance, loop_mode)
+        ref = reference_grid_graph(instance, loop_mode)
+        assert g.labels == ref.labels
+        assert g.adjacency == ref.adjacency
+        assert g.loops == ref.loops
+        assert g.d == ref.d
+        assert g.W == ref.W
 
 
 class TestSquaresDemands:

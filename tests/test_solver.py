@@ -305,6 +305,15 @@ class TestSolve:
         assert part.side(g.index_of("v")) == "B"
         assert not verify_partition(g, dem, part)
 
+    def test_max_moves_checked_before_any_phase(self):
+        # one vertex of positive degree never reaches the hill-climb, whose
+        # own check used to be the only one
+        g = build_graph([("v", "v", 1.0)], vertices=["v", "u"])
+        dem = Demands((0.0, 0.0), (0.0, 0.0))
+        with pytest.raises(ValueError):
+            solve(g, dem, max_moves=0)
+        assert solve(g, dem, max_moves=1)[0].a
+
     def test_random_instances_verified_against_demands(self):
         for seed in range(60):
             n = 3 + seed % 9
