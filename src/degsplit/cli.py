@@ -32,6 +32,17 @@ class InputError(DegsplitError):
     """A malformed or unreadable input file or flag value."""
 
 
+def _error_line(name: str, message: str) -> str:
+    return json.dumps({"error": name, "message": message}) + "\n"
+
+
+class _Parser(argparse.ArgumentParser):
+    # a usage error is an input error: exit 2 with one JSON line on stderr
+    # instead of argparse's usage text
+    def error(self, message):
+        self.exit(EXIT_INPUT, _error_line("InputError", f"{self.prog}: {message}"))
+
+
 def _read_lines(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -237,7 +248,7 @@ def _cmd_solve(args) -> int:
     payload = {
         "A": _labels(graph, partition.a),
         "B": _labels(graph, partition.b),
-        "h_trace": cert.h_trace,
+        "h_trace": list(cert.h_trace),
         "moves": len(cert.moves),
         "violations": [],
         "feasible": cert.feasibility.feasible,
@@ -342,7 +353,7 @@ def _loop_mode(text: str) -> LoopMode:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="degsplit",
         description="Split a weighted graph into two sides meeting degree demands.",
     )
@@ -416,7 +427,7 @@ def main(argv=None) -> int:
     except (DegsplitError, ValueError) as exc:
         # library calls reject bad flag values with ValueError
         name = type(exc).__name__ if isinstance(exc, DegsplitError) else "InputError"
-        sys.stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
+        sys.stderr.write(_error_line(name, str(exc)))
         return EXIT_INPUT
 
 if __name__ == "__main__":

@@ -10,9 +10,22 @@ manner of Batagelj and Zaversnik's O(m) cores algorithm: each member keeps
 its induced degree, seeded by ``induced_degree``, and a deletion subtracts
 its edge weight from every neighbour still present.  Subtraction drifts a
 few ulps from the ascending sum ``induced_degree`` returns, so the exact-tie
-rule applies: when |deg(x) - (threshold(x) - tol)| <= 4 (k + 2) 2^-53 d(x),
+rule applies: when |deg(x) - (threshold(x) - tol)| <= 8 (k + 2) 2^-53 d(x),
 with k the number of x's neighbours, x is decided on the exact ascending sum
 instead.  Every decision is therefore the one exact recomputation makes.
+
+The band is the one place that bounds how far a kept degree may drift.  It
+covers a degree seeded by ``induced_degree`` (k + 1 roundings), then up to k
+single-edge updates before the solver's hill-climb reseeds it, then up to k
+cascade subtractions, against an exact sum of k + 1 roundings: 4k + 2
+roundings of at most about 2^-53 d(x) each, with a factor of two to spare.
+
+``minimal_satisfying_set`` also stops failing trials early.  Call a member
+essential once its own trial has failed, that is, left the rest's core empty.
+A later trial of v that would delete an essential vertex u is abandoned at
+once and fails too: core(S - v) lies in S - u and so in core(S - u), which
+lies in core(S_u - u) = {} for the larger set S_u that u was tried in.  The
+pass is ascending, so the essential members are those numbered below v.
 """
 
 from __future__ import annotations
@@ -45,13 +58,16 @@ def _check_subset(graph: WeightedGraph, subset: Iterable[int]) -> set[int]:
     return members
 
 
+def _band(graph: WeightedGraph, x: int) -> float:
+    # bound on |kept degree - ascending sum| (see the module docstring): no
+    # partial sum exceeds d[x], so a rounding is at most _ROUNDOFF * d[x]
+    return 8 * (len(graph.adjacency[x]) + 2) * _ROUNDOFF * graph.d[x]
+
+
 def _below(graph, members, deg, floor, x) -> bool:
-    # deg[x] and the ascending sum each lie within len(adjacency[x]) + 1
-    # roundings of the true degree, and each subtraction adds one more; no
-    # partial sum exceeds d[x], so a rounding is at most _ROUNDOFF * d[x].
-    # Outside this band both values fall on the same side of the floor.
-    margin = deg[x] - floor
-    if abs(margin) <= 4 * (len(graph.adjacency[x]) + 2) * _ROUNDOFF * graph.d[x]:
+    # outside the band the kept degree and the exact sum fall on the same
+    # side of the floor
+    if abs(deg[x] - floor) <= _band(graph, x):
         return induced_degree(graph, members, x) < floor
     return deg[x] < floor
 
@@ -69,18 +85,27 @@ def _delete(adjacency, members, deg, x, stack, removed, log) -> None:
             stack.append(y)
 
 
-def _cascade(graph, members, deg, thresholds, tol, stack, removed, log=None) -> None:
+def _cascade(
+    graph, members, deg, thresholds, tol, stack, removed, log=None, essential_below=0
+) -> bool:
     # delete every queued vertex below its threshold, and in turn whatever
-    # those deletions push below theirs
+    # those deletions push below theirs; False, with the cascade cut short,
+    # as soon as it would delete a vertex numbered below ``essential_below``
     while stack:
         x = stack.pop()
         if x in members and _below(graph, members, deg, thresholds[x] - tol, x):
+            if x < essential_below:
+                return False
             _delete(graph.adjacency, members, deg, x, stack, removed, log)
+    return True
 
 
-def _core(graph, members, thresholds, tol) -> dict[int, float]:
-    # peel ``members`` in place; returns the induced degree of each survivor
-    deg = {x: induced_degree(graph, members, x) for x in members}
+def _core(graph, members, thresholds, tol, deg=None) -> dict[int, float]:
+    # peel ``members`` in place, starting from ``deg`` (each member's induced
+    # degree, updated in place) or else from fresh ``induced_degree`` sums;
+    # returns the induced degree of each survivor
+    if deg is None:
+        deg = {x: induced_degree(graph, members, x) for x in members}
     _cascade(graph, members, deg, thresholds, tol, list(members), [])
     return deg
 
@@ -142,7 +167,13 @@ def minimal_satisfying_set(
 
     One degree map serves the whole pass.  A trial cascades only from the
     deleted vertex's neighbours; when it empties the set, the deleted
-    vertices come back and the logged degree changes are undone.
+    vertices come back and the logged degree changes are undone.  A member
+    whose trial failed is essential, and a trial that would delete an
+    essential vertex fails at that point: the core of the rest is empty
+    because it lies in the core of the larger set the essential vertex was
+    tried in, minus that vertex, which was empty.  When v is tried, the
+    members left below v are exactly the essential ones: each was tried
+    before v and is still present.
     """
     _check_thresholds(graph, demands)
     members = _check_subset(graph, range(graph.n) if within is None else within)
@@ -154,8 +185,8 @@ def minimal_satisfying_set(
             continue
         stack, removed, log = [], [], []
         _delete(graph.adjacency, members, deg, v, stack, removed, log)
-        _cascade(graph, members, deg, demands, tol, stack, removed, log)
-        if not members:
+        kept = _cascade(graph, members, deg, demands, tol, stack, removed, log, v)
+        if not (kept and members):
             members.update(removed)
             for y, old in reversed(log):
                 deg[y] = old

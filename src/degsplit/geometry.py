@@ -113,9 +113,11 @@ def circle_square_area(dx: float, dy: float, r: float) -> float:
 def _stencil(r: float, width: int, height: int) -> list[tuple[int, int, float]]:
     # offsets (dx, dy) > (0, 0) in lexicographic order, |dx| < width and
     # |dy| < height, whose squares overlap the disk around the origin, with
-    # their weights; only center distances < r + sqrt(1/2) can overlap
-    reach2 = (r + math.sqrt(0.5)) ** 2
-    span = math.ceil(r + math.sqrt(0.5))
+    # their weights; only center distances < r + sqrt(1/2) can overlap.
+    # A float product overflows to inf where ** would raise.
+    reach = r + math.sqrt(0.5)
+    reach2 = reach * reach
+    span = math.ceil(reach)
     span_x, span_y = min(span, width - 1), min(span, height - 1)
     offsets = []
     for dx in range(span_x + 1):

@@ -21,13 +21,28 @@ cross demand terms twice as well, so a move of vertex v changes h by exactly
 positive whenever the slack condition holds at v.  Certificates carry a
 cumulative h trace built from these per-move gains; it matches a fresh
 recomputation to float accuracy and is strictly increasing by construction.
+The certificate stores only the starting h; the trace is derived from it and
+each move's h_after.
+
+The climb keeps each side's induced degrees across moves: a move updates the
+moved vertex's neighbours only, and a kept degree is reseeded with the exact
+sum after as many updates as the vertex has neighbours, so its drift stays
+inside the core module's band.  Cores come from the core module's cascade on
+a copy of those degrees.  A side is re-peeled only when its core can have
+changed: peel is monotone, so a side that lost a vertex keeps an empty core
+empty and a side that gained one keeps a non-empty core non-empty (its core
+is computed only when the pair is returned).  A witness is chosen on exact
+margins: every member whose kept margin lies within the band of the running
+best (which starts at 0) is recomputed with ``induced_degree``, so ties still
+go to the lowest index.  The move's degrees and gain are exact sums, so the
+moves and h values are those of a climb that re-peels and re-sums everything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import minimal_satisfying_set, peel
+from .core import _ROUNDOFF, _band, _core, minimal_satisfying_set, peel
 from .errors import (
     CompletionAssertFailedError,
     MoveLimitExceededError,
@@ -115,11 +130,19 @@ class SolveCertificate:
 
     phase_log: list[str] = field(default_factory=list)
     moves: list[Move] = field(default_factory=list)
-    h_trace: list[float] = field(default_factory=list)
+    h_start: float | None = None
     hillclimb_start: tuple[frozenset[int], frozenset[int]] | None = None
     stable_pair: tuple[frozenset[int], frozenset[int]] | None = None
     verification: list[float] | None = None
     feasibility: FeasibilityReport | None = None
+
+    @property
+    def h_trace(self) -> tuple[float, ...]:
+        """h at the climb's start and after each move; empty when the
+        solver did not climb."""
+        if self.h_start is None:
+            return ()
+        return (self.h_start, *(move.h_after for move in self.moves))
 
 
 def _require_matching(graph: WeightedGraph, demands: Demands) -> None:
@@ -179,24 +202,104 @@ class _Candidate:
     from_side: str
     to_side: str
     gain: float
+    new_degree: float  # the vertex's induced degree on its new side
 
 
-def _candidate_move(graph, demands, src_set, dst_set, src_name) -> _Candidate | None:
-    """Best witness move out of src_set, or None if no vertex violates the
+class _Side:
+    """One side of the hill-climb: its members, each member's induced degree
+    kept across moves, and the core of the side.
+
+    A move updates only the moved vertex's neighbours.  A kept degree drifts
+    by one rounding per update, so after len(adjacency[x]) updates it is
+    reseeded with ``induced_degree``; the core module's band covers the
+    rest.  ``core`` is the side's core, or None when it is known to be
+    non-empty but was not computed: peel is monotone, so a side that gains
+    a vertex keeps a non-empty core non-empty and one that loses a vertex
+    keeps an empty core empty, and only the other two cases re-peel.
+    """
+
+    def __init__(self, graph, members, demand):
+        self.graph = graph
+        self.demand = demand
+        self.strong = [demand[x] + graph.W[x] for x in range(graph.n)]
+        self.members = set(members)
+        self.deg = {x: induced_degree(graph, self.members, x) for x in self.members}
+        self.updates = dict.fromkeys(self.members, 0)
+        self.core = self._peel()
+
+    def _peel(self) -> frozenset[int]:
+        core = set(self.members)
+        _core(self.graph, core, self.demand, 0.0, dict(self.deg))
+        return frozenset(core)
+
+    def _update(self, v, sign) -> None:
+        graph, members, deg, updates = self.graph, self.members, self.deg, self.updates
+        for y, w in graph.adjacency[v]:
+            if y in members:
+                deg[y] += sign * w
+                updates[y] += 1
+                if updates[y] >= len(graph.adjacency[y]):
+                    deg[y] = induced_degree(graph, members, y)
+                    updates[y] = 0
+
+    def add(self, v, degree) -> None:
+        """Insert v, whose exact induced degree in the grown side is
+        ``degree``."""
+        self.members.add(v)
+        self._update(v, 1.0)
+        self.deg[v] = degree
+        self.updates[v] = 0
+        self.core = None if self.has_core() else self._peel()
+
+    def remove(self, v) -> None:
+        self.members.remove(v)
+        del self.deg[v], self.updates[v]
+        self._update(v, -1.0)
+        if self.has_core():
+            self.core = self._peel()
+
+    def has_core(self) -> bool:
+        return self.core is None or bool(self.core)
+
+    def final_core(self) -> frozenset[int]:
+        if self.core is None:
+            self.core = self._peel()
+        return self.core
+
+    def witness(self) -> tuple[int, float] | None:
+        """The member of largest margin demand + W - degree, lowest index
+        first, with its exact degree; None if no margin is positive.
+
+        A kept margin may round differently from the exact one, so every
+        member that could beat the running best (which starts at 0) is
+        recomputed with ``induced_degree``: the margins compared are the
+        exact ones, and so is the witness.
+        """
+        graph, members, deg, strong = self.graph, self.members, self.deg, self.strong
+        best, found = 0.0, None
+        for x in sorted(members):
+            approx = strong[x] - deg[x]
+            # |approx - exact margin| < 2 (band + 2^-52 |approx|): the degree
+            # band plus one rounding of each subtraction
+            if approx < best - 2.0 * (_band(graph, x) + 2.0 * _ROUNDOFF * abs(approx)):
+                continue
+            degree = induced_degree(graph, members, x)
+            margin = strong[x] - degree
+            if margin > best:
+                best, found = margin, (x, degree)
+        return found
+
+
+def _candidate_move(graph, demands, src, dst, src_name) -> _Candidate | None:
+    """Best witness move out of ``src``, or None if no vertex violates the
     demand + W bound there (or the side would empty)."""
-    if len(src_set) < 2:
+    if len(src.members) < 2:
         return None
-    dem = demands.b if src_name == "B" else demands.a
-    witness = None
-    best_margin = 0.0
-    for x in sorted(src_set):
-        margin = dem[x] + graph.W[x] - induced_degree(graph, src_set, x)
-        if margin > best_margin:
-            witness, best_margin = x, margin
-    if witness is None:
+    found = src.witness()
+    if found is None:
         return None
-    d_old = induced_degree(graph, src_set, witness)
-    d_new = induced_degree(graph, dst_set | {witness}, witness)
+    witness, d_old = found
+    d_new = induced_degree(graph, dst.members | {witness}, witness)
     if src_name == "B":
         swap = demands.b[witness] - demands.a[witness]
         dst_name = "A"
@@ -204,7 +307,7 @@ def _candidate_move(graph, demands, src_set, dst_set, src_name) -> _Candidate | 
         swap = demands.a[witness] - demands.b[witness]
         dst_name = "B"
     gain = 2.0 * (d_new - d_old + swap)
-    return _Candidate(witness, src_name, dst_name, gain)
+    return _Candidate(witness, src_name, dst_name, gain, d_new)
 
 
 def find_stable_pair(
@@ -245,29 +348,34 @@ def find_stable_pair(
         return side_a, strong_core, cert
 
     cert.phase_log.append(PHASE_HILLCLIMB)
-    side_a, side_b = set(side_a), set(side_b)
-    cert.hillclimb_start = (frozenset(side_a), frozenset(side_b))
+    cert.hillclimb_start = (side_a, side_b)
     h = _h(graph, side_a, side_b, demands)
-    cert.h_trace.append(h)
+    cert.h_start = h
+    sides = {"A": _Side(graph, side_a, a_dem), "B": _Side(graph, side_b, b_dem)}
+
+    def candidate(src_name):
+        dst_name = "A" if src_name == "B" else "B"
+        return _candidate_move(graph, demands, sides[src_name], sides[dst_name], src_name)
 
     for _ in range(max_moves):
-        core_a = peel(graph, side_a, a_dem)
-        core_b = peel(graph, side_b, b_dem)
-        if core_a and core_b:
-            cert.stable_pair = (core_a, core_b)
-            return core_a, core_b, cert
+        has_a, has_b = sides["A"].has_core(), sides["B"].has_core()
+        if has_a and has_b:
+            pair = (sides["A"].final_core(), sides["B"].final_core())
+            cert.stable_pair = pair
+            return pair[0], pair[1], cert
 
-        to_a = _candidate_move(graph, demands, side_b, side_a, "B")
-        to_b = _candidate_move(graph, demands, side_a, side_b, "A")
-        if not core_a and core_b:
-            move = to_a or to_b
-        elif not core_b and core_a:
-            move = to_b or to_a
-        elif to_a and to_b:
-            # both cores empty: take the larger gain, ties prefer B -> A
-            move = to_a if to_a.gain >= to_b.gain else to_b
+        # the side holding a core gives first; with both cores empty, the
+        # larger gain moves and ties prefer B -> A
+        if has_b:
+            move = candidate("B") or candidate("A")
+        elif has_a:
+            move = candidate("A") or candidate("B")
         else:
-            move = to_a or to_b
+            to_a, to_b = candidate("B"), candidate("A")
+            if to_a and to_b:
+                move = to_a if to_a.gain >= to_b.gain else to_b
+            else:
+                move = to_a or to_b
         if move is None:
             raise PartitionCollapseError("no witness vertex can move without emptying a side")
         if move.gain <= 0.0:
@@ -276,16 +384,11 @@ def find_stable_pair(
                 f"gains {move.gain}; the degree precondition fails"
             )
 
-        if move.from_side == "B":
-            side_b.remove(move.vertex)
-            side_a.add(move.vertex)
-        else:
-            side_a.remove(move.vertex)
-            side_b.add(move.vertex)
+        sides[move.from_side].remove(move.vertex)
+        sides[move.to_side].add(move.vertex, move.new_degree)
         h_before = h
         h = h + move.gain
         cert.moves.append(Move(move.vertex, move.from_side, move.to_side, h_before, h))
-        cert.h_trace.append(h)
 
     raise MoveLimitExceededError(f"no stable pair within {max_moves} moves")
 

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import degsplit
+from degsplit import Partition, verify_partition
 from degsplit.cli import main
+from degsplit.geometry import DemandScheme, GridInstance, build_grid_graph, squares_demands
 
 K9_EDGES = "".join(
     f"v{i} v{j} 1.0\n" for i in range(9) for j in range(i + 1, 9)
@@ -195,6 +197,43 @@ def test_flag_of_another_subcommand_is_rejected(capsys, k9_files, grid_cells, ar
         main(argv + files)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["solve", "--graph", "g.edges"], "required: --demands"),
+        (["squares", "--cells", "c.txt", "--radius", "abc"], "invalid float value: 'abc'"),
+        (["solve", "--graph", "g.edges", "--demands", "d.dem", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        ([], "required: command"),
+    ],
+    ids=["missing-demands", "radius-abc", "unknown-flag", "no-command"],
+)
+def test_usage_errors_are_one_json_line(capsys, argv, fragment):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    payload = assert_input_error(exc.value.code, captured.out, captured.err)
+    assert payload["error"] == "InputError"
+    assert fragment in payload["message"]
+
+
+def test_squares_with_a_huge_radius(capsys, tmp_path):
+    # every cell's disk covers every square: the stencil's reach overflows
+    # to inf and must not raise
+    cells = write(tmp_path, "two.cells", "0 0\n1 0\n")
+    code, out, _ = run_cli(capsys, ["squares", "--cells", cells, "--radius", "1e200"])
+    assert code == 0
+    payload = json.loads(out)
+    instance = GridInstance(((0, 0), (1, 0)), 1e200)
+    graph = build_grid_graph(instance)
+    demands = squares_demands(graph, DemandScheme.HALF_DEGREE)
+    partition = Partition(
+        frozenset(graph.index_of(tuple(c)) for c in payload["A"]),
+        frozenset(graph.index_of(tuple(c)) for c in payload["B"]),
+    )
+    assert verify_partition(graph, demands, partition) == []
 
 
 def test_numpy_stays_unloaded_off_the_oracle_path(tmp_path, k9_files, grid_cells):

@@ -26,7 +26,8 @@ from degsplit import (
     solve,
     verify_partition,
 )
-from degsplit.solver import PHASE_HILLCLIMB
+from degsplit.core import _band, minimal_satisfying_set, peel
+from degsplit.solver import PHASE_HILLCLIMB, Move, _h, _Side
 
 from conftest import complete_graph, weight_dict
 from conftest import random_graph as conftest_random_graph
@@ -57,6 +58,78 @@ def assert_stable_pair(graph, demands, side_a, side_b):
         assert induced_degree(graph, side_a, x) >= demands.a[x]
     for x in side_b:
         assert induced_degree(graph, side_b, x) >= demands.b[x]
+
+
+def reference_find_stable_pair(graph, demands, max_moves=10_000):
+    """``find_stable_pair`` without kept side degrees: both sides are
+    peeled from scratch and every witness margin is re-summed at each move,
+    so every decision is taken on exact sums.  Returns
+    (hillclimb_start, moves, h_trace, stable_pair) as tuples of plain
+    values, or raises the solver's error."""
+
+    def candidate(src_set, dst_set, src_name):
+        if len(src_set) < 2:
+            return None
+        dem = demands.b if src_name == "B" else demands.a
+        witness, best_margin = None, 0.0
+        for x in sorted(src_set):
+            margin = dem[x] + graph.W[x] - induced_degree(graph, src_set, x)
+            if margin > best_margin:
+                witness, best_margin = x, margin
+        if witness is None:
+            return None
+        d_old = induced_degree(graph, src_set, witness)
+        d_new = induced_degree(graph, dst_set | {witness}, witness)
+        if src_name == "B":
+            swap, dst_name = demands.b[witness] - demands.a[witness], "A"
+        else:
+            swap, dst_name = demands.a[witness] - demands.b[witness], "B"
+        return witness, src_name, dst_name, 2.0 * (d_new - d_old + swap)
+
+    active = frozenset(x for x in range(graph.n) if graph.d[x] > 0.0)
+    side_a = minimal_satisfying_set(graph, demands.a, within=active)
+    side_b = active - side_a
+    if not side_b:
+        raise PartitionCollapseError("every active vertex is needed")
+    strong_b = [demands.b[x] + graph.W[x] for x in range(graph.n)]
+    strong_core = peel(graph, side_b, strong_b)
+    if strong_core:
+        return None, (), (), (side_a, strong_core)
+
+    side_a, side_b = set(side_a), set(side_b)
+    start = (frozenset(side_a), frozenset(side_b))
+    h = _h(graph, side_a, side_b, demands)
+    moves, h_trace = [], [h]
+    for _ in range(max_moves):
+        core_a = peel(graph, side_a, demands.a)
+        core_b = peel(graph, side_b, demands.b)
+        if core_a and core_b:
+            return start, tuple(moves), tuple(h_trace), (core_a, core_b)
+        to_a = candidate(side_b, side_a, "B")
+        to_b = candidate(side_a, side_b, "A")
+        if not core_a and core_b:
+            move = to_a or to_b
+        elif not core_b and core_a:
+            move = to_b or to_a
+        elif to_a and to_b:
+            move = to_a if to_a[3] >= to_b[3] else to_b
+        else:
+            move = to_a or to_b
+        if move is None:
+            raise PartitionCollapseError("no witness vertex can move")
+        vertex, from_side, to_side, gain = move
+        if gain <= 0.0:
+            raise NonImprovingMoveError(f"moving vertex {vertex} gains {gain}")
+        if from_side == "B":
+            side_b.remove(vertex)
+            side_a.add(vertex)
+        else:
+            side_a.remove(vertex)
+            side_b.add(vertex)
+        moves.append(Move(vertex, from_side, to_side, h, h + gain))
+        h = h + gain
+        h_trace.append(h)
+    raise MoveLimitExceededError(f"no stable pair within {max_moves} moves")
 
 
 class TestCheckFeasibility:
@@ -163,6 +236,15 @@ class TestFindStablePair:
                 cur_b.add(move.vertex)
             assert math.isclose(h_after, h_reference(g, cur_a, cur_b, dem), abs_tol=1e-9)
 
+    def test_h_trace_is_derived_from_the_moves(self):
+        g, dem = random_feasible_instance(10, 1.0, (0.5, 1.0), seed=8)
+        _, _, cert = find_stable_pair(g, dem)
+        assert cert.h_trace == (cert.h_start, *(m.h_after for m in cert.moves))
+        with pytest.raises(AttributeError):
+            cert.h_trace = []
+        _, _, no_climb = find_stable_pair(complete_graph(9), Demands.constant(9, 3.0, 3.0))
+        assert no_climb.h_start is None and no_climb.h_trace == ()
+
     def test_move_limit(self):
         g, dem = random_feasible_instance(10, 1.0, (0.5, 1.0), seed=8)
         with pytest.raises(MoveLimitExceededError):
@@ -201,6 +283,87 @@ class TestFindStablePair:
         g = build_graph([("x", "y", 1.0)])
         with pytest.raises(PartitionCollapseError):
             find_stable_pair(g, Demands.constant(2, 0.5, 0.5))
+
+
+def climb_outcome(climb, graph, demands):
+    try:
+        return climb(graph, demands)
+    except SolverError as exc:
+        return type(exc).__name__
+
+
+def kept_degree_climb(graph, demands):
+    _, _, cert = find_stable_pair(graph, demands)
+    return cert.hillclimb_start, tuple(cert.moves), cert.h_trace, cert.stable_pair
+
+
+class TestKeptDegreeClimbMatchesReference:
+    """``find_stable_pair`` keeps each side's degrees across moves and
+    re-peels only a side whose core can have changed; it must make exactly
+    the moves of the re-peeling reference.  The instances are G(n, 0.3),
+    n from 30 to 60, with every edge of weight w and a = b = (d - 2W) / 2,
+    zero slack everywhere.  At w = 1 every sum is exact; at the non-dyadic
+    weights kept degrees drift from the ascending sums by a few ulps while
+    ties between margins, and between degrees and demands, stay exact, so a
+    decision taken on a drifted value shows up as a different move."""
+
+    @pytest.mark.parametrize("weight", [1.0, 0.1, 0.2, 0.3, 0.7, 1 / 3])
+    def test_same_climb(self, weight):
+        long_climbs = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(30, 60)
+            edges = [
+                (i, j, weight)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.random() < 0.3
+            ]
+            g = build_graph(edges, vertices=range(n))
+            dem = [max(0.0, (g.d[x] - 2.0 * g.W[x]) / 2.0) for x in range(n)]
+            demands = Demands(tuple(dem), tuple(dem))
+            got = climb_outcome(kept_degree_climb, g, demands)
+            assert got == climb_outcome(reference_find_stable_pair, g, demands), seed
+            if isinstance(got, tuple) and len(got[1]) >= 5:
+                long_climbs += 1
+        assert long_climbs >= 10
+
+
+class TestKeptSideDegrees:
+    """One side of the hill-climb, ``_Side``, against exact recomputation."""
+
+    def test_witness_tie_goes_to_the_lower_index(self):
+        # vertex 0 keeps 0.2 + 0.1 - 0.1 = 0.20000000000000004 once its 0.1
+        # neighbour leaves; its exact margin 0.8 + 0.2 - 0.2 ties vertex 1's,
+        # and the lower index must win
+        g = build_graph([(0, 2, 0.2), (0, 3, 0.1), (1, 2, 0.2)], vertices=range(4))
+        side = _Side(g, range(4), [0.8] * 4)
+        side.remove(3)
+        assert side.deg[0] != induced_degree(g, side.members, 0)
+        assert side.witness() == (0, 0.2)
+
+    def test_degrees_and_cores_follow_many_moves(self):
+        # a star whose leaves leave and return thousands of times; without
+        # reseeding, the centre's kept degree drifts past the band.  Its
+        # demand is the exact sum over leaves 1, 3 and 4, so the core is
+        # non-empty exactly when the centre reaches it, often by a tie.
+        weights = [0.1, 0.1, 1 / 3, 1 / 3, 1 / 3]
+        g = build_graph(
+            [(0, leaf, w) for leaf, w in enumerate(weights, start=1)], vertices=range(6)
+        )
+        demand = [induced_degree(g, {0, 1, 3, 4}, 0)] + [0.1] * 5
+        side = _Side(g, range(6), demand)
+        rng = random.Random(0)
+        for _ in range(4000):
+            v = rng.randrange(1, 6)
+            if v in side.members:
+                side.remove(v)
+            else:
+                side.add(v, induced_degree(g, side.members | {v}, v))
+            for x in side.members:
+                assert abs(side.deg[x] - induced_degree(g, side.members, x)) <= _band(g, x)
+            assert side.has_core() == bool(peel(g, side.members, demand))
+        assert side.final_core() == peel(g, side.members, demand)
 
 
 class TestCompletePair:
