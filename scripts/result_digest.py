@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over everything ``solve`` returns on the benchmark's
+grid and climb pools for one seed.
+
+A change that must not alter results prints the same digest as its parent:
+
+    PYTHONPATH=src python scripts/result_digest.py --seed 1
+
+The digest covers, for every ``solve`` call the pool's ops make (grid ops
+call it through ``solve_squares``), the partition and the certificate's
+phase log, moves, h trace, stable pair, hill-climb start and verification
+slacks.  Sets are hashed as sorted tuples, since the iteration order of
+equal sets can differ.
+"""
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
+from degsplit import geometry, solver  # noqa: E402
+
+
+def canonical(value):
+    if isinstance(value, frozenset):
+        return tuple(sorted(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(canonical(item) for item in value)
+    return value
+
+
+def record(partition, cert) -> tuple:
+    return canonical(
+        (
+            partition.a,
+            partition.b,
+            cert.phase_log,
+            cert.moves,
+            cert.h_trace,
+            cert.hillclimb_start,
+            cert.stable_pair,
+            cert.verification,
+        )
+    )
+
+
+def digest(seed: int) -> tuple[str, int]:
+    """The digest of both pools and the number of ``solve`` calls hashed."""
+    sha = hashlib.sha256()
+    calls = 0
+    original = solver.solve
+
+    def recording_solve(*args, **kwargs):
+        nonlocal calls
+        partition, cert = original(*args, **kwargs)
+        sha.update(repr(record(partition, cert)).encode())
+        sha.update(b"\n")
+        calls += 1
+        return partition, cert
+
+    solver.solve = geometry.solve = recording_solve
+    try:
+        for name in ("grid", "climb"):
+            # the output directory and source path serve the cli workload only
+            for op in workloads.setup(name, seed, None, None).ops:
+                if not op():
+                    raise SystemExit(f"{name}: an op failed verification")
+    finally:
+        solver.solve = geometry.solve = original
+    return sha.hexdigest(), calls
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args()
+    value, calls = digest(args.seed)
+    print(f"{value}  seed={args.seed} solve_calls={calls}")
+
+
+if __name__ == "__main__":
+    main()

@@ -289,13 +289,8 @@ def _cmd_verify(args) -> int:
 def _cmd_squares(args) -> int:
     cells = parse_cells_file(args.cells)
     instance = GridInstance(tuple(cells), args.radius)
-    scheme = (
-        DemandScheme.HALF_DEGREE
-        if args.scheme == "half-degree"
-        else DemandScheme.PHYSICAL_MAJORITY
-    )
     result = solve_squares(
-        instance, scheme, loop_mode=args.loop_mode, max_moves=args.max_moves
+        instance, DemandScheme(args.scheme), loop_mode=args.loop_mode, max_moves=args.max_moves
     )
     payload = {
         "A": [list(c) for c in result.side_a],
@@ -344,14 +339,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _loop_mode(text: str) -> LoopMode:
-    if text == "once":
-        return LoopMode.ONCE
-    if text == "double":
-        return LoopMode.DOUBLE
-    raise argparse.ArgumentTypeError(f"expected 'once' or 'double', got {text!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="degsplit",
@@ -370,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--loop-mode",
                 dest="loop_mode",
-                type=_loop_mode,
+                type=LoopMode,
                 default=LoopMode.DOUBLE,
                 metavar="once|double",
                 help="loop degree convention (default: double)",

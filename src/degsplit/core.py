@@ -10,8 +10,8 @@ manner of Batagelj and Zaversnik's O(m) cores algorithm: each member keeps
 its induced degree, seeded by ``induced_degree``, and a deletion subtracts
 its edge weight from every neighbour still present.  Subtraction drifts a
 few ulps from the ascending sum ``induced_degree`` returns, so the exact-tie
-rule applies: when |deg(x) - (threshold(x) - tol)| <= 8 (k + 2) 2^-53 d(x),
-with k the number of x's neighbours, x is decided on the exact ascending sum
+rule applies: when |deg(x) - threshold(x)| <= 8 (k + 2) 2^-53 d(x), with k
+the number of x's neighbours, x is decided on the exact ascending sum
 instead.  Every decision is therefore the one exact recomputation makes.
 
 The band is the one place that bounds how far a kept degree may drift.  It
@@ -64,14 +64,6 @@ def _band(graph: WeightedGraph, x: int) -> float:
     return 8 * (len(graph.adjacency[x]) + 2) * _ROUNDOFF * graph.d[x]
 
 
-def _below(graph, members, deg, floor, x) -> bool:
-    # outside the band the kept degree and the exact sum fall on the same
-    # side of the floor
-    if abs(deg[x] - floor) <= _band(graph, x):
-        return induced_degree(graph, members, x) < floor
-    return deg[x] < floor
-
-
 def _delete(adjacency, members, deg, x, stack, removed, log) -> None:
     # remove x, subtract its weights from the members left and queue them;
     # ``log`` (when kept) records each change as (vertex, old degree)
@@ -85,39 +77,41 @@ def _delete(adjacency, members, deg, x, stack, removed, log) -> None:
             stack.append(y)
 
 
-def _cascade(
-    graph, members, deg, thresholds, tol, stack, removed, log=None, essential_below=0
-) -> bool:
+def _cascade(graph, members, deg, thresholds, stack, removed, log=None, essential_below=0) -> bool:
     # delete every queued vertex below its threshold, and in turn whatever
     # those deletions push below theirs; False, with the cascade cut short,
     # as soon as it would delete a vertex numbered below ``essential_below``
     while stack:
         x = stack.pop()
-        if x in members and _below(graph, members, deg, thresholds[x] - tol, x):
+        if x not in members:
+            continue
+        floor = thresholds[x]
+        # outside the band the kept degree and the exact sum fall on the same
+        # side of the floor
+        if abs(deg[x] - floor) <= _band(graph, x):
+            below = induced_degree(graph, members, x) < floor
+        else:
+            below = deg[x] < floor
+        if below:
             if x < essential_below:
                 return False
             _delete(graph.adjacency, members, deg, x, stack, removed, log)
     return True
 
 
-def _core(graph, members, thresholds, tol, deg=None) -> dict[int, float]:
+def _core(graph, members, thresholds, deg=None) -> dict[int, float]:
     # peel ``members`` in place, starting from ``deg`` (each member's induced
     # degree, updated in place) or else from fresh ``induced_degree`` sums;
     # returns the induced degree of each survivor
     if deg is None:
         deg = {x: induced_degree(graph, members, x) for x in members}
-    _cascade(graph, members, deg, thresholds, tol, list(members), [])
+    _cascade(graph, members, deg, thresholds, list(members), [])
     return deg
 
 
-def peel(
-    graph: WeightedGraph,
-    subset: Iterable[int],
-    thresholds: Thresholds,
-    tol: float = 0.0,
-) -> frozenset[int]:
+def peel(graph: WeightedGraph, subset: Iterable[int], thresholds: Thresholds) -> frozenset[int]:
     """Maximal T within ``subset`` where every member keeps induced degree
-    >= thresholds[x] - tol.  Possibly empty.
+    >= thresholds[x].  Possibly empty.
 
     The deletion order is that of a work stack and is not part of the
     contract: adding a positive weight to an ascending sum never lowers it,
@@ -127,16 +121,11 @@ def peel(
     """
     _check_thresholds(graph, thresholds)
     members = _check_subset(graph, subset)
-    _core(graph, members, thresholds, tol)
+    _core(graph, members, thresholds)
     return frozenset(members)
 
 
-def is_meager(
-    graph: WeightedGraph,
-    subset: Iterable[int],
-    thresholds: Thresholds,
-    tol: float = 0.0,
-) -> bool:
+def is_meager(graph: WeightedGraph, subset: Iterable[int], thresholds: Thresholds) -> bool:
     """True when every non-empty subset of ``subset`` has a vertex with
     induced degree below thresholds[x] + W(x).
 
@@ -145,14 +134,13 @@ def is_meager(
     """
     _check_thresholds(graph, thresholds)
     strong = [thresholds[x] + graph.W[x] for x in range(graph.n)]
-    return not peel(graph, subset, strong, tol)
+    return not peel(graph, subset, strong)
 
 
 def minimal_satisfying_set(
     graph: WeightedGraph,
     demands: Thresholds,
     within: Iterable[int] | None = None,
-    tol: float = 0.0,
 ) -> frozenset[int]:
     """A non-empty inclusion-minimal set whose members all meet their demand
     inside it.
@@ -177,7 +165,7 @@ def minimal_satisfying_set(
     """
     _check_thresholds(graph, demands)
     members = _check_subset(graph, range(graph.n) if within is None else within)
-    deg = _core(graph, members, demands, tol)
+    deg = _core(graph, members, demands)
     if not members:
         raise NoSatisfyingSetError("no non-empty subset meets the demands")
     for v in sorted(members):
@@ -185,7 +173,7 @@ def minimal_satisfying_set(
             continue
         stack, removed, log = [], [], []
         _delete(graph.adjacency, members, deg, v, stack, removed, log)
-        kept = _cascade(graph, members, deg, demands, tol, stack, removed, log, v)
+        kept = _cascade(graph, members, deg, demands, stack, removed, log, v)
         if not (kept and members):
             members.update(removed)
             for y, old in reversed(log):

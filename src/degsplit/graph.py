@@ -130,22 +130,20 @@ def build_graph(
     twice in either orientation.
     """
     label_index: dict[Label, int] = {}
-    labels: list[Label] = []
+    # rows[x] maps each neighbour of x to the weight of their edge
+    rows: list[dict[int, float]] = []
 
     def intern(label: Label) -> int:
         idx = label_index.get(label)
         if idx is None:
-            idx = len(labels)
-            label_index[label] = idx
-            labels.append(label)
+            idx = label_index[label] = len(rows)
+            rows.append({})
         return idx
 
     for label in vertices:
         intern(label)
 
-    pending: list[tuple[int, int, float]] = []
     loop_weights: dict[int, float] = {}
-    seen: set[tuple[int, int]] = set()
     for u, v, w in edges:
         w = float(w)
         if not (w > 0.0) or math.isinf(w):
@@ -156,23 +154,17 @@ def build_graph(
                 raise DuplicateEdgeError(f"loop at {u!r} listed twice")
             loop_weights[x] = w
             continue
-        key = (x, y) if x < y else (y, x)
-        if key in seen:
+        if y in rows[x]:
             raise DuplicateEdgeError(f"edge ({u!r}, {v!r}) listed twice")
-        seen.add(key)
-        pending.append((x, y, w))
+        rows[x][y] = rows[y][x] = w
 
-    n = len(labels)
-    lists: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for x, y, w in pending:
-        lists[x].append((y, w))
-        lists[y].append((x, w))
-    adjacency = tuple(tuple(sorted(row)) for row in lists)
+    n = len(rows)
+    adjacency = tuple(tuple(sorted(row.items())) for row in rows)
     loops = tuple(loop_weights.get(x, 0.0) for x in range(n))
     d, w_max = _cached_profile(adjacency, loops, loop_mode)
     return WeightedGraph(
         n=n,
-        labels=tuple(labels),
+        labels=tuple(label_index),
         adjacency=adjacency,
         loops=loops,
         loop_mode=loop_mode,

@@ -12,6 +12,8 @@ from .solver import Partition
 
 MAX_BRUTE_VERTICES = 24
 _CHUNK = 1 << 16
+# draws random_feasible_instance makes before it gives up
+_MAX_RETRIES = 500
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,6 @@ def random_feasible_instance(
     edge_probability: float,
     weight_range: tuple[float, float],
     seed: int,
-    max_retries: int = 500,
 ) -> tuple[WeightedGraph, Demands]:
     """Sample a loopless graph with non-negative slack s(x) = d(x) - 2W(x)
     everywhere, then split that slack into demands a(x) = u*s(x) and
@@ -93,7 +94,7 @@ def random_feasible_instance(
 
     The result satisfies d >= a + b + 2W at every vertex by construction.
     Deterministic for a fixed seed; draws with negative slack are resampled,
-    and GenerationFailedError is raised after ``max_retries`` misses (the
+    and GenerationFailedError is raised after ``_MAX_RETRIES`` misses (the
     requested density cannot avoid low-degree vertices).
     """
     if n < 2:
@@ -105,7 +106,7 @@ def random_feasible_instance(
         raise ValueError("edge_probability must lie in [0, 1]")
 
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         edges = []
         for i in range(n):
             for j in range(i + 1, n):
@@ -123,6 +124,6 @@ def random_feasible_instance(
             b.append(rng.random() * (slack[x] - ax))
         return graph, Demands(tuple(a), tuple(b))
     raise GenerationFailedError(
-        f"no draw with non-negative slack in {max_retries} attempts "
+        f"no draw with non-negative slack in {_MAX_RETRIES} attempts "
         f"(n={n}, p={edge_probability})"
     )

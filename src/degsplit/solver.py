@@ -28,10 +28,9 @@ The climb keeps each side's induced degrees across moves: a move updates the
 moved vertex's neighbours only, and a kept degree is reseeded with the exact
 sum after as many updates as the vertex has neighbours, so its drift stays
 inside the core module's band.  Cores come from the core module's cascade on
-a copy of those degrees.  A side is re-peeled only when its core can have
-changed: peel is monotone, so a side that lost a vertex keeps an empty core
-empty and a side that gained one keeps a non-empty core non-empty (its core
-is computed only when the pair is returned).  A witness is chosen on exact
+a copy of those degrees.  A side that gains a vertex is re-peeled; one that
+loses a vertex is re-peeled only when its core was non-empty, because peel is
+monotone and an empty core stays empty.  A witness is chosen on exact
 margins: every member whose kept margin lies within the band of the running
 best (which starts at 0) is recomputed with ``induced_degree``, so ties still
 go to the lowest index.  The move's degrees and gain are exact sums, so the
@@ -196,30 +195,21 @@ def h_value(graph: WeightedGraph, partition: Partition, demands: Demands) -> flo
     return _h(graph, partition.a, partition.b, demands)
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    vertex: int
-    from_side: str
-    to_side: str
-    gain: float
-    new_degree: float  # the vertex's induced degree on its new side
-
-
 class _Side:
-    """One side of the hill-climb: its members, each member's induced degree
-    kept across moves, and the core of the side.
+    """One side of the hill-climb: its name, its members, each member's
+    induced degree kept across moves, and the core of the side.
 
     A move updates only the moved vertex's neighbours.  A kept degree drifts
     by one rounding per update, so after len(adjacency[x]) updates it is
     reseeded with ``induced_degree``; the core module's band covers the
-    rest.  ``core`` is the side's core, or None when it is known to be
-    non-empty but was not computed: peel is monotone, so a side that gains
-    a vertex keeps a non-empty core non-empty and one that loses a vertex
-    keeps an empty core empty, and only the other two cases re-peel.
+    rest.  ``core`` is always the side's core.  A side that gains a vertex
+    re-peels; one that loses a vertex re-peels only when its core was
+    non-empty, since peel is monotone and an empty core stays empty.
     """
 
-    def __init__(self, graph, members, demand):
+    def __init__(self, graph, name, members, demand):
         self.graph = graph
+        self.name = name
         self.demand = demand
         self.strong = [demand[x] + graph.W[x] for x in range(graph.n)]
         self.members = set(members)
@@ -229,7 +219,7 @@ class _Side:
 
     def _peel(self) -> frozenset[int]:
         core = set(self.members)
-        _core(self.graph, core, self.demand, 0.0, dict(self.deg))
+        _core(self.graph, core, self.demand, dict(self.deg))
         return frozenset(core)
 
     def _update(self, v, sign) -> None:
@@ -249,22 +239,14 @@ class _Side:
         self._update(v, 1.0)
         self.deg[v] = degree
         self.updates[v] = 0
-        self.core = None if self.has_core() else self._peel()
+        self.core = self._peel()
 
     def remove(self, v) -> None:
         self.members.remove(v)
         del self.deg[v], self.updates[v]
         self._update(v, -1.0)
-        if self.has_core():
+        if self.core:
             self.core = self._peel()
-
-    def has_core(self) -> bool:
-        return self.core is None or bool(self.core)
-
-    def final_core(self) -> frozenset[int]:
-        if self.core is None:
-            self.core = self._peel()
-        return self.core
 
     def witness(self) -> tuple[int, float] | None:
         """The member of largest margin demand + W - degree, lowest index
@@ -290,24 +272,19 @@ class _Side:
         return found
 
 
-def _candidate_move(graph, demands, src, dst, src_name) -> _Candidate | None:
-    """Best witness move out of ``src``, or None if no vertex violates the
-    demand + W bound there (or the side would empty)."""
+def _candidate(graph, src, dst):
+    """Best witness move out of ``src`` as (gain, vertex, its induced degree
+    in ``dst``, src, dst), or None if no vertex violates the demand + W
+    bound there (or the side would empty)."""
     if len(src.members) < 2:
         return None
     found = src.witness()
     if found is None:
         return None
-    witness, d_old = found
-    d_new = induced_degree(graph, dst.members | {witness}, witness)
-    if src_name == "B":
-        swap = demands.b[witness] - demands.a[witness]
-        dst_name = "A"
-    else:
-        swap = demands.a[witness] - demands.b[witness]
-        dst_name = "B"
-    gain = 2.0 * (d_new - d_old + swap)
-    return _Candidate(witness, src_name, dst_name, gain, d_new)
+    v, d_old = found
+    d_new = induced_degree(graph, dst.members | {v}, v)
+    swap = src.demand[v] - dst.demand[v]
+    return 2.0 * (d_new - d_old + swap), v, d_new, src, dst
 
 
 def find_stable_pair(
@@ -351,44 +328,38 @@ def find_stable_pair(
     cert.hillclimb_start = (side_a, side_b)
     h = _h(graph, side_a, side_b, demands)
     cert.h_start = h
-    sides = {"A": _Side(graph, side_a, a_dem), "B": _Side(graph, side_b, b_dem)}
-
-    def candidate(src_name):
-        dst_name = "A" if src_name == "B" else "B"
-        return _candidate_move(graph, demands, sides[src_name], sides[dst_name], src_name)
-
+    sa, sb = _Side(graph, "A", side_a, a_dem), _Side(graph, "B", side_b, b_dem)
     for _ in range(max_moves):
-        has_a, has_b = sides["A"].has_core(), sides["B"].has_core()
-        if has_a and has_b:
-            pair = (sides["A"].final_core(), sides["B"].final_core())
-            cert.stable_pair = pair
-            return pair[0], pair[1], cert
+        if sa.core and sb.core:
+            cert.stable_pair = (sa.core, sb.core)
+            return sa.core, sb.core, cert
 
         # the side holding a core gives first; with both cores empty, the
         # larger gain moves and ties prefer B -> A
-        if has_b:
-            move = candidate("B") or candidate("A")
-        elif has_a:
-            move = candidate("A") or candidate("B")
+        if sb.core:
+            move = _candidate(graph, sb, sa) or _candidate(graph, sa, sb)
+        elif sa.core:
+            move = _candidate(graph, sa, sb) or _candidate(graph, sb, sa)
         else:
-            to_a, to_b = candidate("B"), candidate("A")
+            to_a, to_b = _candidate(graph, sb, sa), _candidate(graph, sa, sb)
             if to_a and to_b:
-                move = to_a if to_a.gain >= to_b.gain else to_b
+                move = to_a if to_a[0] >= to_b[0] else to_b
             else:
                 move = to_a or to_b
         if move is None:
             raise PartitionCollapseError("no witness vertex can move without emptying a side")
-        if move.gain <= 0.0:
+        gain, v, d_new, src, dst = move
+        if gain <= 0.0:
             raise NonImprovingMoveError(
-                f"moving vertex {move.vertex} {move.from_side}->{move.to_side} "
-                f"gains {move.gain}; the degree precondition fails"
+                f"moving vertex {v} {src.name}->{dst.name} "
+                f"gains {gain}; the degree precondition fails"
             )
 
-        sides[move.from_side].remove(move.vertex)
-        sides[move.to_side].add(move.vertex, move.new_degree)
+        src.remove(v)
+        dst.add(v, d_new)
         h_before = h
-        h = h + move.gain
-        cert.moves.append(Move(move.vertex, move.from_side, move.to_side, h_before, h))
+        h = h + gain
+        cert.moves.append(Move(v, src.name, dst.name, h_before, h))
 
     raise MoveLimitExceededError(f"no stable pair within {max_moves} moves")
 

@@ -207,8 +207,10 @@ def test_flag_of_another_subcommand_is_rejected(capsys, k9_files, grid_cells, ar
         (["solve", "--graph", "g.edges", "--demands", "d.dem", "--bogus"],
          "unrecognized arguments: --bogus"),
         ([], "required: command"),
+        (["solve", "--graph", "g.edges", "--demands", "d.dem", "--loop-mode", "sideways"],
+         "argument --loop-mode: invalid LoopMode value: 'sideways'"),
     ],
-    ids=["missing-demands", "radius-abc", "unknown-flag", "no-command"],
+    ids=["missing-demands", "radius-abc", "unknown-flag", "no-command", "loop-mode-sideways"],
 )
 def test_usage_errors_are_one_json_line(capsys, argv, fragment):
     with pytest.raises(SystemExit) as exc:
@@ -276,6 +278,21 @@ def test_comments_and_loops_parse(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert "x" in payload["A"] or "x" in payload["B"]
+
+
+def test_loop_mode_once_changes_the_solution(capsys, tmp_path):
+    # x meets its a-demand 2 alone when its loop counts twice, and needs y
+    # beside it when the loop counts once
+    graph = write(tmp_path, "loop.edges", "x y 1.0\ny z 1.0\nz x 1.0\nx x 1.0\n")
+    dem = write(tmp_path, "loop.dem", "x 2 0\ny 1 1\nz 5 0\n")
+    argv = ["solve", "--graph", graph, "--demands", dem, "--loop-mode"]
+    results = {}
+    for mode in ("once", "double"):
+        code, out, _ = run_cli(capsys, argv + [mode])
+        assert code == 0
+        payload = json.loads(out)
+        results[mode] = (payload["A"], payload["B"])
+    assert results == {"once": (["x", "y"], ["z"]), "double": (["x"], ["y", "z"])}
 
 
 def test_squares_with_svg(capsys, tmp_path):

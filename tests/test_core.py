@@ -23,6 +23,12 @@ def const(n, v):
     return [float(v)] * n
 
 
+def floors(thresholds, tol):
+    # thresholds relaxed by ``tol``: a vertex stays while its degree is at
+    # least t - tol
+    return [t - tol for t in thresholds]
+
+
 class TestPeel:
     def test_triangle_low_threshold_keeps_all(self, triangle):
         assert peel(triangle, range(3), const(3, 1.5)) == {0, 1, 2}
@@ -39,8 +45,8 @@ class TestPeel:
         assert peel(triangle, {0, 1}, const(3, 1.5)) == frozenset()
 
     def test_tolerance_relaxes_uniformly(self, triangle):
-        assert peel(triangle, range(3), const(3, 2.5), tol=0.6) == {0, 1, 2}
-        assert peel(triangle, range(3), const(3, 2.5), tol=0.4) == frozenset()
+        assert peel(triangle, range(3), floors(const(3, 2.5), 0.6)) == {0, 1, 2}
+        assert peel(triangle, range(3), floors(const(3, 2.5), 0.4)) == frozenset()
 
     def test_threshold_length_checked(self, triangle):
         with pytest.raises(ValueError):
@@ -149,7 +155,7 @@ class TestMinimalSatisfyingSet:
                 assert peel(g, result - {v}, a) == frozenset()
 
 
-def reference_peel(graph, subset, thresholds, tol=0.0):
+def reference_peel(graph, subset, thresholds):
     """Reference: the earlier peel, which re-sums each neighbour's induced
     degree after every deletion and deletes the most violating vertex first
     (smallest degree-minus-threshold margin, ties by index)."""
@@ -159,7 +165,7 @@ def reference_peel(graph, subset, thresholds, tol=0.0):
         worst = None
         worst_key = None
         for x in members:
-            if deg[x] < thresholds[x] - tol:
+            if deg[x] < thresholds[x]:
                 key = (deg[x] - thresholds[x], x)
                 if worst is None or key < worst_key:
                     worst, worst_key = x, key
@@ -171,18 +177,18 @@ def reference_peel(graph, subset, thresholds, tol=0.0):
                 deg[y] = induced_degree(graph, members, y)
 
 
-def restart_minimal_satisfying_set(graph, demands, within=None, tol=0.0):
+def restart_minimal_satisfying_set(graph, demands, within=None):
     """Reference: the earlier search, which restarts from the lowest vertex
     after every deletion whose core stays non-empty."""
     universe = frozenset(range(graph.n)) if within is None else frozenset(within)
-    current = reference_peel(graph, universe, demands, tol)
+    current = reference_peel(graph, universe, demands)
     if not current:
         raise NoSatisfyingSetError("no non-empty subset meets the demands")
     shrinking = True
     while shrinking:
         shrinking = False
         for v in sorted(current):
-            candidate = reference_peel(graph, current - {v}, demands, tol)
+            candidate = reference_peel(graph, current - {v}, demands)
             if candidate:
                 current = candidate
                 shrinking = True
@@ -196,14 +202,14 @@ class TestMinimalSetMatchesRestartSearch:
     every peel decision is the exact one."""
 
     @staticmethod
-    def assert_same(graph, demands, within=None, tol=0.0):
+    def assert_same(graph, demands, within=None):
         try:
-            expected = restart_minimal_satisfying_set(graph, demands, within, tol)
+            expected = restart_minimal_satisfying_set(graph, demands, within)
         except NoSatisfyingSetError:
             with pytest.raises(NoSatisfyingSetError):
-                minimal_satisfying_set(graph, demands, within, tol)
+                minimal_satisfying_set(graph, demands, within)
             return False
-        assert minimal_satisfying_set(graph, demands, within, tol) == expected
+        assert minimal_satisfying_set(graph, demands, within) == expected
         return True
 
     @pytest.mark.parametrize("tol", [0.0, 0.3])
@@ -214,7 +220,7 @@ class TestMinimalSetMatchesRestartSearch:
             n = rng.randint(2, 14)
             g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
             a = [rng.uniform(0.0, 3.0) for _ in range(n)]
-            solved += self.assert_same(g, a, tol=tol)
+            solved += self.assert_same(g, floors(a, tol))
         assert solved >= 20
 
     def test_unit_weight_zero_slack_graphs(self):
@@ -268,8 +274,8 @@ class TestPlantedTightCore:
         nonempty = 0
         for _ in range(300):
             graph, thresholds = planted_tight_core(rng, rng.randint(4, 16), 0.6, tol)
-            expected = reference_peel(graph, range(graph.n), thresholds, tol)
-            assert peel(graph, range(graph.n), thresholds, tol) == expected
+            expected = reference_peel(graph, range(graph.n), floors(thresholds, tol))
+            assert peel(graph, range(graph.n), floors(thresholds, tol)) == expected
             nonempty += bool(expected)
         assert nonempty >= 100
 
@@ -279,5 +285,7 @@ class TestPlantedTightCore:
         solved = 0
         for _ in range(150):
             graph, thresholds = planted_tight_core(rng, rng.randint(4, 14), 0.6, tol)
-            solved += TestMinimalSetMatchesRestartSearch.assert_same(graph, thresholds, tol=tol)
+            solved += TestMinimalSetMatchesRestartSearch.assert_same(
+                graph, floors(thresholds, tol)
+            )
         assert solved >= 50

@@ -58,6 +58,25 @@ def test_labels_first_appearance_order():
     assert g.index_of("c") == 2
 
 
+def test_repeated_vertex_label_keeps_its_first_index():
+    g = build_graph([("q", "p", 2.0)], vertices=["p", "q", "p"])
+    assert g.labels == ("p", "q")
+    assert g.adjacency == (((1, 2.0),), ((0, 2.0),))
+
+
+def test_edge_labels_follow_the_vertices_in_first_appearance_order():
+    g = build_graph([("c", "a", 1.0), ("d", "c", 0.5), ("b", "d", 0.25)], vertices=["a", "b"])
+    assert g.labels == ("a", "b", "c", "d")
+    assert [g.index_of(label) for label in g.labels] == [0, 1, 2, 3]
+    assert g.adjacency == (
+        ((2, 1.0),),
+        ((3, 0.25),),
+        ((0, 1.0), (3, 0.5)),
+        ((1, 0.25), (2, 0.5)),
+    )
+    assert g.d == (1.0, 0.25, 1.5, 0.75)
+
+
 def test_induced_degree_examples(triangle, k4):
     assert induced_degree(triangle, {0, 1}, 0) == 1.0
     assert induced_degree(triangle, {0}, 0) == 0.0

@@ -128,7 +128,7 @@ class TestRandomFeasibleInstance:
     def test_generation_failure_on_hopeless_density(self):
         # n=2 with a guaranteed edge always has negative slack
         with pytest.raises(GenerationFailedError):
-            random_feasible_instance(2, 1.0, (0.5, 1.0), seed=0, max_retries=20)
+            random_feasible_instance(2, 1.0, (0.5, 1.0), seed=0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

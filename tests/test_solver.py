@@ -337,7 +337,7 @@ class TestKeptSideDegrees:
         # neighbour leaves; its exact margin 0.8 + 0.2 - 0.2 ties vertex 1's,
         # and the lower index must win
         g = build_graph([(0, 2, 0.2), (0, 3, 0.1), (1, 2, 0.2)], vertices=range(4))
-        side = _Side(g, range(4), [0.8] * 4)
+        side = _Side(g, "B", range(4), [0.8] * 4)
         side.remove(3)
         assert side.deg[0] != induced_degree(g, side.members, 0)
         assert side.witness() == (0, 0.2)
@@ -352,7 +352,7 @@ class TestKeptSideDegrees:
             [(0, leaf, w) for leaf, w in enumerate(weights, start=1)], vertices=range(6)
         )
         demand = [induced_degree(g, {0, 1, 3, 4}, 0)] + [0.1] * 5
-        side = _Side(g, range(6), demand)
+        side = _Side(g, "B", range(6), demand)
         rng = random.Random(0)
         for _ in range(4000):
             v = rng.randrange(1, 6)
@@ -362,8 +362,7 @@ class TestKeptSideDegrees:
                 side.add(v, induced_degree(g, side.members | {v}, v))
             for x in side.members:
                 assert abs(side.deg[x] - induced_degree(g, side.members, x)) <= _band(g, x)
-            assert side.has_core() == bool(peel(g, side.members, demand))
-        assert side.final_core() == peel(g, side.members, demand)
+            assert side.core == peel(g, side.members, demand)
 
 
 class TestCompletePair:
