@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Print one SHA-256 over everything ``solve`` returns on the benchmark's
-grid and climb pools for one seed.
+grid and climb pools, one line per seed.
 
-A change that must not alter results prints the same digest as its parent:
+A change that must not alter results prints the same digests as its parent:
 
-    PYTHONPATH=src python scripts/result_digest.py --seed 1
+    PYTHONPATH=src python scripts/result_digest.py --seed 1 2
 
 The digest covers, for every ``solve`` call the pool's ops make (grid ops
 call it through ``solve_squares``), the partition and the certificate's
@@ -75,10 +75,11 @@ def digest(seed: int) -> tuple[str, int]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
     args = parser.parse_args()
-    value, calls = digest(args.seed)
-    print(f"{value}  seed={args.seed} solve_calls={calls}")
+    for seed in args.seed:
+        value, calls = digest(seed)
+        print(f"{value}  seed={seed} solve_calls={calls}")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ manner of Batagelj and Zaversnik's O(m) cores algorithm: each member keeps
 its induced degree, seeded by ``induced_degree``, and a deletion subtracts
 its edge weight from every neighbour still present.  Subtraction drifts a
 few ulps from the ascending sum ``induced_degree`` returns, so the exact-tie
-rule applies: when |deg(x) - threshold(x)| <= 8 (k + 2) 2^-53 d(x), with k
-the number of x's neighbours, x is decided on the exact ascending sum
+rule applies: when |deg(x) - threshold(x)| <= band(x) = 8 (k + 2) 2^-53 d(x),
+with k the number of x's neighbours, x is decided on the exact ascending sum
 instead.  Every decision is therefore the one exact recomputation makes.
 
 The band is the one place that bounds how far a kept degree may drift.  It
@@ -19,13 +19,18 @@ covers a degree seeded by ``induced_degree`` (k + 1 roundings), then up to k
 single-edge updates before the solver's hill-climb reseeds it, then up to k
 cascade subtractions, against an exact sum of k + 1 roundings: 4k + 2
 roundings of at most about 2^-53 d(x) each, with a factor of two to spare.
+``_bands`` computes it for every vertex once per public call (and once per
+hill-climb side), as a list the cascade reads.
 
 ``minimal_satisfying_set`` also stops failing trials early.  Call a member
 essential once its own trial has failed, that is, left the rest's core empty.
-A later trial of v that would delete an essential vertex u is abandoned at
-once and fails too: core(S - v) lies in S - u and so in core(S - u), which
-lies in core(S_u - u) = {} for the larger set S_u that u was tried in.  The
-pass is ascending, so the essential members are those numbered below v.
+A later trial of v that would delete an essential vertex u is abandoned and
+fails too: core(S - v) lies in S - u and so in core(S - u), which lies in
+core(S_u - u) = {} for the larger set S_u that u was tried in.  The trial is
+abandoned at the decrement already: when a deletion lowers u's kept degree
+below threshold(u) - band(u), the cascade would delete u without an exact
+sum, since degrees only fall during a cascade.  Inside the band the trial
+goes on, and u is decided on the exact sum when the cascade reaches it.
 """
 
 from __future__ import annotations
@@ -58,15 +63,18 @@ def _check_subset(graph: WeightedGraph, subset: Iterable[int]) -> set[int]:
     return members
 
 
-def _band(graph: WeightedGraph, x: int) -> float:
-    # bound on |kept degree - ascending sum| (see the module docstring): no
-    # partial sum exceeds d[x], so a rounding is at most _ROUNDOFF * d[x]
-    return 8 * (len(graph.adjacency[x]) + 2) * _ROUNDOFF * graph.d[x]
+def _bands(graph: WeightedGraph) -> list[float]:
+    # bound on |kept degree - ascending sum| per vertex (see the module
+    # docstring): no partial sum exceeds d[x], so a rounding is at most
+    # _ROUNDOFF * d[x]
+    return [8 * (len(adj) + 2) * _ROUNDOFF * d for adj, d in zip(graph.adjacency, graph.d)]
 
 
-def _delete(adjacency, members, deg, x, stack, removed, log) -> None:
+def _delete(adjacency, members, deg, thresholds, band, stop, x, stack, removed, log) -> bool:
     # remove x, subtract its weights from the members left and queue them;
-    # ``log`` (when kept) records each change as (vertex, old degree)
+    # ``log`` (when kept) records each change as (vertex, old degree).
+    # False, cut short, once a vertex flagged in ``stop`` falls below its
+    # threshold by more than its band: the cascade would delete it
     members.remove(x)
     removed.append(x)
     for y, w in adjacency[x]:
@@ -74,13 +82,17 @@ def _delete(adjacency, members, deg, x, stack, removed, log) -> None:
             if log is not None:
                 log.append((y, deg[y]))
             deg[y] -= w
+            if stop[y] and thresholds[y] - deg[y] > band[y]:
+                return False
             stack.append(y)
+    return True
 
 
-def _cascade(graph, members, deg, thresholds, stack, removed, log=None, essential_below=0) -> bool:
+def _cascade(graph, members, deg, thresholds, band, stop, stack, removed, log=None) -> bool:
     # delete every queued vertex below its threshold, and in turn whatever
     # those deletions push below theirs; False, with the cascade cut short,
-    # as soon as it would delete a vertex numbered below ``essential_below``
+    # as soon as it would delete a vertex flagged in ``stop``
+    adjacency = graph.adjacency
     while stack:
         x = stack.pop()
         if x not in members:
@@ -88,24 +100,23 @@ def _cascade(graph, members, deg, thresholds, stack, removed, log=None, essentia
         floor = thresholds[x]
         # outside the band the kept degree and the exact sum fall on the same
         # side of the floor
-        if abs(deg[x] - floor) <= _band(graph, x):
+        if abs(deg[x] - floor) <= band[x]:
             below = induced_degree(graph, members, x) < floor
         else:
             below = deg[x] < floor
         if below:
-            if x < essential_below:
+            if stop[x] or not _delete(
+                adjacency, members, deg, thresholds, band, stop, x, stack, removed, log
+            ):
                 return False
-            _delete(graph.adjacency, members, deg, x, stack, removed, log)
     return True
 
 
-def _core(graph, members, thresholds, deg=None) -> dict[int, float]:
-    # peel ``members`` in place, starting from ``deg`` (each member's induced
-    # degree, updated in place) or else from fresh ``induced_degree`` sums;
-    # returns the induced degree of each survivor
-    if deg is None:
-        deg = {x: induced_degree(graph, members, x) for x in members}
-    _cascade(graph, members, deg, thresholds, list(members), [])
+def _core(graph, members, thresholds, band, stop) -> dict[int, float]:
+    # peel ``members`` in place from fresh ``induced_degree`` sums; returns
+    # the induced degree of each survivor
+    deg = {x: induced_degree(graph, members, x) for x in members}
+    _cascade(graph, members, deg, thresholds, band, stop, list(members), [])
     return deg
 
 
@@ -121,7 +132,7 @@ def peel(graph: WeightedGraph, subset: Iterable[int], thresholds: Thresholds) ->
     """
     _check_thresholds(graph, thresholds)
     members = _check_subset(graph, subset)
-    _core(graph, members, thresholds)
+    _core(graph, members, thresholds, _bands(graph), bytes(graph.n))
     return frozenset(members)
 
 
@@ -157,25 +168,30 @@ def minimal_satisfying_set(
     deleted vertex's neighbours; when it empties the set, the deleted
     vertices come back and the logged degree changes are undone.  A member
     whose trial failed is essential, and a trial that would delete an
-    essential vertex fails at that point: the core of the rest is empty
-    because it lies in the core of the larger set the essential vertex was
-    tried in, minus that vertex, which was empty.  When v is tried, the
-    members left below v are exactly the essential ones: each was tried
-    before v and is still present.
+    essential vertex fails at that point, or already when a deletion takes
+    the essential vertex's degree below its demand by more than the exact-tie
+    band: the core of the rest is empty because it lies in the core of the
+    larger set the essential vertex was tried in, minus that vertex, which
+    was empty.
     """
     _check_thresholds(graph, demands)
     members = _check_subset(graph, range(graph.n) if within is None else within)
-    deg = _core(graph, members, demands)
+    band = _bands(graph)
+    essential = bytearray(graph.n)
+    deg = _core(graph, members, demands, band, essential)
     if not members:
         raise NoSatisfyingSetError("no non-empty subset meets the demands")
+    adjacency = graph.adjacency
     for v in sorted(members):
         if v not in members:
             continue
         stack, removed, log = [], [], []
-        _delete(graph.adjacency, members, deg, v, stack, removed, log)
-        kept = _cascade(graph, members, deg, demands, stack, removed, log, v)
+        kept = _delete(
+            adjacency, members, deg, demands, band, essential, v, stack, removed, log
+        ) and _cascade(graph, members, deg, demands, band, essential, stack, removed, log)
         if not (kept and members):
             members.update(removed)
             for y, old in reversed(log):
                 deg[y] = old
+            essential[v] = 1
     return frozenset(members)

@@ -50,9 +50,6 @@ class WeightedGraph:
     W: tuple[float, ...] = field(repr=False)
     label_index: dict[Label, int] = field(repr=False, compare=False)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def index_of(self, label: Label) -> int:
         return self.label_index[label]
 

@@ -28,20 +28,25 @@ The climb keeps each side's induced degrees across moves: a move updates the
 moved vertex's neighbours only, and a kept degree is reseeded with the exact
 sum after as many updates as the vertex has neighbours, so its drift stays
 inside the core module's band.  Cores come from the core module's cascade on
-a copy of those degrees.  A side that gains a vertex is re-peeled; one that
-loses a vertex is re-peeled only when its core was non-empty, because peel is
-monotone and an empty core stays empty.  A witness is chosen on exact
-margins: every member whose kept margin lies within the band of the running
-best (which starts at 0) is recomputed with ``induced_degree``, so ties still
-go to the lowest index.  The move's degrees and gain are exact sums, so the
-moves and h values are those of a climb that re-peels and re-sums everything.
+a copy of those degrees, and a move re-peels only what it can change.  A side
+that loses a vertex outside its core keeps its core: the core lies in the
+smaller side and meets its thresholds there, and it holds every subset that
+does.  A side that loses a core vertex is re-peeled whole.  A side that gains
+v keeps every vertex of its old core, so the cascade starts from the members
+outside the old core only and stops as soon as it deletes v: the new core
+then lies in the old side, and so in the old core.  A witness is chosen on
+exact margins: every member whose kept margin lies within the band of the
+running best (which starts at 0) is recomputed with ``induced_degree``, so
+ties still go to the lowest index.  The move's degrees and gain are exact
+sums, so the moves and h values are those of a climb that re-peels and
+re-sums everything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import _ROUNDOFF, _band, _core, minimal_satisfying_set, peel
+from .core import _ROUNDOFF, _bands, _cascade, minimal_satisfying_set, peel
 from .errors import (
     CompletionAssertFailedError,
     MoveLimitExceededError,
@@ -116,10 +121,6 @@ class Move:
     to_side: str
     h_before: float
     h_after: float
-
-    @property
-    def gain(self) -> float:
-        return self.h_after - self.h_before
 
 
 @dataclass
@@ -202,9 +203,14 @@ class _Side:
     A move updates only the moved vertex's neighbours.  A kept degree drifts
     by one rounding per update, so after len(adjacency[x]) updates it is
     reseeded with ``induced_degree``; the core module's band covers the
-    rest.  ``core`` is always the side's core.  A side that gains a vertex
-    re-peels; one that loses a vertex re-peels only when its core was
-    non-empty, since peel is monotone and an empty core stays empty.
+    rest.  ``core`` is always the side's core, and each re-peel cascades on
+    a copy of the kept degrees, so a cascade adds at most len(adjacency[x])
+    subtractions.  Removing a vertex outside the core leaves the core as it
+    is: the core lies in the smaller side and meets its thresholds there.
+    Removing a core vertex re-peels the whole side.  Adding v cascades from
+    the members outside the old core only, since the new core contains the
+    old one, and keeps the old core once v is deleted, since the new core
+    then lies in the old side.
     """
 
     def __init__(self, graph, name, members, demand):
@@ -212,15 +218,22 @@ class _Side:
         self.name = name
         self.demand = demand
         self.strong = [demand[x] + graph.W[x] for x in range(graph.n)]
+        self.band = _bands(graph)
+        # flags the vertex whose deletion ends a cascade: the one just added
+        self.stop = bytearray(graph.n)
         self.members = set(members)
         self.deg = {x: induced_degree(graph, self.members, x) for x in self.members}
         self.updates = dict.fromkeys(self.members, 0)
-        self.core = self._peel()
+        self._peel(self.members)
 
-    def _peel(self) -> frozenset[int]:
+    def _peel(self, start) -> None:
+        # cascade from the members in ``start``; the survivors become the
+        # core unless the cascade deletes a flagged vertex
         core = set(self.members)
-        _core(self.graph, core, self.demand, dict(self.deg))
-        return frozenset(core)
+        if _cascade(
+            self.graph, core, dict(self.deg), self.demand, self.band, self.stop, list(start), []
+        ):
+            self.core = frozenset(core)
 
     def _update(self, v, sign) -> None:
         graph, members, deg, updates = self.graph, self.members, self.deg, self.updates
@@ -239,14 +252,16 @@ class _Side:
         self._update(v, 1.0)
         self.deg[v] = degree
         self.updates[v] = 0
-        self.core = self._peel()
+        self.stop[v] = 1
+        self._peel(self.members - self.core)
+        self.stop[v] = 0
 
     def remove(self, v) -> None:
         self.members.remove(v)
         del self.deg[v], self.updates[v]
         self._update(v, -1.0)
-        if self.core:
-            self.core = self._peel()
+        if v in self.core:
+            self._peel(self.members)
 
     def witness(self) -> tuple[int, float] | None:
         """The member of largest margin demand + W - degree, lowest index
@@ -257,13 +272,15 @@ class _Side:
         recomputed with ``induced_degree``: the margins compared are the
         exact ones, and so is the witness.
         """
-        graph, members, deg, strong = self.graph, self.members, self.deg, self.strong
+        graph, members, deg, strong, band = (
+            self.graph, self.members, self.deg, self.strong, self.band
+        )
         best, found = 0.0, None
         for x in sorted(members):
             approx = strong[x] - deg[x]
             # |approx - exact margin| < 2 (band + 2^-52 |approx|): the degree
             # band plus one rounding of each subtraction
-            if approx < best - 2.0 * (_band(graph, x) + 2.0 * _ROUNDOFF * abs(approx)):
+            if approx < best - 2.0 * (band[x] + 2.0 * _ROUNDOFF * abs(approx)):
                 continue
             degree = induced_degree(graph, members, x)
             margin = strong[x] - degree

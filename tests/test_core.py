@@ -15,6 +15,7 @@ from degsplit import (
     reduce_loops,
     squares_demands,
 )
+from degsplit import core as core_module
 
 from conftest import complete_graph, qualifying_subsets, random_graph
 
@@ -289,3 +290,41 @@ class TestPlantedTightCore:
                 graph, floors(thresholds, tol)
             )
         assert solved >= 50
+
+
+class TestEssentialDecrement:
+    """A trial fails at the decrement that takes an essential member below
+    its demand by more than the exact-tie band, and only then: inside the
+    band the member is decided on the exact sum."""
+
+    def test_decrement_inside_the_band_falls_through_to_the_exact_sum(self):
+        # vertex 0 needs exactly 0.1 + 0.2 and has it inside {0, 1, 2}; its
+        # trial fails, so it is essential when 3 is tried.  Deleting 3 leaves
+        # 0's kept degree at 0.1 + 0.2 + 0.2 - 0.2 = 0.3, one ulp below the
+        # exact 0.30000000000000004, which must keep 0 and let the trial
+        # succeed
+        g = build_graph([(0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.2), (1, 2, 0.4)])
+        planted = {0, 1, 2}
+        demands = [induced_degree(g, planted, x) for x in sorted(planted)] + [0.2]
+        assert induced_degree(g, range(4), 0) - 0.2 < demands[0]
+        assert TestMinimalSetMatchesRestartSearch.assert_same(g, demands)
+        assert minimal_satisfying_set(g, demands) == planted
+
+    def test_decrement_below_the_band_fails_the_trial(self, monkeypatch):
+        # a tight weighted triangle: 0's trial empties it, and the trials of
+        # 1 and 2 each take 0 below its demand by a whole edge, so they fail
+        # at their first decrement and never cascade
+        g = build_graph([(0, 1, 0.1), (0, 2, 0.2), (1, 2, 1.0 / 3.0)])
+        demands = [induced_degree(g, range(3), x) for x in range(3)]
+        cascades = []
+        original = core_module._cascade
+
+        def counting(graph, members, deg, thresholds, band, stop, stack, removed, log=None):
+            cascades.append(tuple(removed))
+            return original(graph, members, deg, thresholds, band, stop, stack, removed, log)
+
+        monkeypatch.setattr(core_module, "_cascade", counting)
+        assert TestMinimalSetMatchesRestartSearch.assert_same(g, demands)
+        # the full core, then the trial of 0 only
+        assert cascades == [(), (0,)]
+        assert minimal_satisfying_set(g, demands) == {0, 1, 2}

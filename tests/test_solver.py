@@ -26,7 +26,7 @@ from degsplit import (
     solve,
     verify_partition,
 )
-from degsplit.core import _band, minimal_satisfying_set, peel
+from degsplit.core import _bands, minimal_satisfying_set, peel
 from degsplit.solver import PHASE_HILLCLIMB, Move, _h, _Side
 
 from conftest import complete_graph, weight_dict
@@ -353,6 +353,7 @@ class TestKeptSideDegrees:
         )
         demand = [induced_degree(g, {0, 1, 3, 4}, 0)] + [0.1] * 5
         side = _Side(g, "B", range(6), demand)
+        band = _bands(g)
         rng = random.Random(0)
         for _ in range(4000):
             v = rng.randrange(1, 6)
@@ -361,8 +362,66 @@ class TestKeptSideDegrees:
             else:
                 side.add(v, induced_degree(g, side.members | {v}, v))
             for x in side.members:
-                assert abs(side.deg[x] - induced_degree(g, side.members, x)) <= _band(g, x)
+                assert abs(side.deg[x] - induced_degree(g, side.members, x)) <= band[x]
             assert side.core == peel(g, side.members, demand)
+
+    @staticmethod
+    def triangle_with_tails():
+        # core {0, 1, 2}: a unit triangle at demand 2; 3 hangs off 0 and
+        # needs 1.5, 4 joins the triangle at demand 2, 5 links 3 and 0
+        g = build_graph(
+            [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, 1.0), (1, 4, 1.0),
+             (2, 4, 1.0), (3, 5, 1.0), (0, 5, 1.0)],
+            vertices=range(6),
+        )
+        return g, [2.0, 2.0, 2.0, 1.5, 2.0, 1.5]
+
+    def test_removing_a_vertex_outside_the_core_keeps_it(self):
+        g, demand = self.triangle_with_tails()
+        side = _Side(g, "B", range(4), demand)
+        core = side.core
+        assert core == {0, 1, 2}
+        side.remove(3)
+        assert side.core is core
+        assert side.core == peel(g, side.members, demand)
+
+    def test_adding_a_vertex_that_is_peeled_keeps_the_old_core(self):
+        g, demand = self.triangle_with_tails()
+        side = _Side(g, "B", range(3), demand)
+        core = side.core
+        side.add(3, induced_degree(g, {0, 1, 2, 3}, 3))
+        assert side.core is core
+        assert side.core == peel(g, side.members, demand) == {0, 1, 2}
+
+    def test_adding_to_a_non_empty_core(self):
+        g, demand = self.triangle_with_tails()
+        side = _Side(g, "B", range(4), demand)
+        # 4 joins the core by itself; 5 brings 3 in with it
+        side.add(4, induced_degree(g, {0, 1, 2, 3, 4}, 4))
+        assert side.core == peel(g, side.members, demand) == {0, 1, 2, 4}
+        side.add(5, induced_degree(g, set(range(6)), 5))
+        assert side.core == peel(g, side.members, demand) == set(range(6))
+
+    def test_random_moves_follow_peel(self):
+        # weighted random graphs at demands near half the degree, so cores
+        # come and go; every add and remove is checked against peel, and
+        # adds to a side with a non-empty core must occur
+        rng = random.Random(5)
+        grown = 0
+        for _ in range(30):
+            n = rng.randint(6, 16)
+            g = conftest_random_graph(rng, n, 0.5)
+            demand = [rng.uniform(0.3, 0.6) * d for d in g.d]
+            side = _Side(g, "B", [x for x in range(n) if rng.random() < 0.5], demand)
+            for _ in range(60):
+                v = rng.randrange(n)
+                if v in side.members:
+                    side.remove(v)
+                else:
+                    grown += bool(side.core)
+                    side.add(v, induced_degree(g, side.members | {v}, v))
+                assert side.core == peel(g, side.members, demand)
+        assert grown >= 100
 
 
 class TestCompletePair:
