@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over everything ``solve`` returns on the benchmark's
-grid and climb pools, one line per seed.
+"""Print one SHA-256 over everything ``solve`` returns and one over every
+graph built on the benchmark's grid and climb pools, one line per seed.
 
-A change that must not alter results prints the same digests as its parent:
+A change that must not alter results or graphs prints the same digests as
+its parent:
 
     PYTHONPATH=src python scripts/result_digest.py --seed 1 2
 
-The digest covers, for every ``solve`` call the pool's ops make (grid ops
-call it through ``solve_squares``), the partition and the certificate's
+The result digest covers, for every ``solve`` call the pool's ops make (grid
+ops call it through ``solve_squares``), the partition and the certificate's
 phase log, moves, h trace, stable pair, hill-climb start and verification
 slacks.  Sets are hashed as sorted tuples, since the iteration order of
-equal sets can differ.
+equal sets can differ.  The graph digest covers the labels, adjacency,
+loops, ``d`` and ``W`` of every graph that ``geometry.build_grid_graph`` and
+``graph.build_graph`` return, floats by their exact ``repr``.
 """
 
 import argparse
@@ -21,7 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
-from degsplit import geometry, solver  # noqa: E402
+from degsplit import geometry, graph, solver  # noqa: E402
 
 
 def canonical(value):
@@ -47,21 +50,36 @@ def record(partition, cert) -> tuple:
     )
 
 
-def digest(seed: int) -> tuple[str, int]:
-    """The digest of both pools and the number of ``solve`` calls hashed."""
-    sha = hashlib.sha256()
-    calls = 0
+def digest(seed: int) -> tuple[str, int, str, int]:
+    """The digest of both pools and the number of ``solve`` calls hashed,
+    then the digest of the graphs built and their number."""
+    results, graphs = hashlib.sha256(), hashlib.sha256()
+    calls = builds = 0
     original = solver.solve
+    builders = graph.build_graph, geometry.build_grid_graph
 
     def recording_solve(*args, **kwargs):
         nonlocal calls
         partition, cert = original(*args, **kwargs)
-        sha.update(repr(record(partition, cert)).encode())
-        sha.update(b"\n")
+        results.update(repr(record(partition, cert)).encode())
+        results.update(b"\n")
         calls += 1
         return partition, cert
 
+    def recording(build):
+        def recording_build(*args, **kwargs):
+            nonlocal builds
+            built = build(*args, **kwargs)
+            fields = (built.labels, built.adjacency, built.loops, built.d, built.W)
+            graphs.update(repr(fields).encode())
+            graphs.update(b"\n")
+            builds += 1
+            return built
+
+        return recording_build
+
     solver.solve = geometry.solve = recording_solve
+    graph.build_graph, geometry.build_grid_graph = map(recording, builders)
     try:
         for name in ("grid", "climb"):
             # the output directory and source path serve the cli workload only
@@ -70,7 +88,8 @@ def digest(seed: int) -> tuple[str, int]:
                     raise SystemExit(f"{name}: an op failed verification")
     finally:
         solver.solve = geometry.solve = original
-    return sha.hexdigest(), calls
+        graph.build_graph, geometry.build_grid_graph = builders
+    return results.hexdigest(), calls, graphs.hexdigest(), builds
 
 
 def main() -> None:
@@ -78,8 +97,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, nargs="+", required=True)
     args = parser.parse_args()
     for seed in args.seed:
-        value, calls = digest(seed)
-        print(f"{value}  seed={seed} solve_calls={calls}")
+        value, calls, graph_value, builds = digest(seed)
+        print(f"{value}  seed={seed} solve_calls={calls} graphs={builds} {graph_value}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import TooFewCellsError, UnstablePartitionError
-from .graph import Demands, LoopMode, WeightedGraph, build_graph, without_loops
+from .graph import Demands, LoopMode, WeightedGraph, _assemble, without_loops
 from .solver import (
     DEFAULT_MAX_MOVES,
     SolveCertificate,
@@ -139,9 +139,12 @@ def build_grid_graph(instance: GridInstance, loop_mode: LoopMode = LoopMode.DOUB
     between two cells, so it is computed once per offset within reach
     (center distance < r + sqrt(1/2); beyond that the weight is exactly zero
     and no edge is created) and inside the cells' bounding box, and each
-    cell looks its stencil neighbours up among the cells.  Each unordered
-    pair is listed once.  The cost is O(n * |stencil|), where |stencil| is
-    about pi (r + 0.71)^2 / 2 and at most twice the bounding box area.
+    cell looks its stencil neighbours up in a cell-to-index map.  Cells and
+    offsets are both sorted, so every row comes out in ascending neighbour
+    order and goes to the graph as it is, with no edge list, validation or
+    sort: the weights exceed MIN_EDGE_WEIGHT, and cells are distinct.  The
+    cost is O(n * |stencil|), where |stencil| is about pi (r + 0.71)^2 and
+    at most four times the bounding box area.
     """
     cells = instance.cells
     if len(cells) < 2:
@@ -149,17 +152,21 @@ def build_grid_graph(instance: GridInstance, loop_mode: LoopMode = LoopMode.DOUB
     loop_w = circle_square_area(0.0, 0.0, instance.r)
     width = cells[-1][0] - cells[0][0] + 1
     height = max(j for _, j in cells) - min(j for _, j in cells) + 1
-    stencil = _stencil(instance.r, width, height)
-    present = set(cells)
+    half = _stencil(instance.r, width, height)
+    stencil = sorted(half + [(-dx, -dy, w) for dx, dy, w in half])
+    label_index = {cell: x for x, cell in enumerate(cells)}
+    find = label_index.get
 
-    edges: list[tuple[Cell, Cell, float]] = []
+    adjacency = []
     for i, j in cells:
-        if loop_w > MIN_EDGE_WEIGHT:
-            edges.append(((i, j), (i, j), loop_w))
+        row = []
         for dx, dy, w in stencil:
-            if (i + dx, j + dy) in present:
-                edges.append(((i, j), (i + dx, j + dy), w))
-    return build_graph(edges, loop_mode, vertices=cells)
+            y = find((i + dx, j + dy))
+            if y is not None:
+                row.append((y, w))
+        adjacency.append(tuple(row))
+    loops = (loop_w if loop_w > MIN_EDGE_WEIGHT else 0.0,) * len(cells)
+    return _assemble(cells, tuple(adjacency), loops, loop_mode, label_index)
 
 
 class DemandScheme(Enum):

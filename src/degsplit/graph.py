@@ -6,6 +6,9 @@ declared convention for how loops count) and ``W`` (largest non-loop incident
 weight).  Both caches are summed in ascending-neighbor order so that
 rebuilding the same graph from a shuffled edge list reproduces them bit for
 bit.
+
+Every graph is made by ``_assemble``, the one place that computes the caches;
+``build_graph``, ``without_loops`` and ``geometry.build_grid_graph`` end in it.
 """
 
 from __future__ import annotations
@@ -53,15 +56,6 @@ class WeightedGraph:
     def index_of(self, label: Label) -> int:
         return self.label_index[label]
 
-    def weight(self, x: int, y: int) -> float:
-        """Weight of edge xy (the loop weight when x == y, 0 when absent)."""
-        if x == y:
-            return self.loops[x]
-        for z, w in self.adjacency[x]:
-            if z == y:
-                return w
-        return 0.0
-
     def has_loops(self) -> bool:
         return any(w > 0.0 for w in self.loops)
 
@@ -91,11 +85,14 @@ class Demands:
         return len(self.a)
 
 
-def _cached_profile(
+def _assemble(
+    labels: tuple[Label, ...],
     adjacency: tuple[tuple[tuple[int, float], ...], ...],
     loops: tuple[float, ...],
     loop_mode: LoopMode,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    label_index: dict[Label, int],
+) -> WeightedGraph:
+    # rows must already be symmetric, positive and in ascending neighbour order
     degrees = []
     maxima = []
     factor = loop_mode.factor
@@ -110,7 +107,16 @@ def _cached_profile(
             total += factor * loops[x]
         degrees.append(total)
         maxima.append(best)
-    return tuple(degrees), tuple(maxima)
+    return WeightedGraph(
+        n=len(labels),
+        labels=labels,
+        adjacency=adjacency,
+        loops=loops,
+        loop_mode=loop_mode,
+        d=tuple(degrees),
+        W=tuple(maxima),
+        label_index=label_index,
+    )
 
 
 def build_graph(
@@ -155,20 +161,9 @@ def build_graph(
             raise DuplicateEdgeError(f"edge ({u!r}, {v!r}) listed twice")
         rows[x][y] = rows[y][x] = w
 
-    n = len(rows)
     adjacency = tuple(tuple(sorted(row.items())) for row in rows)
-    loops = tuple(loop_weights.get(x, 0.0) for x in range(n))
-    d, w_max = _cached_profile(adjacency, loops, loop_mode)
-    return WeightedGraph(
-        n=n,
-        labels=tuple(label_index),
-        adjacency=adjacency,
-        loops=loops,
-        loop_mode=loop_mode,
-        d=d,
-        W=w_max,
-        label_index=label_index,
-    )
+    loops = tuple(loop_weights.get(x, 0.0) for x in range(len(rows)))
+    return _assemble(tuple(label_index), adjacency, loops, loop_mode, label_index)
 
 
 def induced_degree(graph: WeightedGraph, subset, x: int) -> float:
@@ -193,15 +188,6 @@ def without_loops(graph: WeightedGraph) -> WeightedGraph:
     """The same graph with every loop removed (degrees recomputed)."""
     if not graph.has_loops():
         return graph
-    loops = (0.0,) * graph.n
-    d, w_max = _cached_profile(graph.adjacency, loops, graph.loop_mode)
-    return WeightedGraph(
-        n=graph.n,
-        labels=graph.labels,
-        adjacency=graph.adjacency,
-        loops=loops,
-        loop_mode=graph.loop_mode,
-        d=d,
-        W=w_max,
-        label_index=graph.label_index,
+    return _assemble(
+        graph.labels, graph.adjacency, (0.0,) * graph.n, graph.loop_mode, graph.label_index
     )

@@ -10,6 +10,8 @@ from degsplit import (
     DemandScheme,
     GridInstance,
     LoopMode,
+    Partition,
+    SolverError,
     TooFewCellsError,
     build_graph,
     build_grid_graph,
@@ -17,6 +19,7 @@ from degsplit import (
     solve_squares,
     squares_demands,
     verify_partition,
+    without_loops,
 )
 from degsplit.geometry import MIN_EDGE_WEIGHT
 from degsplit.solver import reduce_loops
@@ -120,6 +123,13 @@ class TestGridInstance:
         assert inst.cells == ((0, 0), (1, 5), (2, 1))
 
 
+def edge_weight(graph, x, y):
+    """Weight of edge xy (the loop weight when x == y, 0 when absent)."""
+    if x == y:
+        return graph.loops[x]
+    return dict(graph.adjacency[x]).get(y, 0.0)
+
+
 class TestBuildGridGraph:
     def test_unit_loops_above_half_diagonal_radius(self):
         inst = GridInstance.rectangle(3, 3, 2.1)
@@ -129,19 +139,19 @@ class TestBuildGridGraph:
     def test_adjacent_cells_fully_covered_at_radius_2_1(self):
         inst = GridInstance(((0, 0), (1, 0)), 2.1)
         g = build_grid_graph(inst)
-        assert g.weight(0, 1) == 1.0
+        assert edge_weight(g, 0, 1) == 1.0
 
     def test_weights_symmetric_exactly(self):
         inst = GridInstance.rectangle(4, 3, 1.7)
         g = build_grid_graph(inst)
         for x in range(g.n):
             for y, w in g.adjacency[x]:
-                assert g.weight(y, x) == w
+                assert edge_weight(g, y, x) == w
 
     def test_distant_cells_not_connected(self):
         inst = GridInstance(((0, 0), (10, 10)), 2.1)
         g = build_grid_graph(inst)
-        assert g.weight(0, 1) == 0.0
+        assert edge_weight(g, 0, 1) == 0.0
         assert g.loops == (1.0, 1.0)
 
     def test_conservation_interior_cell(self):
@@ -157,8 +167,9 @@ class TestBuildGridGraph:
             build_grid_graph(GridInstance(((0, 0),), 1.0))
 
 
-def reference_grid_graph(instance, loop_mode):
-    """Reference: the earlier build, which checks every pair of cells."""
+def pair_scan_edges(instance):
+    """Reference: the earlier build's edge list, from checking every pair of
+    cells, each pair once in row order."""
     cells = instance.cells
     r = instance.r
     reach2 = (r + math.sqrt(0.5)) ** 2
@@ -174,7 +185,7 @@ def reference_grid_graph(instance, loop_mode):
             w = circle_square_area(ddx, ddy, r)
             if w > MIN_EDGE_WEIGHT:
                 edges.append(((i, j), (k, l), w))
-    return build_graph(edges, loop_mode, vertices=cells)
+    return edges
 
 
 def _ragged_cells(seed):
@@ -195,6 +206,17 @@ GRID_SHAPES = {
 }
 
 
+def assert_same_graph(g, ref):
+    assert g.n == ref.n
+    assert g.labels == ref.labels
+    assert g.adjacency == ref.adjacency
+    assert g.loops == ref.loops
+    assert g.loop_mode == ref.loop_mode
+    assert g.d == ref.d
+    assert g.W == ref.W
+    assert g.label_index == ref.label_index
+
+
 class TestGridGraphMatchesPairScan:
     """The stencil build gives the graph the pair scan gives, bit for bit."""
 
@@ -203,13 +225,23 @@ class TestGridGraphMatchesPairScan:
     @pytest.mark.parametrize("shape", sorted(GRID_SHAPES))
     def test_same_graph(self, shape, r, loop_mode):
         instance = GridInstance(GRID_SHAPES[shape], r)
-        g = build_grid_graph(instance, loop_mode)
-        ref = reference_grid_graph(instance, loop_mode)
-        assert g.labels == ref.labels
-        assert g.adjacency == ref.adjacency
-        assert g.loops == ref.loops
-        assert g.d == ref.d
-        assert g.W == ref.W
+        ref = build_graph(pair_scan_edges(instance), loop_mode, vertices=instance.cells)
+        assert_same_graph(build_grid_graph(instance, loop_mode), ref)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    def test_build_graph_on_a_shuffled_edge_list(self, seed, loop_mode):
+        # the two builders share only the final assembly, so build_graph's
+        # interning and row sort are checked against the stencil's own order
+        rng = random.Random(seed)
+        instance = GridInstance(_ragged_cells(10 + seed), rng.uniform(0.6, 4.4))
+        edges = [
+            (v, u, w) if rng.random() < 0.5 else (u, v, w)
+            for u, v, w in pair_scan_edges(instance)
+        ]
+        rng.shuffle(edges)
+        g = build_graph(edges, loop_mode, vertices=instance.cells)
+        assert_same_graph(build_grid_graph(instance, loop_mode), g)
 
 
 class TestSquaresDemands:
@@ -307,3 +339,59 @@ class TestSolveSquares:
             assert math.isclose(
                 red.precondition.slack[x], 2.0 * (g.loops[x] - g.W[x]), abs_tol=1e-9
             )
+
+
+# shortest rectangle side at which the physical scheme has kept every margin
+# strictly positive on every rectangle up to 20x20; below it some disks reach
+# across most of the grid, ties (margin 0) appear and the climb can fail
+PHYSICAL_STRICT_SIDE = {0.8: 4, 1.3: 4, 2.1: 4, 3.1: 6, 4.4: 8}
+PHYSICAL_RECTANGLES = [
+    (4, 4), (4, 13), (5, 5), (6, 9), (6, 17), (7, 7), (8, 8), (9, 20), (10, 14), (13, 11), (20, 20)
+]
+
+
+def physical_margins(instance):
+    """Solve with physical-majority demands, re-verify the partition on the
+    loopless graph those demands are meant for, and return the margins."""
+    result = solve_squares(instance, DemandScheme.PHYSICAL_MAJORITY)
+    graph = build_grid_graph(instance)
+    partition = Partition(
+        {graph.index_of(c) for c in result.side_a}, {graph.index_of(c) for c in result.side_b}
+    )
+    demands = squares_demands(graph, DemandScheme.PHYSICAL_MAJORITY)
+    assert verify_partition(without_loops(graph), demands, partition) == []
+    return list(result.margins.values())
+
+
+class TestPhysicalScheme:
+    """The physical scheme lies outside the guarantee; these are the shapes
+    the README's claim for it covers."""
+
+    @pytest.mark.parametrize("r", sorted(PHYSICAL_STRICT_SIDE))
+    def test_rectangles_verify_with_positive_margins(self, r):
+        for width, height in PHYSICAL_RECTANGLES:
+            instance = GridInstance.rectangle(width, height, r)
+            if min(width, height) >= PHYSICAL_STRICT_SIDE[r]:
+                assert min(physical_margins(instance)) > 0.0, (width, height)
+                continue
+            # outside the claim the solver may refuse, but never returns an
+            # unstable partition, and a verified one keeps margins >= 0
+            try:
+                assert min(physical_margins(instance)) >= 0.0
+            except SolverError:
+                pass
+
+    @pytest.mark.parametrize("r", sorted(PHYSICAL_STRICT_SIDE))
+    @pytest.mark.parametrize("shape", sorted(GRID_SHAPES))
+    def test_other_shapes_never_return_an_unstable_partition(self, shape, r):
+        try:
+            margins = physical_margins(GridInstance(GRID_SHAPES[shape], r))
+        except SolverError:
+            return
+        assert min(margins) >= 0.0
+
+    def test_small_rectangles_at_large_radius_are_outside_the_claim(self):
+        # the README names these exceptions
+        assert min(physical_margins(GridInstance.rectangle(4, 4, 4.4))) == 0.0
+        with pytest.raises(SolverError):
+            physical_margins(GridInstance.rectangle(5, 5, 3.1))
