@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over everything ``solve`` returns and one over every
-graph built on the benchmark's grid and climb pools, one line per seed.
+"""Print SHA-256 digests of everything ``solve`` returns, of its partitions
+and moves alone, and of every graph built on the benchmark's grid and climb
+pools, one line per seed.
 
 A change that must not alter results or graphs prints the same digests as
 its parent:
@@ -10,9 +11,11 @@ its parent:
 The result digest covers, for every ``solve`` call the pool's ops make (grid
 ops call it through ``solve_squares``), the partition and the certificate's
 phase log, moves, h trace, stable pair, hill-climb start and verification
-slacks.  Sets are hashed as sorted tuples, since the iteration order of
-equal sets can differ.  The graph digest covers the labels, adjacency,
-loops, ``d`` and ``W`` of every graph that ``geometry.build_grid_graph`` and
+slacks.  The partition digest (``partitions=``) covers the partition and the
+moves only, so a change that alters certificates but not results keeps it.
+Sets are hashed as sorted tuples, since the iteration order of equal sets
+can differ.  The graph digest covers the labels, adjacency, loops, ``d`` and
+``W`` of every graph that ``geometry.build_grid_graph`` and
 ``graph.build_graph`` return, floats by their exact ``repr``.
 """
 
@@ -50,10 +53,11 @@ def record(partition, cert) -> tuple:
     )
 
 
-def digest(seed: int) -> tuple[str, int, str, int]:
-    """The digest of both pools and the number of ``solve`` calls hashed,
-    then the digest of the graphs built and their number."""
-    results, graphs = hashlib.sha256(), hashlib.sha256()
+def digest(seed: int) -> tuple[str, str, int, str, int]:
+    """The result and partition digests of both pools and the number of
+    ``solve`` calls hashed, then the digest of the graphs built and their
+    number."""
+    results, partitions, graphs = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     calls = builds = 0
     original = solver.solve
     builders = graph.build_graph, geometry.build_grid_graph
@@ -63,6 +67,8 @@ def digest(seed: int) -> tuple[str, int, str, int]:
         partition, cert = original(*args, **kwargs)
         results.update(repr(record(partition, cert)).encode())
         results.update(b"\n")
+        partitions.update(repr(canonical((partition.a, partition.b, cert.moves))).encode())
+        partitions.update(b"\n")
         calls += 1
         return partition, cert
 
@@ -89,7 +95,7 @@ def digest(seed: int) -> tuple[str, int, str, int]:
     finally:
         solver.solve = geometry.solve = original
         graph.build_graph, geometry.build_grid_graph = builders
-    return results.hexdigest(), calls, graphs.hexdigest(), builds
+    return results.hexdigest(), partitions.hexdigest(), calls, graphs.hexdigest(), builds
 
 
 def main() -> None:
@@ -97,8 +103,11 @@ def main() -> None:
     parser.add_argument("--seed", type=int, nargs="+", required=True)
     args = parser.parse_args()
     for seed in args.seed:
-        value, calls, graph_value, builds = digest(seed)
-        print(f"{value}  seed={seed} solve_calls={calls} graphs={builds} {graph_value}")
+        value, partition_value, calls, graph_value, builds = digest(seed)
+        print(
+            f"{value}  seed={seed} solve_calls={calls} partitions={partition_value} "
+            f"graphs={builds} {graph_value}"
+        )
 
 
 if __name__ == "__main__":

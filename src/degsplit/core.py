@@ -1,4 +1,4 @@
-"""Peeling cores, meagerness tests, and inclusion-minimal demand sets.
+"""Peeling cores and inclusion-minimal demand sets.
 
 ``peel`` is the workhorse: repeatedly delete any vertex whose induced degree
 falls below its threshold until none remains.  The surviving set is the
@@ -134,18 +134,6 @@ def peel(graph: WeightedGraph, subset: Iterable[int], thresholds: Thresholds) ->
     members = _check_subset(graph, subset)
     _core(graph, members, thresholds, _bands(graph), bytes(graph.n))
     return frozenset(members)
-
-
-def is_meager(graph: WeightedGraph, subset: Iterable[int], thresholds: Thresholds) -> bool:
-    """True when every non-empty subset of ``subset`` has a vertex with
-    induced degree below thresholds[x] + W(x).
-
-    W is the max incident weight in the whole graph, not in the induced
-    subgraph.  Equivalent to the (thresholds + W)-core being empty.
-    """
-    _check_thresholds(graph, thresholds)
-    strong = [thresholds[x] + graph.W[x] for x in range(graph.n)]
-    return not peel(graph, subset, strong)
 
 
 def minimal_satisfying_set(

@@ -8,21 +8,23 @@ non-negative everywhere; the solver may still succeed without it but will
 raise a diagnosable error rather than return an unstable partition.
 
 The search runs in three phases.  First take an inclusion-minimal set A whose
-members meet their a-demands, with B the rest.  Second, if B contains a
-non-empty core meeting the stronger bound b + W, that core together with A is
-already a stable pair.  Otherwise hill-climb: repeatedly move a witness
-vertex (one whose current side cannot keep it at demand + W) across the
-split.  Every accepted move strictly increases the potential h, so no split
-repeats and the climb terminates.
+members meet their a-demands, with B the rest.  Second, if B's own b-core is
+non-empty, it and A are already a stable pair.  Otherwise hill-climb:
+repeatedly move a witness vertex (one whose current side cannot keep it at
+demand + W) across the split.  Every accepted move strictly increases the
+potential h, so no split repeats and the climb terminates.
 
 On h: the value counts each internal edge twice (once per endpoint) and the
-cross demand terms twice as well, so a move of vertex v changes h by exactly
+cross demand terms twice as well: both sides' induced degrees plus 2b over A
+and 2a over B.  A move of vertex v changes h by exactly
 2 * (new-side degree - old-side degree + demand swap), which is strictly
-positive whenever the slack condition holds at v.  Certificates carry a
-cumulative h trace built from these per-move gains; it matches a fresh
-recomputation to float accuracy and is strictly increasing by construction.
-The certificate stores only the starting h; the trace is derived from it and
-each move's h_after.
+positive whenever the slack condition holds at v.  The starting h is summed
+from the sides' freshly seeded degrees in ascending index, A's then B's, then
+the demand terms in the same order, so it is the fresh recomputation's value
+bit for bit.  Certificates carry a cumulative h trace
+built from the per-move gains; it matches a fresh recomputation to float
+accuracy and is strictly increasing by construction.  The certificate stores
+only the starting h; the trace is derived from it and each move's h_after.
 
 The climb keeps each side's induced degrees across moves: a move updates the
 moved vertex's neighbours only, and a kept degree is reseeded with the exact
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import _ROUNDOFF, _bands, _cascade, minimal_satisfying_set, peel
+from .core import _ROUNDOFF, _bands, _cascade, minimal_satisfying_set
 from .errors import (
     CompletionAssertFailedError,
     MoveLimitExceededError,
@@ -109,10 +111,6 @@ class Violation:
     degree: float
     demand: float
 
-    @property
-    def slack(self) -> float:
-        return self.degree - self.demand
-
 
 @dataclass(frozen=True)
 class Move:
@@ -171,29 +169,6 @@ def check_feasibility(graph: WeightedGraph, demands: Demands) -> FeasibilityRepo
             s += factor * graph.loops[x]
         slack.append(s)
     return _report(slack)
-
-
-def _h(graph: WeightedGraph, side_a, side_b, demands: Demands) -> float:
-    total = 0.0
-    for x in sorted(side_a):
-        total += induced_degree(graph, side_a, x)
-    for x in sorted(side_b):
-        total += induced_degree(graph, side_b, x)
-    for x in sorted(side_a):
-        total += 2.0 * demands.b[x]
-    for x in sorted(side_b):
-        total += 2.0 * demands.a[x]
-    return total
-
-
-def h_value(graph: WeightedGraph, partition: Partition, demands: Demands) -> float:
-    """Potential of a partition: both internal edge sums with every edge
-    counted twice (loops contribute per the graph's loop mode, once per
-    vertex), plus doubled cross demand terms (b over A, a over B)."""
-    _require_matching(graph, demands)
-    if partition.n != graph.n:
-        raise ValueError("partition does not cover this graph")
-    return _h(graph, partition.a, partition.b, demands)
 
 
 class _Side:
@@ -314,9 +289,11 @@ def find_stable_pair(
     its a-demand inside Abar and every Bbar-vertex its b-demand inside Bbar.
 
     Zero-degree vertices are set aside first (a pair need not cover them).
-    Raises MoveLimitExceededError, PartitionCollapseError or
-    NonImprovingMoveError when the search cannot finish; all three are only
-    reachable when the degree precondition fails.
+    The pair is the minimal set A and B's b-core when that core is non-empty;
+    otherwise the hill-climb starts from A and B.  Raises
+    MoveLimitExceededError, PartitionCollapseError or NonImprovingMoveError
+    when the search cannot finish; all three are only reachable when the
+    degree precondition fails.
     """
     _require_matching(graph, demands)
     if max_moves < 1:
@@ -335,17 +312,25 @@ def find_stable_pair(
         raise PartitionCollapseError("every active vertex is needed to meet the a-demands")
 
     cert.phase_log.append(PHASE_CASE1_CORE)
-    strong_b = [b_dem[x] + graph.W[x] for x in range(graph.n)]
-    strong_core = peel(graph, side_b, strong_b)
-    if strong_core:
-        cert.stable_pair = (side_a, strong_core)
-        return side_a, strong_core, cert
+    sb = _Side(graph, "B", side_b, b_dem)
+    if sb.core:
+        cert.stable_pair = (side_a, sb.core)
+        return side_a, sb.core, cert
 
     cert.phase_log.append(PHASE_HILLCLIMB)
     cert.hillclimb_start = (side_a, side_b)
-    h = _h(graph, side_a, side_b, demands)
+    sa = _Side(graph, "A", side_a, a_dem)
+    order_a, order_b = sorted(side_a), sorted(side_b)
+    h = 0.0
+    for x in order_a:
+        h += sa.deg[x]
+    for x in order_b:
+        h += sb.deg[x]
+    for x in order_a:
+        h += 2.0 * b_dem[x]
+    for x in order_b:
+        h += 2.0 * a_dem[x]
     cert.h_start = h
-    sa, sb = _Side(graph, "A", side_a, a_dem), _Side(graph, "B", side_b, b_dem)
     for _ in range(max_moves):
         if sa.core and sb.core:
             cert.stable_pair = (sa.core, sb.core)
@@ -384,16 +369,8 @@ def find_stable_pair(
 def _complete_sets(graph, demands, pair, universe, cert):
     """Grow the pair to cover ``universe``: leftovers default to the B side,
     and any leftover that cannot meet its b-demand there moves into A."""
-    abar = frozenset(pair[0])
-    bbar = frozenset(pair[1])
-    if not abar or not bbar:
-        raise ValueError("a stable pair has two non-empty sides")
-    if abar & bbar:
-        raise ValueError("pair sides overlap")
-    if not abar <= universe or not bbar <= universe:
-        raise ValueError("pair is not contained in the vertex set")
-    if cert is not None:
-        cert.phase_log.append(PHASE_COMPLETION)
+    abar, bbar = pair
+    cert.phase_log.append(PHASE_COMPLETION)
 
     side_a = set(abar)
     rest = set(universe) - abar - bbar
@@ -414,24 +391,6 @@ def _complete_sets(graph, demands, pair, universe, cert):
             )
         side_a.add(mover)
         rest.remove(mover)
-
-
-def complete_pair(
-    graph: WeightedGraph,
-    demands: Demands,
-    pair: tuple[frozenset[int], frozenset[int]],
-    _certificate: SolveCertificate | None = None,
-) -> Partition:
-    """Extend a stable pair to a full stable partition of all vertices.
-
-    A-side and B-side of the pair only ever grow, so pair members keep their
-    demands; each vertex moved into A meets its a-demand at insertion time.
-    """
-    _require_matching(graph, demands)
-    side_a, side_b = _complete_sets(
-        graph, demands, pair, frozenset(range(graph.n)), _certificate
-    )
-    return Partition(side_a, side_b)
 
 
 def verify_partition(

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from degsplit import Demands, LoopMode, build_graph
+from degsplit import Demands, LoopMode, build_graph, peel
 
 
 def complete_graph(n, w=1.0, loop_mode=LoopMode.DOUBLE):
@@ -51,6 +51,14 @@ def weight_dict(graph):
         if graph.loops[x] > 0.0:
             w[(x, x)] = graph.loops[x]
     return w
+
+
+def is_meager(graph, subset, thresholds):
+    """True when every non-empty subset of ``subset`` has a vertex with
+    induced degree below thresholds[x] + W(x), W taken in the whole graph:
+    the (thresholds + W)-core is empty.  Built on ``peel``, so it is not an
+    oracle for ``peel`` itself."""
+    return not peel(graph, subset, [t + w for t, w in zip(thresholds, graph.W)])
 
 
 def plain_induced_degree(weights, loop_factor, members, x):

@@ -27,9 +27,6 @@ from degsplit import (
     build_grid_graph,
     check_feasibility,
     circle_square_area,
-    complete_pair,
-    find_stable_pair,
-    is_meager,
     peel,
     random_feasible_instance,
     reduce_loops,
@@ -38,7 +35,7 @@ from degsplit import (
     verify_partition,
 )
 
-from conftest import complete_graph, random_graph, weight_dict
+from conftest import complete_graph, is_meager, random_graph, weight_dict
 
 
 def report(criterion, detail):
@@ -242,8 +239,8 @@ def test_criterion_5_completion():
         seed += 1
         if sum(1 for x in range(n) if graph.d[x] > 0.0) < 2:
             continue  # all-isolated draw: the stable-pair search is undefined here
-        side_a, side_b, _ = find_stable_pair(graph, demands)
-        partition = complete_pair(graph, demands, (side_a, side_b))
+        partition, cert = solve(graph, demands)
+        side_a, side_b = cert.stable_pair
         assert side_a <= partition.a
         assert side_b <= partition.b
         assert verify_partition(graph, demands, partition, tol=0.0) == []

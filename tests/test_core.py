@@ -9,7 +9,6 @@ from degsplit import (
     build_graph,
     build_grid_graph,
     induced_degree,
-    is_meager,
     minimal_satisfying_set,
     peel,
     reduce_loops,
@@ -17,7 +16,7 @@ from degsplit import (
 )
 from degsplit import core as core_module
 
-from conftest import complete_graph, qualifying_subsets, random_graph
+from conftest import complete_graph, is_meager, qualifying_subsets, random_graph
 
 
 def const(n, v):

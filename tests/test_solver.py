@@ -13,13 +13,12 @@ from degsplit import (
     Partition,
     PartitionCollapseError,
     SingleVertexGraphError,
+    SolveCertificate,
     SolverError,
     UnstablePartitionError,
     build_graph,
     check_feasibility,
-    complete_pair,
     find_stable_pair,
-    h_value,
     induced_degree,
     random_feasible_instance,
     reduce_loops,
@@ -27,10 +26,26 @@ from degsplit import (
     verify_partition,
 )
 from degsplit.core import _bands, minimal_satisfying_set, peel
-from degsplit.solver import PHASE_HILLCLIMB, Move, _h, _Side
+from degsplit.solver import PHASE_HILLCLIMB, Move, _complete_sets, _Side
 
-from conftest import complete_graph, weight_dict
+from conftest import complete_graph, is_meager, weight_dict
 from conftest import random_graph as conftest_random_graph
+
+
+def ascending_h(graph, side_a, side_b, demands):
+    """The potential summed in the order ``find_stable_pair`` sums its
+    starting h: A's induced degrees in ascending index, then B's, then 2b
+    over A, then 2a over B.  Equal to ``cert.h_start`` bit for bit."""
+    total = 0.0
+    for x in sorted(side_a):
+        total += induced_degree(graph, side_a, x)
+    for x in sorted(side_b):
+        total += induced_degree(graph, side_b, x)
+    for x in sorted(side_a):
+        total += 2.0 * demands.b[x]
+    for x in sorted(side_b):
+        total += 2.0 * demands.a[x]
+    return total
 
 
 def h_reference(graph, side_a, side_b, demands):
@@ -91,14 +106,13 @@ def reference_find_stable_pair(graph, demands, max_moves=10_000):
     side_b = active - side_a
     if not side_b:
         raise PartitionCollapseError("every active vertex is needed")
-    strong_b = [demands.b[x] + graph.W[x] for x in range(graph.n)]
-    strong_core = peel(graph, side_b, strong_b)
-    if strong_core:
-        return None, (), (), (side_a, strong_core)
+    core_b = peel(graph, side_b, demands.b)
+    if core_b:
+        return None, (), (), (side_a, core_b)
 
     side_a, side_b = set(side_a), set(side_b)
     start = (frozenset(side_a), frozenset(side_b))
-    h = _h(graph, side_a, side_b, demands)
+    h = ascending_h(graph, side_a, side_b, demands)
     moves, h_trace = [], [h]
     for _ in range(max_moves):
         core_a = peel(graph, side_a, demands.a)
@@ -160,11 +174,11 @@ class TestCheckFeasibility:
 class TestHValue:
     def test_k4_split_counts_edges_twice(self, k4):
         p = Partition(frozenset({0, 1}), frozenset({2, 3}))
-        assert h_value(k4, p, Demands.constant(4, 0.0, 0.0)) == 4.0
+        assert ascending_h(k4, p.a, p.b, Demands.constant(4, 0.0, 0.0)) == 4.0
 
     def test_triangle_singleton_side(self, triangle):
         p = Partition(frozenset({0}), frozenset({1, 2}))
-        assert h_value(triangle, p, Demands.constant(3, 0.0, 0.0)) == 2.0
+        assert ascending_h(triangle, p.a, p.b, Demands.constant(3, 0.0, 0.0)) == 2.0
 
     def test_h_plus_twice_cut_is_constant(self):
         rng = random.Random(3)
@@ -180,7 +194,7 @@ class TestHValue:
             cut = sum(
                 weights.get((x, y), 0.0) for x in side_a for y in side_b
             )
-            h = h_value(g, Partition(side_a, side_b), zero)
+            h = ascending_h(g, side_a, side_b, zero)
             assert math.isclose(h + 2.0 * cut, 2.0 * total, rel_tol=1e-12)
 
     def test_matches_reference_with_demands(self):
@@ -192,7 +206,7 @@ class TestHValue:
         )
         p = Partition(frozenset({0, 2}), frozenset({1, 3, 4}))
         assert math.isclose(
-            h_value(g, p, dem), h_reference(g, p.a, p.b, dem), rel_tol=1e-12
+            ascending_h(g, p.a, p.b, dem), h_reference(g, p.a, p.b, dem), rel_tol=1e-12
         )
 
 
@@ -252,9 +266,8 @@ class TestFindStablePair:
 
     def test_sides_stay_meager_throughout_climb(self):
         # replay certificates: on loopless feasible instances both sides are
-        # meager at the climb start and after every move
-        from degsplit import is_meager
-
+        # meager at the climb start and after every move, and h starts at
+        # exactly the ascending sum
         climbs = 0
         for seed in range(120):
             n = 5 + seed % 8
@@ -263,6 +276,7 @@ class TestFindStablePair:
             if cert.hillclimb_start is None:
                 continue
             climbs += 1
+            assert cert.h_start == ascending_h(g, *cert.hillclimb_start, dem)
             side_a = set(cert.hillclimb_start[0])
             side_b = set(cert.hillclimb_start[1])
             states = [(set(side_a), set(side_b))]
@@ -278,6 +292,20 @@ class TestFindStablePair:
                 assert is_meager(g, state_a, dem.a)
                 assert is_meager(g, state_b, dem.b)
         assert climbs > 0
+
+    def test_b_core_is_the_case1_pair(self):
+        # B's b-core is non-empty but its (b + W)-core is empty here, so
+        # case 1 returns A with the b-core and the climb never starts
+        # (partition frozen from a run that climbed for 0 moves)
+        g, dem = random_feasible_instance(15, 0.5, (0.5, 1.0), 155)
+        partition, cert = solve(g, dem)
+        assert PHASE_HILLCLIMB not in cert.phase_log
+        assert cert.h_start is None and cert.hillclimb_start is None
+        assert cert.moves == []
+        assert sorted(partition.a) == [0, 1, 5, 6, 8, 9, 10, 11, 12, 13, 14]
+        assert sorted(partition.b) == [2, 3, 4, 7]
+        side_a, side_b = cert.stable_pair
+        assert side_b == peel(g, frozenset(range(15)) - side_a, dem.b)
 
     def test_collapse_when_demands_swallow_everything(self):
         g = build_graph([("x", "y", 1.0)])
@@ -424,7 +452,15 @@ class TestKeptSideDegrees:
         assert grown >= 100
 
 
+def complete_pair(graph, demands, pair):
+    return Partition(
+        *_complete_sets(graph, demands, pair, frozenset(range(graph.n)), SolveCertificate())
+    )
+
+
 class TestCompletePair:
+    """``solver._complete_sets`` over every vertex, as ``solve`` calls it."""
+
     def test_pair_covering_everything_is_kept(self, k9):
         dem = Demands.constant(9, 3.0, 3.0)
         side_a, side_b, _ = find_stable_pair(k9, dem)
@@ -446,13 +482,6 @@ class TestCompletePair:
             assert side_a <= part.a
             assert side_b <= part.b
             assert not verify_partition(g, dem, part)
-
-    def test_rejects_malformed_pair(self, triangle):
-        dem = Demands.constant(3, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            complete_pair(triangle, dem, (frozenset(), frozenset({1})))
-        with pytest.raises(ValueError):
-            complete_pair(triangle, dem, (frozenset({0, 1}), frozenset({1})))
 
 
 class TestSolve:
@@ -579,7 +608,7 @@ class TestVerifyPartition:
         violations = verify_partition(k9, dem, part)
         assert [v.vertex for v in violations] == [0]
         assert violations[0].degree == 0.0
-        assert violations[0].slack == -3.0
+        assert violations[0].degree - violations[0].demand == -3.0
 
     def test_zero_demands_never_violate(self, triangle):
         dem = Demands.constant(3, 0.0, 0.0)
