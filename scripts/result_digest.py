@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print SHA-256 digests of everything ``solve`` returns, of its partitions
-and moves alone, and of every graph built on the benchmark's grid and climb
-pools, one line per seed.
+and moves alone, of the precondition reports, and of every graph built on
+the benchmark's grid and climb pools, one line per seed.
 
 A change that must not alter results or graphs prints the same digests as
 its parent:
@@ -13,6 +13,9 @@ ops call it through ``solve_squares``), the partition and the certificate's
 phase log, moves, h trace, stable pair, hill-climb start and verification
 slacks.  The partition digest (``partitions=``) covers the partition and the
 moves only, so a change that alters certificates but not results keeps it.
+The precondition digest (``preconditions=``) covers every ``solve``
+certificate's feasibility slacks, taken when ``solve`` returns, and the
+``precondition_ok`` of every ``solve_squares`` result.
 Sets are hashed as sorted tuples, since the iteration order of equal sets
 can differ.  The graph digest covers the labels, adjacency, loops, ``d`` and
 ``W`` of every graph that ``geometry.build_grid_graph`` and
@@ -53,13 +56,14 @@ def record(partition, cert) -> tuple:
     )
 
 
-def digest(seed: int) -> tuple[str, str, int, str, int]:
+def digest(seed: int) -> tuple[str, str, int, str, str, int]:
     """The result and partition digests of both pools and the number of
-    ``solve`` calls hashed, then the digest of the graphs built and their
-    number."""
+    ``solve`` calls hashed, the precondition digest, then the digest of the
+    graphs built and their number."""
     results, partitions, graphs = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    preconditions = hashlib.sha256()
     calls = builds = 0
-    original = solver.solve
+    original, squares = solver.solve, geometry.solve_squares
     builders = graph.build_graph, geometry.build_grid_graph
 
     def recording_solve(*args, **kwargs):
@@ -69,8 +73,16 @@ def digest(seed: int) -> tuple[str, str, int, str, int]:
         results.update(b"\n")
         partitions.update(repr(canonical((partition.a, partition.b, cert.moves))).encode())
         partitions.update(b"\n")
+        preconditions.update(repr(cert.feasibility.slack).encode())
+        preconditions.update(b"\n")
         calls += 1
         return partition, cert
+
+    def recording_squares(*args, **kwargs):
+        result = squares(*args, **kwargs)
+        preconditions.update(repr(result.precondition_ok).encode())
+        preconditions.update(b"\n")
+        return result
 
     def recording(build):
         def recording_build(*args, **kwargs):
@@ -85,6 +97,7 @@ def digest(seed: int) -> tuple[str, str, int, str, int]:
         return recording_build
 
     solver.solve = geometry.solve = recording_solve
+    geometry.solve_squares = recording_squares
     graph.build_graph, geometry.build_grid_graph = map(recording, builders)
     try:
         for name in ("grid", "climb"):
@@ -94,8 +107,16 @@ def digest(seed: int) -> tuple[str, str, int, str, int]:
                     raise SystemExit(f"{name}: an op failed verification")
     finally:
         solver.solve = geometry.solve = original
+        geometry.solve_squares = squares
         graph.build_graph, geometry.build_grid_graph = builders
-    return results.hexdigest(), partitions.hexdigest(), calls, graphs.hexdigest(), builds
+    return (
+        results.hexdigest(),
+        partitions.hexdigest(),
+        calls,
+        preconditions.hexdigest(),
+        graphs.hexdigest(),
+        builds,
+    )
 
 
 def main() -> None:
@@ -103,10 +124,10 @@ def main() -> None:
     parser.add_argument("--seed", type=int, nargs="+", required=True)
     args = parser.parse_args()
     for seed in args.seed:
-        value, partition_value, calls, graph_value, builds = digest(seed)
+        value, partition_value, calls, precondition_value, graph_value, builds = digest(seed)
         print(
             f"{value}  seed={seed} solve_calls={calls} partitions={partition_value} "
-            f"graphs={builds} {graph_value}"
+            f"preconditions={precondition_value} graphs={builds} {graph_value}"
         )
 
 

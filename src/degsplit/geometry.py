@@ -19,7 +19,6 @@ from .graph import Demands, LoopMode, WeightedGraph, _assemble, without_loops
 from .solver import (
     DEFAULT_MAX_MOVES,
     SolveCertificate,
-    check_feasibility,
     reduce_loops,
     solve,
     verify_partition,
@@ -204,7 +203,10 @@ class SquaresResult:
     ``margins`` maps each cell to its physical margin: same-colored covered
     area minus other-colored covered area within its disk (own square counted
     once).  Graph-sense stability is gated exactly; physical margins are
-    reported, not gated.
+    reported, not gated.  The certificate's feasibility is the precondition
+    of the instance the scheme defines, as ``check_feasibility`` reports it:
+    half-degree demands on the grid graph with its loops, physical demands on
+    the loopless graph they are set for.  ``precondition_ok`` reads it.
     """
 
     side_a: tuple[Cell, ...]
@@ -228,22 +230,15 @@ def solve_squares(
 
     if scheme is DemandScheme.HALF_DEGREE:
         reduction = reduce_loops(graph, demands)
-        reduced_graph, reduced_demands = reduction.graph, reduction.demands
-        report = reduction.precondition
-    else:
-        # physical demands already account for the loop; just drop it
-        reduced_graph = without_loops(graph)
-        reduced_demands = demands
-        report = check_feasibility(reduced_graph, reduced_demands)
-
-    partition, cert = solve(reduced_graph, reduced_demands, max_moves=max_moves)
-
-    if scheme is DemandScheme.HALF_DEGREE:
-        residual = verify_partition(graph, demands, partition)
-        if residual:
+        partition, cert = solve(reduction.graph, reduction.demands, max_moves=max_moves)
+        if verify_partition(graph, demands, partition):
             raise UnstablePartitionError(
                 "reduced solution failed to verify on the original grid graph"
             )
+        cert.feasibility = reduction.precondition
+    else:
+        # physical demands already account for the loop; just drop it
+        partition, cert = solve(without_loops(graph), demands, max_moves=max_moves)
 
     cells = instance.cells
     margins: dict[Cell, float] = {}
@@ -261,4 +256,4 @@ def solve_squares(
 
     side_a = tuple(cells[x] for x in sorted(partition.a))
     side_b = tuple(cells[x] for x in sorted(partition.b))
-    return SquaresResult(side_a, side_b, margins, strict, report.feasible, cert)
+    return SquaresResult(side_a, side_b, margins, strict, cert.feasibility.feasible, cert)

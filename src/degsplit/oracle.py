@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import GenerationFailedError, TooLargeError
 from .graph import Demands, LoopMode, WeightedGraph, build_graph
-from .solver import Partition
+from .solver import Partition, check_feasibility
 
 MAX_BRUTE_VERTICES = 24
 _CHUNK = 1 << 16
@@ -113,7 +113,7 @@ def random_feasible_instance(
                 if rng.random() < edge_probability:
                     edges.append((i, j, rng.uniform(lo, hi)))
         graph = build_graph(edges, LoopMode.DOUBLE, vertices=range(n))
-        slack = [graph.d[x] - 2.0 * graph.W[x] for x in range(n)]
+        slack = check_feasibility(graph, Demands.constant(n, 0.0, 0.0)).slack
         if min(slack) < 0.0:
             continue
         a = []

@@ -3,7 +3,7 @@
 Given per-vertex demand pairs (a, b), find a partition (A, B) of the vertex
 set such that every A-vertex has induced degree >= a inside A and every
 B-vertex induced degree >= b inside B.  Success is guaranteed whenever the
-degree slack d(x) - a(x) - b(x) - 2W(x) (plus the loop correction) is
+degree slack d(x) - a(x) - b(x) - 2W(x) that check_feasibility reports is
 non-negative everywhere; the solver may still succeed without it but will
 raise a diagnosable error rather than return an unstable partition.
 
@@ -90,9 +90,6 @@ class Partition:
     def n(self) -> int:
         return len(self.a) + len(self.b)
 
-    def side(self, x: int) -> str:
-        return "A" if x in self.a else "B"
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -148,27 +145,31 @@ def _require_matching(graph: WeightedGraph, demands: Demands) -> None:
         raise ValueError(f"expected demands for {graph.n} vertices, got {len(demands)}")
 
 
-def _report(slack: list[float]) -> FeasibilityReport:
-    violations = tuple(x for x, s in enumerate(slack) if s < 0.0)
-    return FeasibilityReport(tuple(slack), violations, not violations)
-
-
 def check_feasibility(graph: WeightedGraph, demands: Demands) -> FeasibilityReport:
-    """Per-vertex slack d - a - b - 2W, loop-corrected.
+    """Per-vertex slack d - a - b - 2W of the loop-reduced instance.
 
-    A loop at x weakens the requirement by its own degree contribution
-    (2*w_xx under DOUBLE, w_xx under ONCE), matching what survives after
-    reduce_loops.  Reporting only; nothing is enforced.
+    reduce_loops strips each loop and lowers both demands by its degree
+    share (2*w_xx under DOUBLE, w_xx under ONCE), clamped at zero.  So at a
+    vertex with a loop the slack is the plain one plus the share, minus the
+    part of the share each clamp kept out of its demand.  Cancelling the
+    original demands against the original degree first keeps zero slack
+    exact; the naive order loses a few ulps there.  Reporting only; nothing
+    is enforced.
     """
     _require_matching(graph, demands)
     factor = graph.loop_mode.factor
     slack = []
     for x in range(graph.n):
-        s = graph.d[x] - demands.a[x] - demands.b[x] - 2.0 * graph.W[x]
+        a, b = demands.a[x], demands.b[x]
+        s = graph.d[x] - a - b - 2.0 * graph.W[x]
         if graph.loops[x]:
-            s += factor * graph.loops[x]
+            share = factor * graph.loops[x]
+            s += share
+            s -= max(0.0, share - a)
+            s -= max(0.0, share - b)
         slack.append(s)
-    return _report(slack)
+    violations = tuple(x for x, s in enumerate(slack) if s < 0.0)
+    return FeasibilityReport(tuple(slack), violations, not violations)
 
 
 class _Side:
@@ -515,24 +516,12 @@ def reduce_loops(graph: WeightedGraph, demands: Demands) -> LoopReduction:
     w_xx (clamped at zero).  Any partition stable for the reduced instance is
     stable for the original: the loop weight rejoins its vertex's side.
     """
-    _require_matching(graph, demands)
+    precondition = check_feasibility(graph, demands)
     factor = graph.loop_mode.factor
-    bare = without_loops(graph)
     a = tuple(
         max(0.0, demands.a[x] - factor * graph.loops[x]) for x in range(graph.n)
     )
     b = tuple(
         max(0.0, demands.b[x] - factor * graph.loops[x]) for x in range(graph.n)
     )
-    reduced = Demands(a, b)
-
-    # Reduced-instance slack d' - a' - b' - 2W: the loop-corrected original
-    # slack minus the loop share the zero clamp kept out of each demand.
-    # Cancelling the original demands against the original degree first
-    # keeps zero slack exact; the naive order loses a few ulps there.
-    slack = list(check_feasibility(graph, demands).slack)
-    for x in range(graph.n):
-        loop_share = factor * graph.loops[x]
-        slack[x] -= max(0.0, loop_share - demands.a[x])
-        slack[x] -= max(0.0, loop_share - demands.b[x])
-    return LoopReduction(bare, reduced, _report(slack))
+    return LoopReduction(without_loops(graph), Demands(a, b), precondition)

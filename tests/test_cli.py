@@ -58,6 +58,29 @@ def test_solve_infeasible_k9_exits_one(capsys, k9_files):
     assert "error" in payload
 
 
+def test_solve_reports_the_loop_reduced_precondition(capsys, tmp_path):
+    # unit loops give d = 4, but with a = 0 the reduced instance keeps only
+    # the loopless degree 2 against b' = 1 and 2W = 2
+    graph = write(
+        tmp_path, "tri.edges",
+        "x y 1\ny z 1\nz x 1\nx x 1\ny y 1\nz z 1\n",
+    )
+    dem = write(tmp_path, "tri.dem", "x 0 3\ny 0 3\nz 0 3\n")
+    code, out, _ = run_cli(capsys, ["solve", "--graph", graph, "--demands", dem])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["feasible"] is False
+    assert (payload["A"], payload["B"]) == (["z"], ["x", "y"])
+
+
+def test_completion_failure_exits_one(capsys, tmp_path):
+    graph = write(tmp_path, "path.edges", "0 1 1\n1 2 1\n")
+    dem = write(tmp_path, "path.dem", "0 0 1\n1 3 3\n2 1 0\n")
+    code, out, _ = run_cli(capsys, ["solve", "--graph", graph, "--demands", dem])
+    assert code == 1
+    assert json.loads(out)["error"] == "CompletionAssertFailedError"
+
+
 def test_oracle_k9(capsys, k9_files):
     graph, dem3, dem35 = k9_files
     code, out, _ = run_cli(capsys, ["oracle", "--graph", graph, "--demands", dem35])

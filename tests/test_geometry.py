@@ -309,6 +309,13 @@ class TestSolveSquares:
         assert len(result.side_a) + len(result.side_b) == 100
         assert min(result.margins.values()) > -1.0  # provable slack bound
 
+    def test_certificate_reports_the_checked_precondition(self):
+        # the reduced instance recomputed on its own reads two cells at
+        # -8.9e-16; the certificate carries the exact report instead
+        for scheme in DemandScheme:
+            result = solve_squares(GridInstance.rectangle(10, 10, 2.1), scheme)
+            assert result.certificate.feasibility.feasible == result.precondition_ok
+
     def test_margin_reference(self):
         inst = GridInstance.rectangle(4, 4, 1.3)
         result = solve_squares(inst)

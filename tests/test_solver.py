@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degsplit import (
+    CompletionAssertFailedError,
     Demands,
     LoopMode,
     MoveLimitExceededError,
@@ -16,6 +17,7 @@ from degsplit import (
     SolveCertificate,
     SolverError,
     UnstablePartitionError,
+    brute_force_solve,
     build_graph,
     check_feasibility,
     find_stable_pair,
@@ -166,9 +168,60 @@ class TestCheckFeasibility:
     def test_loop_correction_per_mode(self):
         for mode, factor in ((LoopMode.ONCE, 1), (LoopMode.DOUBLE, 2)):
             g = build_graph([("x", "y", 1.0), ("x", "x", 2.0)], mode)
+            # zero demands: both clamps take the whole loop share back, so x
+            # keeps its loopless slack 1 - 2W in either mode
             report = check_feasibility(g, Demands.constant(2, 0.0, 0.0))
-            # at x: d - 2W + factor*loop
-            assert report.slack[0] == g.d[0] - 2.0 + factor * 2.0
+            assert report.slack[0] == -1.0
+            # demands at least the loop share: d - a - b - 2W + factor*loop
+            dem = Demands((4.0, 0.0), (4.0, 0.0))
+            report = check_feasibility(g, dem)
+            assert report.slack[0] == g.d[0] - 8.0 - 2.0 + factor * 2.0
+
+    def test_looped_k9_beyond_the_loop_share_is_infeasible(self):
+        # a unit loop at each vertex of K9 gives d = 10, so d - a - b - 2W
+        # plus the loop share reads +0.5; the reduced instance has d' = 8 and
+        # b' = 7.5, so its slack is 8 - 7.5 - 2 = -1.5
+        g = build_graph(
+            [(i, j, 1.0) for i in range(9) for j in range(i, 9)], LoopMode.DOUBLE
+        )
+        dem = Demands.constant(9, 0.0, 9.5)
+        report = check_feasibility(g, dem)
+        assert report.feasible is False
+        assert report.slack == (-1.5,) * 9
+        assert report == reduce_loops(g, dem).precondition
+        assert not brute_force_solve(g, dem).exists
+
+    def test_random_loop_graphs_report_the_reduced_slack(self):
+        # loops above and below the demands, so each clamp binds and misses;
+        # demands share d - 2W, which some reduced instances cannot afford
+        for mode in (LoopMode.ONCE, LoopMode.DOUBLE):
+            feasible = 0
+            for seed in range(100):
+                rng = random.Random(seed)
+                n = rng.randint(2, 9)
+                g = conftest_random_graph(
+                    rng, n, rng.choice([0.6, 0.8, 1.0]), (0.5, 1.0),
+                    loops=True, loop_mode=mode,
+                )
+                a, b = [], []
+                for x in range(n):
+                    budget = max(0.0, g.d[x] - 2.0 * g.W[x])
+                    a.append(rng.random() * budget)
+                    b.append(rng.random() * (budget - a[-1]))
+                dem = Demands(tuple(a), tuple(b))
+                report = check_feasibility(g, dem)
+                red = reduce_loops(g, dem)
+                assert report == red.precondition
+                plain = check_feasibility(red.graph, red.demands)
+                for s, t in zip(report.slack, plain.slack):
+                    assert math.isclose(s, t, rel_tol=1e-12, abs_tol=1e-12)
+                if report.feasible:
+                    feasible += 1
+                    assert brute_force_solve(g, dem).exists
+                    partition, _ = solve(g, dem)
+                    assert not verify_partition(g, dem, partition)
+            # the sample holds both feasible and infeasible reports
+            assert 20 < feasible < 80
 
 
 class TestHValue:
@@ -551,9 +604,16 @@ class TestSolve:
         g = build_graph([("v", "v", 1.0)], vertices=["v", "u"])
         dem = Demands((0.0, 0.0), (0.0, 5.0))
         part, _ = solve(g, dem)
-        assert part.side(g.index_of("u")) == "A"
-        assert part.side(g.index_of("v")) == "B"
+        assert g.index_of("u") in part.a
+        assert g.index_of("v") in part.b
         assert not verify_partition(g, dem, part)
+
+    def test_vertex_meeting_neither_demand_fails_completion(self, path3):
+        # the stable pair ({x}, {z}) leaves y, which has degree 2 against
+        # demands of 3 on both sides
+        dem = Demands((0.0, 3.0, 1.0), (1.0, 3.0, 0.0))
+        with pytest.raises(CompletionAssertFailedError, match="vertex 1 "):
+            solve(path3, dem)
 
     def test_max_moves_checked_before_any_phase(self):
         # one vertex of positive degree never reaches the hill-climb, whose
