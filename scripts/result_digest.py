@@ -6,7 +6,7 @@ the benchmark's grid and climb pools, one line per seed.
 A change that must not alter results or graphs prints the same digests as
 its parent:
 
-    PYTHONPATH=src python scripts/result_digest.py --seed 1 2
+    python scripts/result_digest.py --seed 1 2
 
 The result digest covers, for every ``solve`` call the pool's ops make (grid
 ops call it through ``solve_squares``), the partition and the certificate's
@@ -27,7 +27,8 @@ import hashlib
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from degsplit import geometry, graph, solver  # noqa: E402

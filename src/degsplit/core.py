@@ -14,6 +14,16 @@ rule applies: when |deg(x) - threshold(x)| <= band(x) = 8 (k + 2) 2^-53 d(x),
 with k the number of x's neighbours, x is decided on the exact ascending sum
 instead.  Every decision is therefore the one exact recomputation makes.
 
+A deletion queues only the neighbours that can fall: a vertex whose kept
+degree still exceeds its threshold by more than its band would be kept at its
+pop without an exact sum, and degrees only fall during a cascade, so the next
+decrement that brings it within reach queues it again.  Degrees are seeded
+from ``graph.d`` when no vertex outside the members has an edge: every row
+then lies in the members, and ``induced_degree`` adds the same terms in the
+same order as the cached degree, so the seed is the same sum bit for bit.
+``minimal_satisfying_set`` on the vertices of positive degree always seeds
+this way.
+
 The band is the one place that bounds how far a kept degree may drift.  It
 covers a degree seeded by ``induced_degree`` (k + 1 roundings), then up to k
 single-edge updates before the solver's hill-climb reseeds it, then up to k
@@ -71,10 +81,10 @@ def _bands(graph: WeightedGraph) -> list[float]:
 
 
 def _delete(adjacency, members, deg, thresholds, band, stop, x, stack, removed, log) -> bool:
-    # remove x, subtract its weights from the members left and queue them;
-    # ``log`` (when kept) records each change as (vertex, old degree).
-    # False, cut short, once a vertex flagged in ``stop`` falls below its
-    # threshold by more than its band: the cascade would delete it
+    # remove x, subtract its weights from the members left and queue those
+    # that can fall; ``log`` (when kept) records each change as (vertex, old
+    # degree).  False, cut short, once a vertex flagged in ``stop`` falls
+    # below its threshold by more than its band: the cascade would delete it
     members.remove(x)
     removed.append(x)
     for y, w in adjacency[x]:
@@ -82,9 +92,13 @@ def _delete(adjacency, members, deg, thresholds, band, stop, x, stack, removed, 
             if log is not None:
                 log.append((y, deg[y]))
             deg[y] -= w
-            if stop[y] and thresholds[y] - deg[y] > band[y]:
-                return False
-            stack.append(y)
+            gap = thresholds[y] - deg[y]
+            # further above its threshold than its band, y would be kept at
+            # its pop; a later decrement that brings it within reach queues it
+            if gap >= -band[y]:
+                if stop[y] and gap > band[y]:
+                    return False
+                stack.append(y)
     return True
 
 
@@ -114,8 +128,13 @@ def _cascade(graph, members, deg, thresholds, band, stop, stack, removed, log=No
 
 def _core(graph, members, thresholds, band, stop) -> dict[int, float]:
     # peel ``members`` in place from fresh ``induced_degree`` sums; returns
-    # the induced degree of each survivor
-    deg = {x: induced_degree(graph, members, x) for x in members}
+    # the induced degree of each survivor.  When no vertex left out has an
+    # edge, every row lies in ``members`` and the sum is d[x] bit for bit
+    adjacency, d = graph.adjacency, graph.d
+    if all(not adjacency[x] for x in range(graph.n) if x not in members):
+        deg = {x: d[x] for x in members}
+    else:
+        deg = {x: induced_degree(graph, members, x) for x in members}
     _cascade(graph, members, deg, thresholds, band, stop, list(members), [])
     return deg
 

@@ -138,7 +138,9 @@ def build_grid_graph(instance: GridInstance, loop_mode: LoopMode = LoopMode.DOUB
     between two cells, so it is computed once per offset within reach
     (center distance < r + sqrt(1/2); beyond that the weight is exactly zero
     and no edge is created) and inside the cells' bounding box, and each
-    cell looks its stencil neighbours up in a cell-to-index map.  Cells and
+    cell looks its stencil neighbours up by integer key: cell (i, j) has key
+    i * stride + j with stride = 2 * height + 1, so an offset is one integer
+    to add, and no tuple is built or hashed per probe.  Cells and
     offsets are both sorted, so every row comes out in ascending neighbour
     order and goes to the graph as it is, with no edge list, validation or
     sort: the weights exceed MIN_EDGE_WEIGHT, and cells are distinct.  The
@@ -152,20 +154,21 @@ def build_grid_graph(instance: GridInstance, loop_mode: LoopMode = LoopMode.DOUB
     width = cells[-1][0] - cells[0][0] + 1
     height = max(j for _, j in cells) - min(j for _, j in cells) + 1
     half = _stencil(instance.r, width, height)
+    # cell (i, j) has key i * stride + j.  _stencil keeps |dy| < height, so
+    # a probe's j differs from any cell's j by at most 2 (height - 1) <
+    # stride, and a probe's key equals a cell's key only at that very cell
+    stride = 2 * height + 1
     stencil = sorted(half + [(-dx, -dy, w) for dx, dy, w in half])
+    probes = [(dx * stride + dy, w) for dx, dy, w in stencil]
+    index = {i * stride + j: x for x, (i, j) in enumerate(cells)}
+    find = index.get
+    adjacency = tuple(
+        tuple([(y, w) for delta, w in probes if (y := find(k + delta)) is not None])
+        for k in index
+    )
     label_index = {cell: x for x, cell in enumerate(cells)}
-    find = label_index.get
-
-    adjacency = []
-    for i, j in cells:
-        row = []
-        for dx, dy, w in stencil:
-            y = find((i + dx, j + dy))
-            if y is not None:
-                row.append((y, w))
-        adjacency.append(tuple(row))
     loops = (loop_w if loop_w > MIN_EDGE_WEIGHT else 0.0,) * len(cells)
-    return _assemble(cells, tuple(adjacency), loops, loop_mode, label_index)
+    return _assemble(cells, adjacency, loops, loop_mode, label_index)
 
 
 class DemandScheme(Enum):

@@ -353,9 +353,14 @@ def find_stable_pair(
             raise PartitionCollapseError("no witness vertex can move without emptying a side")
         gain, v, d_new, src, dst = move
         if gain <= 0.0:
+            # d_new and d_old are ascending sums of v's row, together within
+            # band[v] of the real difference; the demand swap and the total
+            # round once each
+            bound = 2.0 * (src.band[v] + 2.0 * _ROUNDOFF * (src.demand[v] + dst.demand[v]))
+            tie = f", a tie within the rounding bound {bound:.3g}" if -gain <= bound else ""
             raise NonImprovingMoveError(
                 f"moving vertex {v} {src.name}->{dst.name} "
-                f"gains {gain}; the degree precondition fails"
+                f"gains {gain}{tie}; the degree precondition fails"
             )
 
         src.remove(v)
@@ -446,6 +451,12 @@ def solve(
     is zero).  Never returns an unstable partition: if verification fails,
     which requires an input violating the degree precondition, the solver
     raises UnstablePartitionError instead.
+
+    ``certificate.feasibility`` is ``check_feasibility`` of the instance
+    given.  On an instance that ``reduce_loops`` produced, that is the
+    reduced instance's own formula, which can round below 0 where the
+    slack is exactly zero (-8.9e-16 on the half-degree 10x10 grid at
+    r = 2.1); the exact report is ``reduce_loops(...).precondition``.
     """
     if graph.n < 2:
         raise SingleVertexGraphError("no partition exists with fewer than two vertices")

@@ -10,6 +10,7 @@ from degsplit import (
     DemandScheme,
     GridInstance,
     LoopMode,
+    NonImprovingMoveError,
     Partition,
     SolverError,
     TooFewCellsError,
@@ -203,6 +204,18 @@ GRID_SHAPES = {
     "ragged-a": _ragged_cells(1),
     "ragged-b": _ragged_cells(2),
     "far-apart": ((-3, 0), (0, 0), (9, -8)),
+    # keys i * stride + j stay distinct at any magnitude and either sign
+    "huge-coords": (
+        (-10**9, -10**9), (-10**9, 1 - 10**9), (1 - 10**9, -10**9),
+        (10**9 - 1, 10**9), (10**9, 10**9), (10**9, 10**9 - 2),
+    ),
+    "negative-rect": tuple((i, j) for i in range(-6, -2) for j in range(-5, 0)),
+    "strip-1x9": tuple((0, j) for j in range(9)),
+    "strip-9x1": tuple((i, 0) for i in range(9)),
+    # height 5: at r = 4.4 the stencil reaches |dy| = height - 1, so a probe
+    # lands up to 2 (height - 1) rows from a cell, and a key stride of
+    # 2 (height - 1) would alias the probe from (0, 2) by (0, 4) with (1, -2)
+    "tall-ragged": ((0, -2), (0, 1), (0, 2), (1, -2), (1, 0), (1, 2), (2, -1), (2, 2)),
 }
 
 
@@ -396,6 +409,17 @@ class TestPhysicalScheme:
         except SolverError:
             return
         assert min(margins) >= 0.0
+
+    def test_a_roundoff_gain_is_reported_as_a_tie(self):
+        # 5x5 at r = 3.1 stops on a gain of pure roundoff, 7x4 at r = 4.4 on
+        # a real loss, whose message names no tie
+        with pytest.raises(NonImprovingMoveError, match=r"gains -3\.55\d*e-15, a tie within"):
+            solve_squares(GridInstance.rectangle(5, 5, 3.1), DemandScheme.PHYSICAL_MAJORITY)
+        with pytest.raises(NonImprovingMoveError) as raised:
+            solve_squares(GridInstance.rectangle(7, 4, 4.4), DemandScheme.PHYSICAL_MAJORITY)
+        assert str(raised.value) == (
+            "moving vertex 12 B->A gains -2.0; the degree precondition fails"
+        )
 
     def test_small_rectangles_at_large_radius_are_outside_the_claim(self):
         # the README names these exceptions

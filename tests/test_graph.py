@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 from degsplit import (
     Demands,
     DuplicateEdgeError,
+    GridInstance,
     LoopMode,
     NonPositiveWeightError,
     VertexNotInSetError,
     build_graph,
+    build_grid_graph,
     induced_degree,
     without_loops,
 )
 
-from conftest import complete_graph
+from conftest import complete_graph, random_graph
 
 
 def test_triangle_profile(triangle):
@@ -168,6 +170,25 @@ def test_induced_degree_of_full_set_matches_cache(data):
     full = set(range(n))
     for x in range(n):
         assert induced_degree(g, full, x) == g.d[x]
+
+
+@pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+def test_full_set_degree_is_the_cached_degree_bit_for_bit(loop_mode):
+    # the core module seeds kept degrees from d when every row lies in the
+    # members, so both must add the same terms in the same order
+    rng = random.Random(5)
+    graphs = [
+        random_graph(rng, rng.randint(2, 24), rng.uniform(0.2, 1.0), loops=True,
+                     loop_mode=loop_mode)
+        for _ in range(40)
+    ]
+    graphs += [
+        build_grid_graph(GridInstance.rectangle(w, h, r), loop_mode)
+        for w, h, r in ((7, 4, 2.1), (12, 9, 2.6), (10, 10, 3.1))
+    ]
+    for g in graphs:
+        full = range(g.n)
+        assert [induced_degree(g, full, x) for x in full] == list(g.d)
 
 
 def test_loop_degree_sum_identity():
