@@ -17,12 +17,10 @@ instead.  Every decision is therefore the one exact recomputation makes.
 A deletion queues only the neighbours that can fall: a vertex whose kept
 degree still exceeds its threshold by more than its band would be kept at its
 pop without an exact sum, and degrees only fall during a cascade, so the next
-decrement that brings it within reach queues it again.  Degrees are seeded
-from ``graph.d`` when no vertex outside the members has an edge: every row
-then lies in the members, and ``induced_degree`` adds the same terms in the
-same order as the cached degree, so the seed is the same sum bit for bit.
-``minimal_satisfying_set`` on the vertices of positive degree always seeds
-this way.
+decrement that brings it within reach queues it again.  Every kept degree
+starts from ``_seed``: ``graph.d`` for a member whose whole row lies in the
+members, since ``induced_degree`` would add the same terms in the same order
+and so give the same sum bit for bit, and ``induced_degree`` for the rest.
 
 The band is the one place that bounds how far a kept degree may drift.  It
 covers a degree seeded by ``induced_degree`` (k + 1 roundings), then up to k
@@ -126,15 +124,18 @@ def _cascade(graph, members, deg, thresholds, band, stop, stack, removed, log=No
     return True
 
 
-def _core(graph, members, thresholds, band, stop) -> dict[int, float]:
-    # peel ``members`` in place from fresh ``induced_degree`` sums; returns
-    # the induced degree of each survivor.  When no vertex left out has an
-    # edge, every row lies in ``members`` and the sum is d[x] bit for bit
+def _seed(graph, members) -> dict[int, float]:
+    # the induced degree of each member: d[x] when no vertex left out is a
+    # neighbour of x, since the ascending sum is then d[x] bit for bit
     adjacency, d = graph.adjacency, graph.d
-    if all(not adjacency[x] for x in range(graph.n) if x not in members):
-        deg = {x: d[x] for x in members}
-    else:
-        deg = {x: induced_degree(graph, members, x) for x in members}
+    reached = {y for x in range(graph.n) if x not in members for y, _ in adjacency[x]}
+    return {x: induced_degree(graph, members, x) if x in reached else d[x] for x in members}
+
+
+def _core(graph, members, thresholds, band, stop) -> dict[int, float]:
+    # peel ``members`` in place from freshly seeded degrees; returns the
+    # induced degree of each survivor
+    deg = _seed(graph, members)
     _cascade(graph, members, deg, thresholds, band, stop, list(members), [])
     return deg
 

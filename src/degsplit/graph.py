@@ -105,6 +105,8 @@ def _assemble(
                 best = w
         if loops[x]:
             total += factor * loops[x]
+        if not math.isfinite(total):
+            raise ValueError(f"vertex {labels[x]!r} has degree {total}; degrees must be finite")
         degrees.append(total)
         maxima.append(best)
     return WeightedGraph(
@@ -129,8 +131,8 @@ def build_graph(
     Labels map to dense indices in first-appearance order (entries of
     ``vertices`` first, which also allows isolated vertices).  An entry
     ``(u, u, w)`` declares a loop.  Raises NonPositiveWeightError for weights
-    that are not strictly positive and DuplicateEdgeError when a pair appears
-    twice in either orientation.
+    that are not strictly positive, DuplicateEdgeError when a pair appears
+    twice in either orientation and ValueError when a degree overflows.
     """
     label_index: dict[Label, int] = {}
     # rows[x] maps each neighbour of x to the weight of their edge

@@ -7,12 +7,14 @@ degree slack d(x) - a(x) - b(x) - 2W(x) that check_feasibility reports is
 non-negative everywhere; the solver may still succeed without it but will
 raise a diagnosable error rather than return an unstable partition.
 
-The search runs in three phases.  First take an inclusion-minimal set A whose
+The search runs in four phases.  First take an inclusion-minimal set A whose
 members meet their a-demands, with B the rest.  Second, if B's own b-core is
 non-empty, it and A are already a stable pair.  Otherwise hill-climb:
 repeatedly move a witness vertex (one whose current side cannot keep it at
 demand + W) across the split.  Every accepted move strictly increases the
-potential h, so no split repeats and the climb terminates.
+potential h, so no split repeats and the climb terminates.  Last, complete
+the stable pair (Abar, Bbar): B is the b-core of everything outside Abar,
+which holds Bbar, and A is the rest.
 
 On h: the value counts each internal edge twice (once per endpoint) and the
 cross demand terms twice as well: both sides' induced degrees plus 2b over A
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import _ROUNDOFF, _bands, _cascade, minimal_satisfying_set
+from .core import _ROUNDOFF, _bands, _cascade, _seed, minimal_satisfying_set, peel
 from .errors import (
     CompletionAssertFailedError,
     MoveLimitExceededError,
@@ -198,7 +200,7 @@ class _Side:
         # flags the vertex whose deletion ends a cascade: the one just added
         self.stop = bytearray(graph.n)
         self.members = set(members)
-        self.deg = {x: induced_degree(graph, self.members, x) for x in self.members}
+        self.deg = _seed(graph, self.members)
         self.updates = dict.fromkeys(self.members, 0)
         self._peel(self.members)
 
@@ -372,31 +374,22 @@ def find_stable_pair(
     raise MoveLimitExceededError(f"no stable pair within {max_moves} moves")
 
 
-def _complete_sets(graph, demands, pair, universe, cert):
-    """Grow the pair to cover ``universe``: leftovers default to the B side,
-    and any leftover that cannot meet its b-demand there moves into A."""
-    abar, bbar = pair
+def _complete_sets(graph, demands, abar, universe, cert):
+    """Extend a stable pair (Abar, Bbar) to a partition of ``universe``: B is
+    the b-core of ``universe`` - Abar and A the rest.  Bbar lies in that core,
+    since its members meet their b-demands inside it.  Raises
+    CompletionAssertFailedError on the lowest vertex that joined A and misses
+    its a-demand there."""
     cert.phase_log.append(PHASE_COMPLETION)
-
-    side_a = set(abar)
-    rest = set(universe) - abar - bbar
-    while True:
-        b_full = bbar | rest
-        mover = None
-        for x in sorted(rest):
-            if induced_degree(graph, b_full, x) < demands.b[x]:
-                mover = x
-                break
-        if mover is None:
-            return frozenset(side_a), frozenset(b_full)
-        grown = side_a | {mover}
-        if induced_degree(graph, grown, mover) < demands.a[mover]:
+    side_b = peel(graph, universe - abar, demands.b)
+    side_a = universe - side_b
+    for x in sorted(side_a - abar):
+        if induced_degree(graph, side_a, x) < demands.a[x]:
             raise CompletionAssertFailedError(
-                f"vertex {mover} meets neither side's demand; "
+                f"vertex {x} meets neither side's demand; "
                 "the degree precondition fails"
             )
-        side_a.add(mover)
-        rest.remove(mover)
+    return side_a, side_b
 
 
 def verify_partition(
@@ -472,8 +465,8 @@ def solve(
     isolated = sorted(set(range(graph.n)) - active)
 
     if len(active) >= 2:
-        abar, bbar, _ = find_stable_pair(graph, demands, max_moves, _certificate=cert)
-        raw_a, raw_b = _complete_sets(graph, demands, (abar, bbar), active, cert)
+        abar, _, _ = find_stable_pair(graph, demands, max_moves, _certificate=cert)
+        raw_a, raw_b = _complete_sets(graph, demands, abar, active, cert)
         side_a, side_b = set(raw_a), set(raw_b)
         _attach_isolated(side_a, side_b, isolated, demands)
     elif len(active) == 1:

@@ -185,6 +185,16 @@ def test_bad_flag_values_exit_two(capsys, tmp_path, k9_files, grid_cells, comman
     assert payload["error"] == "InputError"
 
 
+def test_overflowing_degree_exits_two(capsys, tmp_path):
+    graph = write(tmp_path, "huge.edges", "x y 1e308\ny z 1e308\nz x 1e308\n")
+    dem = write(tmp_path, "huge.dem", "x 1e308 1e308\ny 1e308 1e308\nz 1e308 1e308\n")
+    payload = assert_input_error(
+        *run_cli(capsys, ["solve", "--graph", graph, "--demands", dem])
+    )
+    assert payload["error"] == "InputError"
+    assert "vertex 'x' has degree inf" in payload["message"]
+
+
 @pytest.mark.parametrize("text", ["[1,2]", '{"A": 5, "B": []}', '{"A": ["v0"]}'])
 def test_malformed_partition_file_exits_two(capsys, tmp_path, k9_files, text):
     graph, dem3, _ = k9_files

@@ -54,6 +54,24 @@ def test_bad_weight_rejected(w):
         build_graph([("x", "y", w)])
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [("x", "y", 1e308), ("y", "z", 1e308), ("z", "x", 1e308)],
+        [("x", "x", 1e308)],
+    ],
+    ids=["triangle", "double-loop"],
+)
+def test_overflowing_degree_rejected(edges):
+    # each weight is finite, but 2e308 is not a double
+    with pytest.raises(ValueError, match="vertex 'x' has degree inf"):
+        build_graph(edges, LoopMode.DOUBLE)
+
+
+def test_largest_finite_degree_kept():
+    assert build_graph([("x", "x", 1e308)], LoopMode.ONCE).d == (1e308,)
+
+
 def test_labels_first_appearance_order():
     g = build_graph([("b", "a", 1.0), ("a", "c", 1.0)])
     assert g.labels == ("b", "a", "c")

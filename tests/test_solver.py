@@ -507,7 +507,7 @@ class TestKeptSideDegrees:
 
 def complete_pair(graph, demands, pair):
     return Partition(
-        *_complete_sets(graph, demands, pair, frozenset(range(graph.n)), SolveCertificate())
+        *_complete_sets(graph, demands, pair[0], frozenset(range(graph.n)), SolveCertificate())
     )
 
 
@@ -535,6 +535,146 @@ class TestCompletePair:
             assert side_a <= part.a
             assert side_b <= part.b
             assert not verify_partition(g, dem, part)
+
+
+def reference_complete_sets(graph, demands, pair, universe):
+    """The restart-scan completion: leftovers default to the B side, and
+    the lowest leftover that misses its b-demand there moves into A, which
+    must then meet its a-demand; the scan restarts after every move."""
+    abar, bbar = pair
+    side_a = set(abar)
+    rest = set(universe) - abar - bbar
+    while True:
+        b_full = bbar | rest
+        mover = next(
+            (x for x in sorted(rest) if induced_degree(graph, b_full, x) < demands.b[x]), None
+        )
+        if mover is None:
+            return frozenset(side_a), frozenset(b_full)
+        if induced_degree(graph, side_a | {mover}, mover) < demands.a[mover]:
+            raise CompletionAssertFailedError(f"vertex {mover} meets neither side's demand")
+        side_a.add(mover)
+        rest.remove(mover)
+
+
+def completion_outcome(complete):
+    try:
+        return complete()
+    except CompletionAssertFailedError as exc:
+        return str(exc)
+
+
+class TestCompletionMatchesRestartScan:
+    """``_complete_sets`` takes B as one b-core peel of everything outside
+    Abar.  Wherever the restart scan returns, that is the same partition;
+    where the scan raises, the peel may still complete, since it checks the
+    a-demands in the final A, which holds every vertex the scan had moved."""
+
+    def test_random_pairs_on_both_sides_of_the_precondition(self):
+        outcomes = {"same": 0, "feasible": 0, "peel completes": 0}
+        for seed in range(3000):
+            rng = random.Random(seed)
+            n = rng.randint(4, 12)
+            g = conftest_random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
+            # demands up to 1.2 times half of d, or of d - 2W
+            w = rng.choice([0.0, 2.0])
+            base = [max(0.0, g.d[x] - w * g.W[x]) / 2.0 for x in range(n)]
+            dem = Demands(
+                tuple(rng.uniform(0.0, 1.2) * base[x] for x in range(n)),
+                tuple(rng.uniform(0.0, 1.2) * base[x] for x in range(n)),
+            )
+            try:
+                abar, bbar, _ = find_stable_pair(g, dem, max_moves=5000)
+            except SolverError:
+                continue
+            universe = frozenset(x for x in range(n) if g.d[x] > 0.0)
+            expected = completion_outcome(
+                lambda: reference_complete_sets(g, dem, (abar, bbar), universe)
+            )
+            got = completion_outcome(
+                lambda: _complete_sets(g, dem, abar, universe, SolveCertificate())
+            )
+            feasible = check_feasibility(g, dem).feasible
+            if isinstance(got, tuple):
+                side_a, side_b = got
+                assert side_a | side_b == universe, seed
+                assert abar <= side_a and bbar <= side_b, seed
+                assert_stable_pair(g, dem, side_a, side_b)
+            else:
+                assert not feasible, seed
+            if isinstance(expected, tuple):
+                assert got == expected, seed
+                outcomes["same"] += 1
+                outcomes["feasible"] += feasible
+            elif isinstance(got, tuple):
+                outcomes["peel completes"] += 1
+        assert outcomes["same"] >= 2000
+        assert outcomes["feasible"] >= 200
+        assert outcomes["peel completes"] >= 1
+
+    def test_vertex_needing_a_later_leftover_in_a(self):
+        # leftover 2 misses b = 2 next to Bbar, and alone in A it misses
+        # a = 1, so the scan raises; but 3 then misses b = 1 too, and in A
+        # together both meet a = 1
+        g = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
+        dem = Demands((0.0, 5.0, 1.0, 1.0), (5.0, 0.0, 2.0, 1.0))
+        pair, universe = (frozenset({0}), frozenset({1})), frozenset(range(4))
+        with pytest.raises(CompletionAssertFailedError, match="vertex 2 "):
+            reference_complete_sets(g, dem, pair, universe)
+        part = complete_pair(g, dem, pair)
+        assert part == Partition(frozenset({0, 2, 3}), frozenset({1}))
+        assert not verify_partition(g, dem, part)
+
+
+def zero_slack_climb(seed, weight=1.0):
+    """G(n, 0.3) with n from 30 to 60, every edge of weight ``weight`` and
+    a = b = (d - 2W) / 2, the instances the benchmark's climb pool draws."""
+    rng = random.Random(seed)
+    n = rng.randint(30, 60)
+    edges = [(i, j, weight) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    g = build_graph(edges, vertices=range(n))
+    dem = tuple(max(0.0, (g.d[x] - 2.0 * g.W[x]) / 2.0) for x in range(n))
+    return edges, Demands(dem, dem)
+
+
+class TestMetamorphic:
+    """Relations between solves of related climbing instances."""
+
+    @pytest.mark.parametrize("k", [-3, 5])
+    def test_power_of_two_scaling(self, k):
+        scale = 2.0 ** k
+        climbed = 0
+        for seed in range(40):
+            edges, dem = zero_slack_climb(seed)
+            n = len(dem)
+            part, cert = solve(build_graph(edges, vertices=range(n)), dem)
+            scaled_part, scaled_cert = solve(
+                build_graph([(i, j, w * scale) for i, j, w in edges], vertices=range(n)),
+                Demands(tuple(v * scale for v in dem.a), tuple(v * scale for v in dem.b)),
+            )
+            assert scaled_part == part, seed
+            assert [(m.vertex, m.from_side, m.to_side) for m in scaled_cert.moves] == [
+                (m.vertex, m.from_side, m.to_side) for m in cert.moves
+            ], seed
+            assert scaled_cert.h_trace == tuple(h * scale for h in cert.h_trace), seed
+            climbed += len(cert.moves) >= 5
+        assert climbed >= 8
+
+    def test_relabelling_keeps_the_partition_stable(self):
+        climbed = 0
+        for seed in range(40):
+            edges, dem = zero_slack_climb(seed, weight=0.3)
+            n = len(dem)
+            perm = random.Random(seed).sample(range(n), n)
+            g = build_graph([(perm[i], perm[j], w) for i, j, w in edges], vertices=range(n))
+            a, b = [0.0] * n, [0.0] * n
+            for x in range(n):
+                a[perm[x]], b[perm[x]] = dem.a[x], dem.b[x]
+            relabelled = Demands(tuple(a), tuple(b))
+            part, cert = solve(g, relabelled)
+            assert verify_partition(g, relabelled, part) == [], seed
+            climbed += bool(cert.moves)
+        assert climbed >= 10
 
 
 class TestSolve:
