@@ -153,7 +153,12 @@ def build_graph(
         w = float(w)
         if not (w > 0.0) or math.isinf(w):
             raise NonPositiveWeightError(f"edge ({u!r}, {v!r}) has weight {w}")
-        x, y = intern(u), intern(v)
+        x = label_index.get(u)
+        if x is None:
+            x = intern(u)
+        y = label_index.get(v)
+        if y is None:
+            y = intern(v)
         if x == y:
             if x in loop_weights:
                 raise DuplicateEdgeError(f"loop at {u!r} listed twice")
@@ -163,7 +168,8 @@ def build_graph(
             raise DuplicateEdgeError(f"edge ({u!r}, {v!r}) listed twice")
         rows[x][y] = rows[y][x] = w
 
-    adjacency = tuple(tuple(sorted(row.items())) for row in rows)
+    # sorting the integer keys is cheaper than sorting (neighbour, weight) pairs
+    adjacency = tuple(tuple([(y, row[y]) for y in sorted(row)]) for row in rows)
     loops = tuple(loop_weights.get(x, 0.0) for x in range(len(rows)))
     return _assemble(tuple(label_index), adjacency, loops, loop_mode, label_index)
 

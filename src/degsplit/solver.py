@@ -14,7 +14,8 @@ repeatedly move a witness vertex (one whose current side cannot keep it at
 demand + W) across the split.  Every accepted move strictly increases the
 potential h, so no split repeats and the climb terminates.  Last, complete
 the stable pair (Abar, Bbar): B is the b-core of everything outside Abar,
-which holds Bbar, and A is the rest.
+which holds Bbar, and A is the rest.  After the second phase everything
+outside Abar is B itself and Bbar is its core, so no peel runs.
 
 On h: the value counts each internal edge twice (once per endpoint) and the
 cross demand terms twice as well: both sides' induced degrees plus 2b over A
@@ -40,8 +41,8 @@ v keeps every vertex of its old core, so the cascade starts from the members
 outside the old core only and stops as soon as it deletes v: the new core
 then lies in the old side, and so in the old core.  A witness is chosen on
 exact margins: every member whose kept margin lies within the band of the
-running best (which starts at 0) is recomputed with ``induced_degree``, so
-ties still go to the lowest index.  The move's degrees and gain are exact
+running best (which starts at 0) is recomputed as the exact ascending sum,
+so ties still go to the lowest index.  The move's degrees and gain are exact
 sums, so the moves and h values are those of a climb that re-peels and
 re-sums everything.
 """
@@ -49,8 +50,11 @@ re-sums everything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
-from .core import _ROUNDOFF, _bands, _cascade, _seed, minimal_satisfying_set, peel
+from .core import (
+    _ROUNDOFF, _bands, _cascade, _exact, _flags, _seed, minimal_satisfying_set, peel
+)
 from .errors import (
     CompletionAssertFailedError,
     MoveLimitExceededError,
@@ -178,55 +182,66 @@ class _Side:
     """One side of the hill-climb: its name, its members, each member's
     induced degree kept across moves, and the core of the side.
 
+    The state is the core module's: ``flags``, a bytearray marking the
+    members, and ``deg``, a list of kept degrees indexed by vertex whose
+    entries for other vertices are never read.  ``members`` holds the same
+    vertices as a set, for the cascade's start lists and the side's size;
+    every membership test reads the flags.  ``band`` is shared by both
+    sides of a climb.
+
     A move updates only the moved vertex's neighbours.  A kept degree drifts
     by one rounding per update, so after len(adjacency[x]) updates it is
-    reseeded with ``induced_degree``; the core module's band covers the
-    rest.  ``core`` is always the side's core, and each re-peel cascades on
-    a copy of the kept degrees, so a cascade adds at most len(adjacency[x])
-    subtractions.  Removing a vertex outside the core leaves the core as it
-    is: the core lies in the smaller side and meets its thresholds there.
-    Removing a core vertex re-peels the whole side.  Adding v cascades from
-    the members outside the old core only, since the new core contains the
-    old one, and keeps the old core once v is deleted, since the new core
-    then lies in the old side.
+    reseeded with the exact sum; the core module's band covers the rest.
+    ``core`` is always the side's core, and each re-peel cascades on copies
+    of the flags and kept degrees (two flat copies), so a cascade adds at
+    most len(adjacency[x]) subtractions.  Removing a vertex outside the core
+    leaves the core as it is: the core lies in the smaller side and meets
+    its thresholds there.  Removing a core vertex re-peels the whole side.
+    Adding v cascades from the members outside the old core only, since the
+    new core contains the old one, and keeps the old core once v is deleted,
+    since the new core then lies in the old side.
     """
 
-    def __init__(self, graph, name, members, demand):
+    def __init__(self, graph, name, members, demand, band):
         self.graph = graph
         self.name = name
         self.demand = demand
         self.strong = [demand[x] + graph.W[x] for x in range(graph.n)]
-        self.band = _bands(graph)
+        self.band = band
         # flags the vertex whose deletion ends a cascade: the one just added
         self.stop = bytearray(graph.n)
         self.members = set(members)
-        self.deg = _seed(graph, self.members)
-        self.updates = dict.fromkeys(self.members, 0)
+        self.flags = _flags(graph, self.members)
+        self.deg = _seed(graph, self.flags)
+        self.updates = [0] * graph.n
         self._peel(self.members)
 
     def _peel(self, start) -> None:
-        # cascade from the members in ``start``; the survivors become the
-        # core unless the cascade deletes a flagged vertex
-        core = set(self.members)
+        # cascade from the members in ``start`` on copies of the flags and
+        # degrees; the survivors become the core unless the cascade deletes
+        # a flagged vertex
+        flags = bytearray(self.flags)
         if _cascade(
-            self.graph, core, dict(self.deg), self.demand, self.band, self.stop, list(start), []
+            self.graph, flags, list(self.deg), self.demand, self.band, self.stop, list(start), []
         ):
-            self.core = frozenset(core)
+            self.core = frozenset(compress(range(self.graph.n), flags))
 
     def _update(self, v, sign) -> None:
-        graph, members, deg, updates = self.graph, self.members, self.deg, self.updates
-        for y, w in graph.adjacency[v]:
-            if y in members:
+        graph, flags, deg, updates = self.graph, self.flags, self.deg, self.updates
+        adjacency = graph.adjacency
+        for y, w in adjacency[v]:
+            if flags[y]:
                 deg[y] += sign * w
                 updates[y] += 1
-                if updates[y] >= len(graph.adjacency[y]):
-                    deg[y] = induced_degree(graph, members, y)
+                if updates[y] >= len(adjacency[y]):
+                    deg[y] = _exact(graph, flags, y)
                     updates[y] = 0
 
     def add(self, v, degree) -> None:
         """Insert v, whose exact induced degree in the grown side is
         ``degree``."""
         self.members.add(v)
+        self.flags[v] = 1
         self._update(v, 1.0)
         self.deg[v] = degree
         self.updates[v] = 0
@@ -236,7 +251,7 @@ class _Side:
 
     def remove(self, v) -> None:
         self.members.remove(v)
-        del self.deg[v], self.updates[v]
+        self.flags[v] = 0
         self._update(v, -1.0)
         if v in self.core:
             self._peel(self.members)
@@ -245,22 +260,21 @@ class _Side:
         """The member of largest margin demand + W - degree, lowest index
         first, with its exact degree; None if no margin is positive.
 
-        A kept margin may round differently from the exact one, so every
-        member that could beat the running best (which starts at 0) is
-        recomputed with ``induced_degree``: the margins compared are the
-        exact ones, and so is the witness.
+        The members are scanned in ascending index along the flags.  A kept
+        margin may round differently from the exact one, so every member
+        that could beat the running best (which starts at 0) is recomputed
+        as the exact sum: the margins compared are the exact ones, and so is
+        the witness.
         """
-        graph, members, deg, strong, band = (
-            self.graph, self.members, self.deg, self.strong, self.band
-        )
+        graph, flags, deg, strong, band = self.graph, self.flags, self.deg, self.strong, self.band
         best, found = 0.0, None
-        for x in sorted(members):
+        for x in compress(range(graph.n), flags):
             approx = strong[x] - deg[x]
             # |approx - exact margin| < 2 (band + 2^-52 |approx|): the degree
             # band plus one rounding of each subtraction
             if approx < best - 2.0 * (band[x] + 2.0 * _ROUNDOFF * abs(approx)):
                 continue
-            degree = induced_degree(graph, members, x)
+            degree = _exact(graph, flags, x)
             margin = strong[x] - degree
             if margin > best:
                 best, found = margin, (x, degree)
@@ -277,7 +291,8 @@ def _candidate(graph, src, dst):
     if found is None:
         return None
     v, d_old = found
-    d_new = induced_degree(graph, dst.members | {v}, v)
+    # v's degree in dst + {v}: _exact does not test v's own flag
+    d_new = _exact(graph, dst.flags, v)
     swap = src.demand[v] - dst.demand[v]
     return 2.0 * (d_new - d_old + swap), v, d_new, src, dst
 
@@ -315,14 +330,15 @@ def find_stable_pair(
         raise PartitionCollapseError("every active vertex is needed to meet the a-demands")
 
     cert.phase_log.append(PHASE_CASE1_CORE)
-    sb = _Side(graph, "B", side_b, b_dem)
+    band = _bands(graph)
+    sb = _Side(graph, "B", side_b, b_dem, band)
     if sb.core:
         cert.stable_pair = (side_a, sb.core)
         return side_a, sb.core, cert
 
     cert.phase_log.append(PHASE_HILLCLIMB)
     cert.hillclimb_start = (side_a, side_b)
-    sa = _Side(graph, "A", side_a, a_dem)
+    sa = _Side(graph, "A", side_a, a_dem, band)
     order_a, order_b = sorted(side_a), sorted(side_b)
     h = 0.0
     for x in order_a:
@@ -374,14 +390,15 @@ def find_stable_pair(
     raise MoveLimitExceededError(f"no stable pair within {max_moves} moves")
 
 
-def _complete_sets(graph, demands, abar, universe, cert):
+def _complete_sets(graph, demands, abar, universe, cert, b_core=None):
     """Extend a stable pair (Abar, Bbar) to a partition of ``universe``: B is
     the b-core of ``universe`` - Abar and A the rest.  Bbar lies in that core,
-    since its members meet their b-demands inside it.  Raises
+    since its members meet their b-demands inside it.  ``b_core``, when
+    given, is that core already and no peel runs.  Raises
     CompletionAssertFailedError on the lowest vertex that joined A and misses
     its a-demand there."""
     cert.phase_log.append(PHASE_COMPLETION)
-    side_b = peel(graph, universe - abar, demands.b)
+    side_b = peel(graph, universe - abar, demands.b) if b_core is None else b_core
     side_a = universe - side_b
     for x in sorted(side_a - abar):
         if induced_degree(graph, side_a, x) < demands.a[x]:
@@ -465,8 +482,11 @@ def solve(
     isolated = sorted(set(range(graph.n)) - active)
 
     if len(active) >= 2:
-        abar, _, _ = find_stable_pair(graph, demands, max_moves, _certificate=cert)
-        raw_a, raw_b = _complete_sets(graph, demands, abar, active, cert)
+        abar, bbar, _ = find_stable_pair(graph, demands, max_moves, _certificate=cert)
+        # a case-1 pair is the minimal set and the b-core of the rest of
+        # ``active``, so Bbar is the core completion would peel
+        b_core = bbar if cert.hillclimb_start is None else None
+        raw_a, raw_b = _complete_sets(graph, demands, abar, active, cert, b_core)
         side_a, side_b = set(raw_a), set(raw_b)
         _attach_isolated(side_a, side_b, isolated, demands)
     elif len(active) == 1:

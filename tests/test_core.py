@@ -5,6 +5,7 @@ import pytest
 from degsplit import (
     DemandScheme,
     GridInstance,
+    LoopMode,
     NoSatisfyingSetError,
     build_graph,
     build_grid_graph,
@@ -83,6 +84,35 @@ class TestPeel:
             for order_seed in range(20):
                 alt = random_order_peel(g, range(n), f, random.Random(order_seed))
                 assert alt == reference
+
+
+class TestExactSum:
+    """``core._exact`` is ``induced_degree`` over the flagged set plus x:
+    the same terms in the same order, so equal as floats, not just close."""
+
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    def test_equals_induced_degree_bit_for_bit(self, loop_mode):
+        rng = random.Random(13)
+        reordered = 0
+        for _ in range(200):
+            n = rng.randint(1, 20)
+            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.9]), loops=True,
+                             loop_mode=loop_mode)
+            subset = {x for x in range(n) if rng.random() < 0.6}
+            flags = bytearray(x in subset for x in range(n))
+            for x in range(n):
+                # outside the subset, the degree x would have on joining it
+                exact = induced_degree(g, subset | {x}, x)
+                assert core_module._exact(g, flags, x) == exact
+                # the same terms summed in descending order often differ,
+                # so equality here rests on the order
+                descending = 0.0
+                for y, w in reversed(g.adjacency[x]):
+                    if y in subset:
+                        descending += w
+                descending += loop_mode.factor * g.loops[x]
+                reordered += descending != exact
+        assert reordered >= 50
 
 
 class TestIsMeager:
@@ -318,9 +348,9 @@ class TestEssentialDecrement:
         cascades = []
         original = core_module._cascade
 
-        def counting(graph, members, deg, thresholds, band, stop, stack, removed, log=None):
+        def counting(graph, flags, deg, thresholds, band, stop, stack, removed, log=None):
             cascades.append(tuple(removed))
-            return original(graph, members, deg, thresholds, band, stop, stack, removed, log)
+            return original(graph, flags, deg, thresholds, band, stop, stack, removed, log)
 
         monkeypatch.setattr(core_module, "_cascade", counting)
         assert TestMinimalSetMatchesRestartSearch.assert_same(g, demands)

@@ -27,6 +27,7 @@ from degsplit import (
     solve,
     verify_partition,
 )
+from degsplit import solver as solver_module
 from degsplit.core import _bands, minimal_satisfying_set, peel
 from degsplit.solver import PHASE_HILLCLIMB, Move, _complete_sets, _Side
 
@@ -418,7 +419,7 @@ class TestKeptSideDegrees:
         # neighbour leaves; its exact margin 0.8 + 0.2 - 0.2 ties vertex 1's,
         # and the lower index must win
         g = build_graph([(0, 2, 0.2), (0, 3, 0.1), (1, 2, 0.2)], vertices=range(4))
-        side = _Side(g, "B", range(4), [0.8] * 4)
+        side = _Side(g, "B", range(4), [0.8] * 4, _bands(g))
         side.remove(3)
         assert side.deg[0] != induced_degree(g, side.members, 0)
         assert side.witness() == (0, 0.2)
@@ -433,8 +434,8 @@ class TestKeptSideDegrees:
             [(0, leaf, w) for leaf, w in enumerate(weights, start=1)], vertices=range(6)
         )
         demand = [induced_degree(g, {0, 1, 3, 4}, 0)] + [0.1] * 5
-        side = _Side(g, "B", range(6), demand)
         band = _bands(g)
+        side = _Side(g, "B", range(6), demand, band)
         rng = random.Random(0)
         for _ in range(4000):
             v = rng.randrange(1, 6)
@@ -442,6 +443,7 @@ class TestKeptSideDegrees:
                 side.remove(v)
             else:
                 side.add(v, induced_degree(g, side.members | {v}, v))
+            assert side.flags == bytearray(x in side.members for x in range(g.n))
             for x in side.members:
                 assert abs(side.deg[x] - induced_degree(g, side.members, x)) <= band[x]
             assert side.core == peel(g, side.members, demand)
@@ -459,7 +461,7 @@ class TestKeptSideDegrees:
 
     def test_removing_a_vertex_outside_the_core_keeps_it(self):
         g, demand = self.triangle_with_tails()
-        side = _Side(g, "B", range(4), demand)
+        side = _Side(g, "B", range(4), demand, _bands(g))
         core = side.core
         assert core == {0, 1, 2}
         side.remove(3)
@@ -468,7 +470,7 @@ class TestKeptSideDegrees:
 
     def test_adding_a_vertex_that_is_peeled_keeps_the_old_core(self):
         g, demand = self.triangle_with_tails()
-        side = _Side(g, "B", range(3), demand)
+        side = _Side(g, "B", range(3), demand, _bands(g))
         core = side.core
         side.add(3, induced_degree(g, {0, 1, 2, 3}, 3))
         assert side.core is core
@@ -476,7 +478,7 @@ class TestKeptSideDegrees:
 
     def test_adding_to_a_non_empty_core(self):
         g, demand = self.triangle_with_tails()
-        side = _Side(g, "B", range(4), demand)
+        side = _Side(g, "B", range(4), demand, _bands(g))
         # 4 joins the core by itself; 5 brings 3 in with it
         side.add(4, induced_degree(g, {0, 1, 2, 3, 4}, 4))
         assert side.core == peel(g, side.members, demand) == {0, 1, 2, 4}
@@ -493,7 +495,8 @@ class TestKeptSideDegrees:
             n = rng.randint(6, 16)
             g = conftest_random_graph(rng, n, 0.5)
             demand = [rng.uniform(0.3, 0.6) * d for d in g.d]
-            side = _Side(g, "B", [x for x in range(n) if rng.random() < 0.5], demand)
+            members = [x for x in range(n) if rng.random() < 0.5]
+            side = _Side(g, "B", members, demand, _bands(g))
             for _ in range(60):
                 v = rng.randrange(n)
                 if v in side.members:
@@ -660,6 +663,22 @@ class TestMetamorphic:
             climbed += len(cert.moves) >= 5
         assert climbed >= 8
 
+    @pytest.mark.parametrize("weight", [1.0, 0.3])
+    def test_h_trace_rises_strictly_within_the_bound(self, weight):
+        # h counts each side's induced degrees, at most d, and the cross
+        # demands twice, so it never exceeds sum d + 2 sum max(a, b)
+        climbed = 0
+        for seed in range(40):
+            edges, dem = zero_slack_climb(seed, weight)
+            g = build_graph(edges, vertices=range(len(dem)))
+            _, cert = solve(g, dem)
+            trace = cert.h_trace
+            assert all(b > a for a, b in zip(trace, trace[1:])), seed
+            bound = sum(g.d) + 2.0 * sum(max(a, b) for a, b in zip(dem.a, dem.b))
+            assert all(h <= bound for h in trace), seed
+            climbed += len(cert.moves) >= 5
+        assert climbed >= 8
+
     def test_relabelling_keeps_the_partition_stable(self):
         climbed = 0
         for seed in range(40):
@@ -754,6 +773,28 @@ class TestSolve:
         dem = Demands((0.0, 3.0, 1.0), (1.0, 3.0, 0.0))
         with pytest.raises(CompletionAssertFailedError, match="vertex 1 "):
             solve(path3, dem)
+
+    def test_completion_peels_only_after_a_climb(self, k9, monkeypatch):
+        # a case-1 pair already holds the b-core completion needs; only a
+        # pair the climb found is completed with a peel
+        calls = []
+        original = solver_module.peel
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver_module, "peel", counting)
+        dem = Demands.constant(9, 3.0, 3.0)
+        part, cert = solve(k9, dem)
+        assert PHASE_HILLCLIMB not in cert.phase_log
+        assert calls == []
+        assert part.b == original(k9, frozenset(range(9)) - cert.stable_pair[0], dem.b)
+        g, dem = random_feasible_instance(10, 1.0, (0.5, 1.0), seed=8)
+        part, cert = solve(g, dem)
+        assert cert.moves
+        assert len(calls) == 1
+        assert not verify_partition(g, dem, part)
 
     def test_max_moves_checked_before_any_phase(self):
         # one vertex of positive degree never reaches the hill-climb, whose
