@@ -5,18 +5,18 @@ falls below its threshold until none remains.  The surviving set is the
 unique maximal subset in which every vertex meets its threshold, and it does
 not depend on the deletion order.
 
-Both ``peel`` and ``minimal_satisfying_set`` run one cascade engine in the
-manner of Batagelj and Zaversnik's O(m) cores algorithm, and the solver's
-hill-climb sides run it too.  Its state is two flat arrays indexed by vertex:
-a ``bytearray`` of membership flags and a ``list`` of kept degrees, so a
-neighbour update costs two index operations and no hashing.  Each member's
-entry holds its induced degree, and a deletion clears the member's flag and
-subtracts its edge weight from every neighbour still flagged; entries of
-vertices left out are never read.  Subtraction drifts a few ulps from the
-ascending sum ``induced_degree`` returns, so the exact-tie rule applies:
-when |deg(x) - threshold(x)| <= band(x) = 8 (k + 2) 2^-53 d(x), with k the
-number of x's neighbours, x is decided on the exact ascending sum instead.
-Every decision is therefore the one exact recomputation makes.
+``peel``, ``minimal_satisfying_set`` and both sides of the solver's
+hill-climb build on one kept set, ``_KeptSet``: a cascade engine in the
+manner of Batagelj and Zaversnik's O(m) cores algorithm.  Its state is two flat arrays indexed
+by vertex: a ``bytearray`` of membership flags and a ``list`` of kept
+degrees, so a neighbour update costs two index operations and no hashing.
+Each member's entry holds its induced degree, and a deletion clears the
+member's flag and subtracts its edge weight from every neighbour still
+flagged; entries of vertices left out are never read.  Subtraction drifts a
+few ulps from the ascending sum ``induced_degree`` returns, so the exact-tie
+rule applies: when |deg(x) - threshold(x)| <= band(x) = 8 (k + 2) 2^-53 d(x),
+with k the number of x's neighbours, x is decided on the exact ascending sum
+instead.  Every decision is therefore the one exact recomputation makes.
 
 The exact sum is ``_exact``, which tests a flag where ``induced_degree``
 tests set membership.  It adds the same weights (the flagged neighbours',
@@ -30,17 +30,41 @@ A deletion queues only the neighbours that can fall: a vertex whose kept
 degree still exceeds its threshold by more than its band would be kept at its
 pop without an exact sum, and degrees only fall during a cascade, so the next
 decrement that brings it within reach queues it again.  Every kept degree
-starts from ``_seed``: ``graph.d`` for a member that no vertex left out is a
-neighbour of, since its whole row lies in the set and ``_exact`` would add
-the same terms in the same order, and ``_exact`` for the rest.
+starts from the same seed: ``graph.d`` for a member that no vertex left out
+is a neighbour of, since its whole row lies in the set and ``_exact`` would
+add the same terms in the same order, and ``_exact`` for the rest.
 
-The band is the one place that bounds how far a kept degree may drift.  It
-covers a degree seeded by an exact sum (k + 1 roundings), then up to k
-single-edge updates before the solver's hill-climb reseeds it, then up to k
-cascade subtractions, against an exact sum of k + 1 roundings: 4k + 2
-roundings of at most about 2^-53 d(x) each, with a factor of two to spare.
-``_bands`` computes it for every vertex once per public call (and once for
-both hill-climb sides), as a list the cascade reads.
+The band is the one bound on how far a kept degree may drift.  It covers a
+degree seeded by an exact sum (k + 1 roundings), then up to k single-edge
+updates as vertices join and leave the set, after which ``add`` and
+``remove`` reseed it with the exact sum, then up to k cascade subtractions,
+against an exact sum of k + 1 roundings: 4k + 2 roundings of at most about
+2^-53 d(x) each, with a factor of two to spare.  ``_KeptSet.bands`` computes
+it for every vertex once per public call, and once for both hill-climb
+sides, as a list the cascade reads.
+
+Two more decisions of the hill-climb rest on the band.  The witness is the
+member of largest margin target(x) - deg(x), lowest index first.  A kept
+margin lies within 2 (band(x) + 2^-52 |margin|) of the exact one: the degree
+band plus one rounding of each subtraction.  So every member whose kept
+margin comes that close to the running best (which starts at 0) is
+recomputed on the exact sum, and the margins compared are the exact ones.
+A move's gain 2 (d_new - d_old + swap) takes both degrees as exact
+ascending sums of the moved vertex's row, together within its band of the
+real difference; the demand swap and the total round once each.  A gain of
+at most 0 whose size is within 2 (band(v) + 2^-52 (a(v) + b(v))) is a tie,
+not a loss, and ``tie_bound`` says so.
+
+A set keeps its core in one of two ways.  ``minimal_satisfying_set``
+cascades in place and undoes a failed trial from a log of degree changes.
+A hill-climb side re-peels on copies of its flags and kept degrees, and only
+what a move can change.  A side that loses a vertex outside its core keeps
+its core: the core lies in the smaller side and meets its thresholds there,
+and it holds every subset that does.  A side that loses a core vertex is
+re-peeled whole.  A side that gains v keeps every vertex of its old core, so
+the cascade starts from the members outside the old core only and stops as
+soon as it deletes v: the new core then lies in the old side, and so in the
+old core.
 
 ``minimal_satisfying_set`` also stops failing trials early.  Call a member
 essential once its own trial has failed, that is, left the rest's core empty.
@@ -66,31 +90,6 @@ Thresholds = Sequence[float]
 
 # unit roundoff of a double
 _ROUNDOFF = 2.0 ** -53
-
-
-def _check_thresholds(graph: WeightedGraph, thresholds: Thresholds) -> None:
-    if len(thresholds) != graph.n:
-        raise ValueError(f"expected {graph.n} thresholds, got {len(thresholds)}")
-    for f in thresholds:
-        if math.isnan(f):
-            raise ValueError("thresholds must not be NaN")
-
-
-def _flags(graph: WeightedGraph, subset: Iterable[int]) -> bytearray:
-    # one membership flag per vertex, for a subset checked to be in range
-    flags = bytearray(graph.n)
-    for x in subset:
-        if not 0 <= x < graph.n:
-            raise ValueError(f"vertex {x} is out of range")
-        flags[x] = 1
-    return flags
-
-
-def _bands(graph: WeightedGraph) -> list[float]:
-    # bound on |kept degree - ascending sum| per vertex (see the module
-    # docstring): no partial sum exceeds d[x], so a rounding is at most
-    # _ROUNDOFF * d[x]
-    return [8 * (len(adj) + 2) * _ROUNDOFF * d for adj, d in zip(graph.adjacency, graph.d)]
 
 
 def _exact(graph: WeightedGraph, flags, x: int) -> float:
@@ -127,54 +126,153 @@ def _delete(adjacency, flags, deg, thresholds, band, stop, x, stack, removed, lo
     return True
 
 
-def _cascade(graph, flags, deg, thresholds, band, stop, stack, removed, log=None) -> bool:
-    # delete every queued vertex below its threshold, and in turn whatever
-    # those deletions push below theirs; False, with the cascade cut short,
-    # as soon as it would delete a vertex flagged in ``stop``
-    adjacency = graph.adjacency
-    while stack:
-        x = stack.pop()
-        if not flags[x]:
-            continue
-        floor = thresholds[x]
-        # outside the band the kept degree and the exact sum fall on the same
-        # side of the floor
-        if abs(deg[x] - floor) <= band[x]:
-            below = _exact(graph, flags, x) < floor
-        else:
-            below = deg[x] < floor
-        if below:
-            if stop[x] or not _delete(
-                adjacency, flags, deg, thresholds, band, stop, x, stack, removed, log
-            ):
-                return False
-    return True
+class _KeptSet:
+    """A vertex set with each member's induced degree kept, under
+    per-vertex thresholds (see the module docstring).
 
+    ``flags`` marks the members and ``size`` counts them; ``deg`` holds a
+    kept degree per vertex, whose entries for vertices left out are never
+    read.  ``stop`` flags the vertices whose deletion ends a cascade, and
+    ``updates`` counts the single-edge updates since each kept degree was
+    last an exact sum.  ``core`` is the members' core, kept across ``add``
+    and ``remove``.
+    """
 
-def _seed(graph, flags) -> list[float]:
-    # the induced degree of each flagged vertex (other entries are d[x] and
-    # meaningless): d[x] when no vertex left out is a neighbour of x, since
-    # the ascending sum is then d[x] bit for bit
-    adjacency, n = graph.adjacency, graph.n
-    deg = list(graph.d)
-    reached = bytearray(n)
-    for x in range(n):
-        if not flags[x]:
-            for y, _ in adjacency[x]:
-                reached[y] = 1
-    for x in compress(range(n), reached):
-        if flags[x]:
-            deg[x] = _exact(graph, flags, x)
-    return deg
+    def __init__(self, graph: WeightedGraph, members: Iterable[int],
+                 thresholds: Thresholds, band: list[float]):
+        n = graph.n
+        if len(thresholds) != n:
+            raise ValueError(f"expected {n} thresholds, got {len(thresholds)}")
+        if any(map(math.isnan, thresholds)):
+            raise ValueError("thresholds must not be NaN")
+        flags = bytearray(n)
+        for x in members:
+            if not 0 <= x < n:
+                raise ValueError(f"vertex {x} is out of range")
+            flags[x] = 1
+        self.graph, self.thresholds, self.band = graph, thresholds, band
+        self.flags = flags
+        self.size = flags.count(1)
+        # the seed: d[x] when no vertex left out is a neighbour of x, since
+        # the ascending sum is then d[x] bit for bit
+        adjacency = graph.adjacency
+        deg = list(graph.d)
+        reached = bytearray(n)
+        for x in range(n):
+            if not flags[x]:
+                for y, _ in adjacency[x]:
+                    reached[y] = 1
+        for x in compress(range(n), reached):
+            if flags[x]:
+                deg[x] = _exact(graph, flags, x)
+        self.deg = deg
+        self.stop = bytearray(n)
+        self.updates = [0] * n
+        self._core = None
 
+    @staticmethod
+    def bands(graph: WeightedGraph) -> list[float]:
+        # bound on |kept degree - ascending sum| per vertex: no partial sum
+        # exceeds d[x], so a rounding is at most _ROUNDOFF * d[x]
+        return [8 * (len(adj) + 2) * _ROUNDOFF * d for adj, d in zip(graph.adjacency, graph.d)]
 
-def _core(graph, flags, thresholds, band, stop) -> list[float]:
-    # peel the flagged set in place from freshly seeded degrees; returns
-    # the kept degrees, exact within the band for every survivor
-    deg = _seed(graph, flags)
-    stack = list(compress(range(graph.n), flags))
-    _cascade(graph, flags, deg, thresholds, band, stop, stack, [])
-    return deg
+    def exact(self, x: int) -> float:
+        """x's induced degree in the set plus x, as the exact ascending sum."""
+        return _exact(self.graph, self.flags, x)
+
+    def cascade(self, flags, deg, stack, removed, log=None) -> bool:
+        # delete every queued vertex below its threshold, and in turn whatever
+        # those deletions push below theirs; False, with the cascade cut short,
+        # as soon as it would delete a vertex flagged in ``stop``
+        graph, thresholds, band, stop = self.graph, self.thresholds, self.band, self.stop
+        adjacency = graph.adjacency
+        while stack:
+            x = stack.pop()
+            if not flags[x]:
+                continue
+            floor = thresholds[x]
+            # outside the band the kept degree and the exact sum fall on the same
+            # side of the floor
+            if abs(deg[x] - floor) <= band[x]:
+                below = _exact(graph, flags, x) < floor
+            else:
+                below = deg[x] < floor
+            if below:
+                if stop[x] or not _delete(
+                    adjacency, flags, deg, thresholds, band, stop, x, stack, removed, log
+                ):
+                    return False
+        return True
+
+    def _peel(self, start) -> None:
+        # cascade from the members in ``start`` on copies of the flags and
+        # degrees; the survivors become the core unless the cascade deletes
+        # a vertex flagged in ``stop``
+        flags = bytearray(self.flags)
+        if self.cascade(flags, list(self.deg), list(start), []):
+            self._core = frozenset(compress(range(self.graph.n), flags))
+
+    @property
+    def core(self) -> frozenset[int]:
+        # peeled on first use, so a set that cascades in place copies nothing
+        if self._core is None:
+            self._peel(compress(range(self.graph.n), self.flags))
+        return self._core
+
+    def _update(self, v, sign) -> None:
+        # one edge update per member neighbour of v, reseeding a kept degree
+        # after as many updates as its vertex has neighbours
+        graph, flags, deg, updates = self.graph, self.flags, self.deg, self.updates
+        adjacency = graph.adjacency
+        for y, w in adjacency[v]:
+            if flags[y]:
+                deg[y] += sign * w
+                updates[y] += 1
+                if updates[y] >= len(adjacency[y]):
+                    deg[y] = _exact(graph, flags, y)
+                    updates[y] = 0
+
+    def add(self, v: int, degree: float) -> None:
+        """Insert v, whose exact induced degree in the grown set is
+        ``degree``."""
+        core = self.core
+        self.flags[v] = 1
+        self.size += 1
+        self._update(v, 1.0)
+        self.deg[v] = degree
+        self.updates[v] = 0
+        self.stop[v] = 1
+        self._peel([x for x in compress(range(self.graph.n), self.flags) if x not in core])
+        self.stop[v] = 0
+
+    def remove(self, v: int) -> None:
+        core = self.core
+        self.flags[v] = 0
+        self.size -= 1
+        self._update(v, -1.0)
+        if v in core:
+            self._peel(compress(range(self.graph.n), self.flags))
+
+    def witness(self, target: Thresholds) -> tuple[int, float] | None:
+        """The member of largest margin target - degree, lowest index first,
+        with its exact degree; None if no margin is positive."""
+        graph, flags, deg, band = self.graph, self.flags, self.deg, self.band
+        best, found = 0.0, None
+        for x in compress(range(graph.n), flags):
+            approx = target[x] - deg[x]
+            # a kept margin this far below the best cannot beat it exactly
+            if approx < best - 2.0 * (band[x] + 2.0 * _ROUNDOFF * abs(approx)):
+                continue
+            degree = _exact(graph, flags, x)
+            margin = target[x] - degree
+            if margin > best:
+                best, found = margin, (x, degree)
+        return found
+
+    def tie_bound(self, other: _KeptSet, v: int) -> float:
+        """The rounding bound on the gain of moving v from this set to
+        ``other``."""
+        return 2.0 * (self.band[v] + 2.0 * _ROUNDOFF * (self.thresholds[v] + other.thresholds[v]))
 
 
 def peel(graph: WeightedGraph, subset: Iterable[int], thresholds: Thresholds) -> frozenset[int]:
@@ -187,10 +285,7 @@ def peel(graph: WeightedGraph, subset: Iterable[int], thresholds: Thresholds) ->
     degree within a few ulps of its threshold is recomputed as the exact
     ascending sum, so the result is the one exact recomputation gives.
     """
-    _check_thresholds(graph, thresholds)
-    flags = _flags(graph, subset)
-    _core(graph, flags, thresholds, _bands(graph), bytes(graph.n))
-    return frozenset(compress(range(graph.n), flags))
+    return _KeptSet(graph, subset, thresholds, _KeptSet.bands(graph)).core
 
 
 def minimal_satisfying_set(
@@ -209,40 +304,39 @@ def minimal_satisfying_set(
     every subset too.  So no proper non-empty subset of the result has the
     all-members property.
 
-    One flag array and one degree list serve the whole pass, and a counter
-    tracks the set's size.  A trial cascades only from the deleted vertex's
-    neighbours; when it empties the set, the deleted vertices are flagged
-    again and the logged degree changes are undone.  A member
-    whose trial failed is essential, and a trial that would delete an
-    essential vertex fails at that point, or already when a deletion takes
-    the essential vertex's degree below its demand by more than the exact-tie
-    band: the core of the rest is empty because it lies in the core of the
-    larger set the essential vertex was tried in, minus that vertex, which
-    was empty.
+    One kept set serves the whole pass, peeled in place.  A trial cascades
+    only from the deleted vertex's neighbours; when it empties the set, the
+    deleted vertices are flagged again and the logged degree changes are
+    undone.  A member whose trial failed is essential, and a trial that
+    would delete an essential vertex fails at that point, or already when a
+    deletion takes the essential vertex's degree below its demand by more
+    than the exact-tie band: the core of the rest is empty because it lies
+    in the core of the larger set the essential vertex was tried in, minus
+    that vertex, which was empty.
     """
-    _check_thresholds(graph, demands)
-    flags = _flags(graph, range(graph.n) if within is None else within)
-    band = _bands(graph)
-    essential = bytearray(graph.n)
-    deg = _core(graph, flags, demands, band, essential)
-    core = list(compress(range(graph.n), flags))
-    if not core:
-        raise NoSatisfyingSetError("no non-empty subset meets the demands")
-    size = len(core)
+    n = graph.n
+    kept = _KeptSet(graph, range(n) if within is None else within, demands, _KeptSet.bands(graph))
+    flags, deg, band, essential = kept.flags, kept.deg, kept.band, kept.stop
     adjacency = graph.adjacency
-    for v in core:
+    removed = []
+    kept.cascade(flags, deg, list(compress(range(n), flags)), removed)
+    kept.size -= len(removed)
+    if not kept.size:
+        raise NoSatisfyingSetError("no non-empty subset meets the demands")
+    for v in list(compress(range(n), flags)):
         if not flags[v]:
             continue
         stack, removed, log = [], [], []
-        kept = _delete(
-            adjacency, flags, deg, demands, band, essential, v, stack, removed, log
-        ) and _cascade(graph, flags, deg, demands, band, essential, stack, removed, log)
-        if kept and len(removed) < size:
-            size -= len(removed)
+        if (
+            _delete(adjacency, flags, deg, demands, band, essential, v, stack, removed, log)
+            and kept.cascade(flags, deg, stack, removed, log)
+            and len(removed) < kept.size
+        ):
+            kept.size -= len(removed)
         else:
             for x in removed:
                 flags[x] = 1
             for y, old in reversed(log):
                 deg[y] = old
             essential[v] = 1
-    return frozenset(compress(range(graph.n), flags))
+    return frozenset(compress(range(n), flags))

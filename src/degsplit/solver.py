@@ -29,32 +29,18 @@ built from the per-move gains; it matches a fresh recomputation to float
 accuracy and is strictly increasing by construction.  The certificate stores
 only the starting h; the trace is derived from it and each move's h_after.
 
-The climb keeps each side's induced degrees across moves: a move updates the
-moved vertex's neighbours only, and a kept degree is reseeded with the exact
-sum after as many updates as the vertex has neighbours, so its drift stays
-inside the core module's band.  Cores come from the core module's cascade on
-a copy of those degrees, and a move re-peels only what it can change.  A side
-that loses a vertex outside its core keeps its core: the core lies in the
-smaller side and meets its thresholds there, and it holds every subset that
-does.  A side that loses a core vertex is re-peeled whole.  A side that gains
-v keeps every vertex of its old core, so the cascade starts from the members
-outside the old core only and stops as soon as it deletes v: the new core
-then lies in the old side, and so in the old core.  A witness is chosen on
-exact margins: every member whose kept margin lies within the band of the
-running best (which starts at 0) is recomputed as the exact ascending sum,
-so ties still go to the lowest index.  The move's degrees and gain are exact
-sums, so the moves and h values are those of a climb that re-peels and
-re-sums everything.
+Each side of the climb is a kept set from the core module, which holds the
+side's kept degrees and core across moves, and makes every decision that
+rests on rounding: the witness's exact margins and the gain's tie bound.
+The move's degrees and gain are exact sums, so the moves and h values are
+those of a climb that re-peels and re-sums everything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 
-from .core import (
-    _ROUNDOFF, _bands, _cascade, _exact, _flags, _seed, minimal_satisfying_set, peel
-)
+from .core import _KeptSet, minimal_satisfying_set, peel
 from .errors import (
     CompletionAssertFailedError,
     MoveLimitExceededError,
@@ -178,122 +164,18 @@ def check_feasibility(graph: WeightedGraph, demands: Demands) -> FeasibilityRepo
     return FeasibilityReport(tuple(slack), violations, not violations)
 
 
-class _Side:
-    """One side of the hill-climb: its name, its members, each member's
-    induced degree kept across moves, and the core of the side.
-
-    The state is the core module's: ``flags``, a bytearray marking the
-    members, and ``deg``, a list of kept degrees indexed by vertex whose
-    entries for other vertices are never read.  ``members`` holds the same
-    vertices as a set, for the cascade's start lists and the side's size;
-    every membership test reads the flags.  ``band`` is shared by both
-    sides of a climb.
-
-    A move updates only the moved vertex's neighbours.  A kept degree drifts
-    by one rounding per update, so after len(adjacency[x]) updates it is
-    reseeded with the exact sum; the core module's band covers the rest.
-    ``core`` is always the side's core, and each re-peel cascades on copies
-    of the flags and kept degrees (two flat copies), so a cascade adds at
-    most len(adjacency[x]) subtractions.  Removing a vertex outside the core
-    leaves the core as it is: the core lies in the smaller side and meets
-    its thresholds there.  Removing a core vertex re-peels the whole side.
-    Adding v cascades from the members outside the old core only, since the
-    new core contains the old one, and keeps the old core once v is deleted,
-    since the new core then lies in the old side.
-    """
-
-    def __init__(self, graph, name, members, demand, band):
-        self.graph = graph
-        self.name = name
-        self.demand = demand
-        self.strong = [demand[x] + graph.W[x] for x in range(graph.n)]
-        self.band = band
-        # flags the vertex whose deletion ends a cascade: the one just added
-        self.stop = bytearray(graph.n)
-        self.members = set(members)
-        self.flags = _flags(graph, self.members)
-        self.deg = _seed(graph, self.flags)
-        self.updates = [0] * graph.n
-        self._peel(self.members)
-
-    def _peel(self, start) -> None:
-        # cascade from the members in ``start`` on copies of the flags and
-        # degrees; the survivors become the core unless the cascade deletes
-        # a flagged vertex
-        flags = bytearray(self.flags)
-        if _cascade(
-            self.graph, flags, list(self.deg), self.demand, self.band, self.stop, list(start), []
-        ):
-            self.core = frozenset(compress(range(self.graph.n), flags))
-
-    def _update(self, v, sign) -> None:
-        graph, flags, deg, updates = self.graph, self.flags, self.deg, self.updates
-        adjacency = graph.adjacency
-        for y, w in adjacency[v]:
-            if flags[y]:
-                deg[y] += sign * w
-                updates[y] += 1
-                if updates[y] >= len(adjacency[y]):
-                    deg[y] = _exact(graph, flags, y)
-                    updates[y] = 0
-
-    def add(self, v, degree) -> None:
-        """Insert v, whose exact induced degree in the grown side is
-        ``degree``."""
-        self.members.add(v)
-        self.flags[v] = 1
-        self._update(v, 1.0)
-        self.deg[v] = degree
-        self.updates[v] = 0
-        self.stop[v] = 1
-        self._peel(self.members - self.core)
-        self.stop[v] = 0
-
-    def remove(self, v) -> None:
-        self.members.remove(v)
-        self.flags[v] = 0
-        self._update(v, -1.0)
-        if v in self.core:
-            self._peel(self.members)
-
-    def witness(self) -> tuple[int, float] | None:
-        """The member of largest margin demand + W - degree, lowest index
-        first, with its exact degree; None if no margin is positive.
-
-        The members are scanned in ascending index along the flags.  A kept
-        margin may round differently from the exact one, so every member
-        that could beat the running best (which starts at 0) is recomputed
-        as the exact sum: the margins compared are the exact ones, and so is
-        the witness.
-        """
-        graph, flags, deg, strong, band = self.graph, self.flags, self.deg, self.strong, self.band
-        best, found = 0.0, None
-        for x in compress(range(graph.n), flags):
-            approx = strong[x] - deg[x]
-            # |approx - exact margin| < 2 (band + 2^-52 |approx|): the degree
-            # band plus one rounding of each subtraction
-            if approx < best - 2.0 * (band[x] + 2.0 * _ROUNDOFF * abs(approx)):
-                continue
-            degree = _exact(graph, flags, x)
-            margin = strong[x] - degree
-            if margin > best:
-                best, found = margin, (x, degree)
-        return found
-
-
-def _candidate(graph, src, dst):
+def _candidate(src, dst, target):
     """Best witness move out of ``src`` as (gain, vertex, its induced degree
-    in ``dst``, src, dst), or None if no vertex violates the demand + W
-    bound there (or the side would empty)."""
-    if len(src.members) < 2:
+    in ``dst``, src, dst), or None if no vertex violates the ``target``
+    (demand + W) bound there, or the side would empty."""
+    if src.size < 2:
         return None
-    found = src.witness()
+    found = src.witness(target)
     if found is None:
         return None
     v, d_old = found
-    # v's degree in dst + {v}: _exact does not test v's own flag
-    d_new = _exact(graph, dst.flags, v)
-    swap = src.demand[v] - dst.demand[v]
+    d_new = dst.exact(v)
+    swap = src.thresholds[v] - dst.thresholds[v]
     return 2.0 * (d_new - d_old + swap), v, d_new, src, dst
 
 
@@ -301,7 +183,6 @@ def find_stable_pair(
     graph: WeightedGraph,
     demands: Demands,
     max_moves: int = DEFAULT_MAX_MOVES,
-    _certificate: SolveCertificate | None = None,
 ) -> tuple[frozenset[int], frozenset[int], SolveCertificate]:
     """Disjoint non-empty sets (Abar, Bbar) with every Abar-vertex meeting
     its a-demand inside Abar and every Bbar-vertex its b-demand inside Bbar.
@@ -316,7 +197,7 @@ def find_stable_pair(
     _require_matching(graph, demands)
     if max_moves < 1:
         raise ValueError("max_moves must be at least 1")
-    cert = _certificate if _certificate is not None else SolveCertificate()
+    cert = SolveCertificate()
 
     active = frozenset(x for x in range(graph.n) if graph.d[x] > 0.0)
     if len(active) < 2:
@@ -330,15 +211,17 @@ def find_stable_pair(
         raise PartitionCollapseError("every active vertex is needed to meet the a-demands")
 
     cert.phase_log.append(PHASE_CASE1_CORE)
-    band = _bands(graph)
-    sb = _Side(graph, "B", side_b, b_dem, band)
+    band = _KeptSet.bands(graph)
+    sb = _KeptSet(graph, side_b, b_dem, band)
     if sb.core:
         cert.stable_pair = (side_a, sb.core)
         return side_a, sb.core, cert
 
     cert.phase_log.append(PHASE_HILLCLIMB)
     cert.hillclimb_start = (side_a, side_b)
-    sa = _Side(graph, "A", side_a, a_dem, band)
+    sa = _KeptSet(graph, side_a, a_dem, band)
+    strong_a = [a + w for a, w in zip(a_dem, graph.W)]
+    strong_b = [b + w for b, w in zip(b_dem, graph.W)]
     order_a, order_b = sorted(side_a), sorted(side_b)
     h = 0.0
     for x in order_a:
@@ -358,11 +241,11 @@ def find_stable_pair(
         # the side holding a core gives first; with both cores empty, the
         # larger gain moves and ties prefer B -> A
         if sb.core:
-            move = _candidate(graph, sb, sa) or _candidate(graph, sa, sb)
+            move = _candidate(sb, sa, strong_b) or _candidate(sa, sb, strong_a)
         elif sa.core:
-            move = _candidate(graph, sa, sb) or _candidate(graph, sb, sa)
+            move = _candidate(sa, sb, strong_a) or _candidate(sb, sa, strong_b)
         else:
-            to_a, to_b = _candidate(graph, sb, sa), _candidate(graph, sa, sb)
+            to_a, to_b = _candidate(sb, sa, strong_b), _candidate(sa, sb, strong_a)
             if to_a and to_b:
                 move = to_a if to_a[0] >= to_b[0] else to_b
             else:
@@ -370,14 +253,12 @@ def find_stable_pair(
         if move is None:
             raise PartitionCollapseError("no witness vertex can move without emptying a side")
         gain, v, d_new, src, dst = move
+        names = ("A", "B") if src is sa else ("B", "A")
         if gain <= 0.0:
-            # d_new and d_old are ascending sums of v's row, together within
-            # band[v] of the real difference; the demand swap and the total
-            # round once each
-            bound = 2.0 * (src.band[v] + 2.0 * _ROUNDOFF * (src.demand[v] + dst.demand[v]))
+            bound = src.tie_bound(dst, v)
             tie = f", a tie within the rounding bound {bound:.3g}" if -gain <= bound else ""
             raise NonImprovingMoveError(
-                f"moving vertex {v} {src.name}->{dst.name} "
+                f"moving vertex {v} {names[0]}->{names[1]} "
                 f"gains {gain}{tie}; the degree precondition fails"
             )
 
@@ -385,20 +266,17 @@ def find_stable_pair(
         dst.add(v, d_new)
         h_before = h
         h = h + gain
-        cert.moves.append(Move(v, src.name, dst.name, h_before, h))
+        cert.moves.append(Move(v, *names, h_before, h))
 
     raise MoveLimitExceededError(f"no stable pair within {max_moves} moves")
 
 
-def _complete_sets(graph, demands, abar, universe, cert, b_core=None):
+def _complete_sets(graph, demands, abar, side_b, universe):
     """Extend a stable pair (Abar, Bbar) to a partition of ``universe``: B is
-    the b-core of ``universe`` - Abar and A the rest.  Bbar lies in that core,
-    since its members meet their b-demands inside it.  ``b_core``, when
-    given, is that core already and no peel runs.  Raises
+    ``side_b``, the b-core of ``universe`` - Abar, and A the rest.  Bbar lies
+    in that core, since its members meet their b-demands inside it.  Raises
     CompletionAssertFailedError on the lowest vertex that joined A and misses
     its a-demand there."""
-    cert.phase_log.append(PHASE_COMPLETION)
-    side_b = peel(graph, universe - abar, demands.b) if b_core is None else b_core
     side_a = universe - side_b
     for x in sorted(side_a - abar):
         if induced_degree(graph, side_a, x) < demands.a[x]:
@@ -421,7 +299,7 @@ def verify_partition(
     _require_matching(graph, demands)
     if partition.n != graph.n:
         raise ValueError("partition does not cover this graph")
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValueError("tol must be non-negative")
     out = []
     for x in range(graph.n):
@@ -474,19 +352,20 @@ def solve(
     if max_moves < 1:
         raise ValueError("max_moves must be at least 1")
 
-    cert = SolveCertificate()
-    cert.phase_log.append(PHASE_FEASIBILITY)
-    cert.feasibility = check_feasibility(graph, demands)
-
     active = frozenset(x for x in range(graph.n) if graph.d[x] > 0.0)
     isolated = sorted(set(range(graph.n)) - active)
 
+    cert = SolveCertificate()
     if len(active) >= 2:
-        abar, bbar, _ = find_stable_pair(graph, demands, max_moves, _certificate=cert)
+        abar, bbar, cert = find_stable_pair(graph, demands, max_moves)
+        cert.phase_log.append(PHASE_COMPLETION)
         # a case-1 pair is the minimal set and the b-core of the rest of
-        # ``active``, so Bbar is the core completion would peel
-        b_core = bbar if cert.hillclimb_start is None else None
-        raw_a, raw_b = _complete_sets(graph, demands, abar, active, cert, b_core)
+        # ``active``, so Bbar is the core completion needs
+        if cert.hillclimb_start is None:
+            side_b = bbar
+        else:
+            side_b = peel(graph, active - abar, demands.b)
+        raw_a, raw_b = _complete_sets(graph, demands, abar, side_b, active)
         side_a, side_b = set(raw_a), set(raw_b)
         _attach_isolated(side_a, side_b, isolated, demands)
     elif len(active) == 1:
@@ -504,6 +383,8 @@ def solve(
     else:
         side_a, side_b = {0}, set(range(1, graph.n))
 
+    cert.phase_log.insert(0, PHASE_FEASIBILITY)
+    cert.feasibility = check_feasibility(graph, demands)
     partition = Partition(frozenset(side_a), frozenset(side_b))
     slacks = []
     for x in range(graph.n):

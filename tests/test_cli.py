@@ -169,8 +169,9 @@ def grid_cells(tmp_path):
         ["solve", "--max-moves", "0"],
         ["squares", "--max-moves", "0"],
         ["verify", "--tolerance", "-1"],
+        ["verify", "--tolerance", "nan"],
     ],
-    ids=["solve-max-moves", "squares-max-moves", "verify-tolerance"],
+    ids=["solve-max-moves", "squares-max-moves", "verify-tolerance", "verify-tolerance-nan"],
 )
 def test_bad_flag_values_exit_two(capsys, tmp_path, k9_files, grid_cells, command):
     graph, dem3, _ = k9_files

@@ -16,6 +16,7 @@ from degsplit import (
     squares_demands,
 )
 from degsplit import core as core_module
+from degsplit.core import _KeptSet
 
 from conftest import complete_graph, is_meager, qualifying_subsets, random_graph
 
@@ -346,14 +347,116 @@ class TestEssentialDecrement:
         g = build_graph([(0, 1, 0.1), (0, 2, 0.2), (1, 2, 1.0 / 3.0)])
         demands = [induced_degree(g, range(3), x) for x in range(3)]
         cascades = []
-        original = core_module._cascade
+        original = _KeptSet.cascade
 
-        def counting(graph, flags, deg, thresholds, band, stop, stack, removed, log=None):
+        def counting(self, flags, deg, stack, removed, log=None):
             cascades.append(tuple(removed))
-            return original(graph, flags, deg, thresholds, band, stop, stack, removed, log)
+            return original(self, flags, deg, stack, removed, log)
 
-        monkeypatch.setattr(core_module, "_cascade", counting)
+        monkeypatch.setattr(_KeptSet, "cascade", counting)
         assert TestMinimalSetMatchesRestartSearch.assert_same(g, demands)
         # the full core, then the trial of 0 only
         assert cascades == [(), (0,)]
         assert minimal_satisfying_set(g, demands) == {0, 1, 2}
+
+
+def members(kept):
+    return {x for x in range(kept.graph.n) if kept.flags[x]}
+
+
+class TestKeptSideDegrees:
+    """``core._KeptSet`` as one side of the hill-climb, against exact
+    recomputation."""
+
+    def test_witness_tie_goes_to_the_lower_index(self):
+        # vertex 0 keeps 0.2 + 0.1 - 0.1 = 0.20000000000000004 once its 0.1
+        # neighbour leaves; its exact margin 0.8 + 0.2 - 0.2 ties vertex 1's,
+        # and the lower index must win
+        g = build_graph([(0, 2, 0.2), (0, 3, 0.1), (1, 2, 0.2)], vertices=range(4))
+        side = _KeptSet(g, range(4), [0.8] * 4, _KeptSet.bands(g))
+        side.remove(3)
+        assert side.deg[0] != induced_degree(g, members(side), 0)
+        assert side.witness([0.8 + w for w in g.W]) == (0, 0.2)
+
+    def test_degrees_and_cores_follow_many_moves(self):
+        # a star whose leaves leave and return thousands of times; without
+        # reseeding, the centre's kept degree drifts past the band.  Its
+        # demand is the exact sum over leaves 1, 3 and 4, so the core is
+        # non-empty exactly when the centre reaches it, often by a tie.
+        weights = [0.1, 0.1, 1 / 3, 1 / 3, 1 / 3]
+        g = build_graph(
+            [(0, leaf, w) for leaf, w in enumerate(weights, start=1)], vertices=range(6)
+        )
+        demand = [induced_degree(g, {0, 1, 3, 4}, 0)] + [0.1] * 5
+        band = _KeptSet.bands(g)
+        side = _KeptSet(g, range(6), demand, band)
+        rng = random.Random(0)
+        for _ in range(4000):
+            v = rng.randrange(1, 6)
+            if side.flags[v]:
+                side.remove(v)
+            else:
+                side.add(v, induced_degree(g, members(side) | {v}, v))
+            assert side.size == sum(side.flags)
+            for x in members(side):
+                assert abs(side.deg[x] - induced_degree(g, members(side), x)) <= band[x]
+            assert side.core == peel(g, members(side), demand)
+
+    @staticmethod
+    def triangle_with_tails():
+        # core {0, 1, 2}: a unit triangle at demand 2; 3 hangs off 0 and
+        # needs 1.5, 4 joins the triangle at demand 2, 5 links 3 and 0
+        g = build_graph(
+            [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, 1.0), (1, 4, 1.0),
+             (2, 4, 1.0), (3, 5, 1.0), (0, 5, 1.0)],
+            vertices=range(6),
+        )
+        return g, [2.0, 2.0, 2.0, 1.5, 2.0, 1.5]
+
+    def test_removing_a_vertex_outside_the_core_keeps_it(self):
+        g, demand = self.triangle_with_tails()
+        side = _KeptSet(g, range(4), demand, _KeptSet.bands(g))
+        core = side.core
+        assert core == {0, 1, 2}
+        side.remove(3)
+        assert side.core is core
+        assert side.core == peel(g, members(side), demand)
+
+    def test_adding_a_vertex_that_is_peeled_keeps_the_old_core(self):
+        g, demand = self.triangle_with_tails()
+        side = _KeptSet(g, range(3), demand, _KeptSet.bands(g))
+        core = side.core
+        side.add(3, induced_degree(g, {0, 1, 2, 3}, 3))
+        assert side.core is core
+        assert side.core == peel(g, members(side), demand) == {0, 1, 2}
+
+    def test_adding_to_a_non_empty_core(self):
+        g, demand = self.triangle_with_tails()
+        side = _KeptSet(g, range(4), demand, _KeptSet.bands(g))
+        # 4 joins the core by itself; 5 brings 3 in with it
+        side.add(4, induced_degree(g, {0, 1, 2, 3, 4}, 4))
+        assert side.core == peel(g, members(side), demand) == {0, 1, 2, 4}
+        side.add(5, induced_degree(g, set(range(6)), 5))
+        assert side.core == peel(g, members(side), demand) == set(range(6))
+
+    def test_random_moves_follow_peel(self):
+        # weighted random graphs at demands near half the degree, so cores
+        # come and go; every add and remove is checked against peel, and
+        # adds to a side with a non-empty core must occur
+        rng = random.Random(5)
+        grown = 0
+        for _ in range(30):
+            n = rng.randint(6, 16)
+            g = random_graph(rng, n, 0.5)
+            demand = [rng.uniform(0.3, 0.6) * d for d in g.d]
+            start = [x for x in range(n) if rng.random() < 0.5]
+            side = _KeptSet(g, start, demand, _KeptSet.bands(g))
+            for _ in range(60):
+                v = rng.randrange(n)
+                if side.flags[v]:
+                    side.remove(v)
+                else:
+                    grown += bool(side.core)
+                    side.add(v, induced_degree(g, members(side) | {v}, v))
+                assert side.core == peel(g, members(side), demand)
+        assert grown >= 100

@@ -1,5 +1,7 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from degsplit import (
     Partition,
     PartitionCollapseError,
     SingleVertexGraphError,
-    SolveCertificate,
     SolverError,
     UnstablePartitionError,
     brute_force_solve,
@@ -28,8 +29,8 @@ from degsplit import (
     verify_partition,
 )
 from degsplit import solver as solver_module
-from degsplit.core import _bands, minimal_satisfying_set, peel
-from degsplit.solver import PHASE_HILLCLIMB, Move, _complete_sets, _Side
+from degsplit.core import minimal_satisfying_set, peel
+from degsplit.solver import PHASE_HILLCLIMB, Move, _complete_sets
 
 from conftest import complete_graph, is_meager, weight_dict
 from conftest import random_graph as conftest_random_graph
@@ -411,107 +412,10 @@ class TestKeptDegreeClimbMatchesReference:
         assert long_climbs >= 10
 
 
-class TestKeptSideDegrees:
-    """One side of the hill-climb, ``_Side``, against exact recomputation."""
-
-    def test_witness_tie_goes_to_the_lower_index(self):
-        # vertex 0 keeps 0.2 + 0.1 - 0.1 = 0.20000000000000004 once its 0.1
-        # neighbour leaves; its exact margin 0.8 + 0.2 - 0.2 ties vertex 1's,
-        # and the lower index must win
-        g = build_graph([(0, 2, 0.2), (0, 3, 0.1), (1, 2, 0.2)], vertices=range(4))
-        side = _Side(g, "B", range(4), [0.8] * 4, _bands(g))
-        side.remove(3)
-        assert side.deg[0] != induced_degree(g, side.members, 0)
-        assert side.witness() == (0, 0.2)
-
-    def test_degrees_and_cores_follow_many_moves(self):
-        # a star whose leaves leave and return thousands of times; without
-        # reseeding, the centre's kept degree drifts past the band.  Its
-        # demand is the exact sum over leaves 1, 3 and 4, so the core is
-        # non-empty exactly when the centre reaches it, often by a tie.
-        weights = [0.1, 0.1, 1 / 3, 1 / 3, 1 / 3]
-        g = build_graph(
-            [(0, leaf, w) for leaf, w in enumerate(weights, start=1)], vertices=range(6)
-        )
-        demand = [induced_degree(g, {0, 1, 3, 4}, 0)] + [0.1] * 5
-        band = _bands(g)
-        side = _Side(g, "B", range(6), demand, band)
-        rng = random.Random(0)
-        for _ in range(4000):
-            v = rng.randrange(1, 6)
-            if v in side.members:
-                side.remove(v)
-            else:
-                side.add(v, induced_degree(g, side.members | {v}, v))
-            assert side.flags == bytearray(x in side.members for x in range(g.n))
-            for x in side.members:
-                assert abs(side.deg[x] - induced_degree(g, side.members, x)) <= band[x]
-            assert side.core == peel(g, side.members, demand)
-
-    @staticmethod
-    def triangle_with_tails():
-        # core {0, 1, 2}: a unit triangle at demand 2; 3 hangs off 0 and
-        # needs 1.5, 4 joins the triangle at demand 2, 5 links 3 and 0
-        g = build_graph(
-            [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, 1.0), (1, 4, 1.0),
-             (2, 4, 1.0), (3, 5, 1.0), (0, 5, 1.0)],
-            vertices=range(6),
-        )
-        return g, [2.0, 2.0, 2.0, 1.5, 2.0, 1.5]
-
-    def test_removing_a_vertex_outside_the_core_keeps_it(self):
-        g, demand = self.triangle_with_tails()
-        side = _Side(g, "B", range(4), demand, _bands(g))
-        core = side.core
-        assert core == {0, 1, 2}
-        side.remove(3)
-        assert side.core is core
-        assert side.core == peel(g, side.members, demand)
-
-    def test_adding_a_vertex_that_is_peeled_keeps_the_old_core(self):
-        g, demand = self.triangle_with_tails()
-        side = _Side(g, "B", range(3), demand, _bands(g))
-        core = side.core
-        side.add(3, induced_degree(g, {0, 1, 2, 3}, 3))
-        assert side.core is core
-        assert side.core == peel(g, side.members, demand) == {0, 1, 2}
-
-    def test_adding_to_a_non_empty_core(self):
-        g, demand = self.triangle_with_tails()
-        side = _Side(g, "B", range(4), demand, _bands(g))
-        # 4 joins the core by itself; 5 brings 3 in with it
-        side.add(4, induced_degree(g, {0, 1, 2, 3, 4}, 4))
-        assert side.core == peel(g, side.members, demand) == {0, 1, 2, 4}
-        side.add(5, induced_degree(g, set(range(6)), 5))
-        assert side.core == peel(g, side.members, demand) == set(range(6))
-
-    def test_random_moves_follow_peel(self):
-        # weighted random graphs at demands near half the degree, so cores
-        # come and go; every add and remove is checked against peel, and
-        # adds to a side with a non-empty core must occur
-        rng = random.Random(5)
-        grown = 0
-        for _ in range(30):
-            n = rng.randint(6, 16)
-            g = conftest_random_graph(rng, n, 0.5)
-            demand = [rng.uniform(0.3, 0.6) * d for d in g.d]
-            members = [x for x in range(n) if rng.random() < 0.5]
-            side = _Side(g, "B", members, demand, _bands(g))
-            for _ in range(60):
-                v = rng.randrange(n)
-                if v in side.members:
-                    side.remove(v)
-                else:
-                    grown += bool(side.core)
-                    side.add(v, induced_degree(g, side.members | {v}, v))
-                assert side.core == peel(g, side.members, demand)
-        assert grown >= 100
-
-
 def complete_pair(graph, demands, pair):
-    return Partition(
-        *_complete_sets(graph, demands, pair[0], frozenset(range(graph.n)), SolveCertificate())
-    )
+    universe = frozenset(range(graph.n))
+    side_b = peel(graph, universe - pair[0], demands.b)
+    return Partition(*_complete_sets(graph, demands, pair[0], side_b, universe))
 
 
 class TestCompletePair:
@@ -568,8 +472,7 @@ def completion_outcome(complete):
 
 
 class TestCompletionMatchesRestartScan:
-    """``_complete_sets`` takes B as one b-core peel of everything outside
-    Abar.  Wherever the restart scan returns, that is the same partition;
+    """Completion takes B as one b-core peel of everything outside Abar.  Wherever the restart scan returns, that is the same partition;
     where the scan raises, the peel may still complete, since it checks the
     a-demands in the final A, which holds every vertex the scan had moved."""
 
@@ -595,7 +498,7 @@ class TestCompletionMatchesRestartScan:
                 lambda: reference_complete_sets(g, dem, (abar, bbar), universe)
             )
             got = completion_outcome(
-                lambda: _complete_sets(g, dem, abar, universe, SolveCertificate())
+                lambda: _complete_sets(g, dem, abar, peel(g, universe - abar, dem.b), universe)
             )
             feasible = check_feasibility(g, dem).feasible
             if isinstance(got, tuple):
@@ -862,6 +765,14 @@ class TestVerifyPartition:
         assert len(verify_partition(k9, dem, part)) == 4
         assert verify_partition(k9, dem, part, tol=0.2) == []
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_tolerance_must_be_non_negative(self, triangle, tol):
+        # every comparison with NaN is False, so a NaN tolerance would call
+        # any partition stable
+        part = Partition(frozenset({0}), frozenset({1, 2}))
+        with pytest.raises(ValueError):
+            verify_partition(triangle, Demands.constant(3, 5.0, 5.0), part, tol=tol)
+
 
 class TestReduceLoops:
     def test_loopless_identity(self, triangle):
@@ -913,3 +824,17 @@ class TestReduceLoops:
                 red = reduce_loops(g, lifted)
                 part, _ = solve(red.graph, red.demands)
                 assert not verify_partition(g, lifted, part)
+
+
+def test_solver_imports_no_private_core_name_but_the_kept_set():
+    # the band, the reseed rule and every exact-tie decision live in core;
+    # solver reaches them only through the kept-set class
+    source = Path(solver_module.__file__).read_text()
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "core" and node.level == 1
+        for alias in node.names
+    ]
+    assert "_KeptSet" in imported
+    assert [name for name in imported if name.startswith("_") and name != "_KeptSet"] == []
