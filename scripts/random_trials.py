@@ -10,14 +10,17 @@ import argparse
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
-from degsplit import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from degsplit import (  # noqa: E402
     brute_force_solve,
     random_feasible_instance,
     solve,
     verify_partition,
 )
-from degsplit.solver import PHASE_HILLCLIMB
+from degsplit.solver import PHASE_HILLCLIMB  # noqa: E402
 
 
 def main():

@@ -10,9 +10,12 @@ Example:
 
 import argparse
 import sys
+from pathlib import Path
 
-from degsplit import DemandScheme, GridInstance, LoopMode, SolverError, solve_squares
-from degsplit.cli import render_squares_svg
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from degsplit import DemandScheme, GridInstance, LoopMode, SolverError, solve_squares  # noqa: E402
+from degsplit.cli import render_squares_svg  # noqa: E402
 
 
 def summarize(tag, result):

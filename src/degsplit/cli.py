@@ -248,7 +248,8 @@ def _cmd_solve(args) -> int:
     payload = {
         "A": _labels(graph, partition.a),
         "B": _labels(graph, partition.b),
-        "h_trace": list(cert.h_trace),
+        # JSON has no infinity: an h that overflowed is written as null
+        "h_trace": [h if math.isfinite(h) else None for h in cert.h_trace],
         "moves": len(cert.moves),
         "violations": [],
         "feasible": cert.feasibility.feasible,
@@ -288,6 +289,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_squares(args) -> int:
     cells = parse_cells_file(args.cells)
+    show = None
+    if args.show_circle is not None:
+        if not args.svg:
+            raise InputError("--show-circle needs --svg")
+        try:
+            ci, cj = (int(p) for p in args.show_circle.split(","))
+        except ValueError:
+            raise InputError("--show-circle expects 'i,j'") from None
+        show = (ci, cj)
     instance = GridInstance(tuple(cells), args.radius)
     result = solve_squares(
         instance, DemandScheme(args.scheme), loop_mode=args.loop_mode, max_moves=args.max_moves
@@ -301,13 +311,6 @@ def _cmd_squares(args) -> int:
         "moves": len(result.certificate.moves),
     }
     if args.svg:
-        show = None
-        if args.show_circle:
-            try:
-                ci, cj = (int(p) for p in args.show_circle.split(","))
-            except ValueError:
-                raise InputError("--show-circle expects 'i,j'") from None
-            show = (ci, cj)
         render_squares_svg(args.svg, instance, set(result.side_a), instance.r, show)
         payload["svg"] = args.svg
     _emit(payload, args.format)

@@ -14,15 +14,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import TooFewCellsError, UnstablePartitionError
+from .errors import TooFewCellsError
 from .graph import Demands, LoopMode, WeightedGraph, _assemble, without_loops
-from .solver import (
-    DEFAULT_MAX_MOVES,
-    SolveCertificate,
-    reduce_loops,
-    solve,
-    verify_partition,
-)
+from .solver import DEFAULT_MAX_MOVES, SolveCertificate, solve
 
 Cell = tuple[int, int]
 
@@ -226,22 +220,13 @@ def solve_squares(
     loop_mode: LoopMode = LoopMode.DOUBLE,
     max_moves: int = DEFAULT_MAX_MOVES,
 ) -> SquaresResult:
-    """Build the grid graph, derive demands, strip loops, solve, and report
-    per-cell physical margins."""
+    """Build the grid graph, derive demands, solve, and report per-cell
+    physical margins.  Half-degree demands are solved on the grid graph,
+    physical ones on the loopless copy they are set for."""
     graph = build_grid_graph(instance, loop_mode)
     demands = squares_demands(graph, scheme)
-
-    if scheme is DemandScheme.HALF_DEGREE:
-        reduction = reduce_loops(graph, demands)
-        partition, cert = solve(reduction.graph, reduction.demands, max_moves=max_moves)
-        if verify_partition(graph, demands, partition):
-            raise UnstablePartitionError(
-                "reduced solution failed to verify on the original grid graph"
-            )
-        cert.feasibility = reduction.precondition
-    else:
-        # physical demands already account for the loop; just drop it
-        partition, cert = solve(without_loops(graph), demands, max_moves=max_moves)
+    target = graph if scheme is DemandScheme.HALF_DEGREE else without_loops(graph)
+    partition, cert = solve(target, demands, max_moves=max_moves)
 
     cells = instance.cells
     margins: dict[Cell, float] = {}

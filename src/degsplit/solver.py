@@ -29,6 +29,17 @@ built from the per-move gains; it matches a fresh recomputation to float
 accuracy and is strictly increasing by construction.  The certificate stores
 only the starting h; the trace is derived from it and each move's h_after.
 
+Loops are searched as given.  A loop w_xx adds s = factor * w_xx to x's
+degree on either side; write Sigma = d - s.  check_feasibility reports the
+slack of the loop-reduced instance, whose demands are max(0, a - s) and
+max(0, b - s), so Sigma + 2s - a - b - 2W is at least that slack.  The
+proof's bounds hold with it: a witness move gains more than twice it, and a
+vertex that completion adds to A exceeds its a-demand there by more than it
+plus 2W.  By the reduced slack, every vertex keeps d - W >= a in V - v, so
+the minimal set is never all of V.  Where no demand is clamped at zero, both
+sides of every comparison shift by s, so the search decides as it does on
+the reduce_loops instance.
+
 Each side of the climb is a kept set from the core module, which holds the
 side's kept degrees and core across moves, and makes every decision that
 rests on rounding: the witness's exact margins and the gain's tie bound.
@@ -341,10 +352,8 @@ def solve(
     raises UnstablePartitionError instead.
 
     ``certificate.feasibility`` is ``check_feasibility`` of the instance
-    given.  On an instance that ``reduce_loops`` produced, that is the
-    reduced instance's own formula, which can round below 0 where the
-    slack is exactly zero (-8.9e-16 on the half-degree 10x10 grid at
-    r = 2.1); the exact report is ``reduce_loops(...).precondition``.
+    given; pass a looped instance as it is, since the report of a
+    ``reduce_loops`` result can round below 0 where the slack is zero.
     """
     if graph.n < 2:
         raise SingleVertexGraphError("no partition exists with fewer than two vertices")

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,32 @@ def test_solve_reports_the_loop_reduced_precondition(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["feasible"] is False
     assert (payload["A"], payload["B"]) == (["z"], ["x", "y"])
+
+
+def test_overflowing_h_is_written_as_json_null(capsys, tmp_path):
+    # a zero-slack G(100, 0.3) whose every weight is 2^1017 solves, but
+    # every h of its climb overflows to inf
+    rng = random.Random(0)
+    weight = 2.0 ** 1017
+    edges = [(i, j) for i in range(100) for j in range(i + 1, 100) if rng.random() < 0.3]
+    degree = [0] * 100
+    for i, j in edges:
+        degree[i] += 1
+        degree[j] += 1
+    graph = write(tmp_path, "huge.edges", "".join(f"{i} {j} {weight!r}\n" for i, j in edges))
+    dem = write(tmp_path, "huge.dem", "".join(
+        f"{x} {(k - 2) * weight / 2!r} {(k - 2) * weight / 2!r}\n" for x, k in enumerate(degree)
+    ))
+    code, out, _ = run_cli(capsys, ["solve", "--graph", graph, "--demands", dem])
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["moves"] > 0
+    assert len(payload["h_trace"]) == payload["moves"] + 1
+    assert None in payload["h_trace"]
 
 
 def test_completion_failure_exits_one(capsys, tmp_path):
@@ -170,8 +197,13 @@ def grid_cells(tmp_path):
         ["squares", "--max-moves", "0"],
         ["verify", "--tolerance", "-1"],
         ["verify", "--tolerance", "nan"],
+        ["squares", "--show-circle", "1,1"],
+        ["squares", "--show-circle", "zz"],
     ],
-    ids=["solve-max-moves", "squares-max-moves", "verify-tolerance", "verify-tolerance-nan"],
+    ids=[
+        "solve-max-moves", "squares-max-moves", "verify-tolerance", "verify-tolerance-nan",
+        "squares-show-circle-without-svg", "squares-show-circle-bad-without-svg",
+    ],
 )
 def test_bad_flag_values_exit_two(capsys, tmp_path, k9_files, grid_cells, command):
     graph, dem3, _ = k9_files

@@ -17,6 +17,7 @@ from degsplit import (
     build_graph,
     build_grid_graph,
     circle_square_area,
+    solve,
     solve_squares,
     squares_demands,
     verify_partition,
@@ -359,6 +360,73 @@ class TestSolveSquares:
             assert math.isclose(
                 red.precondition.slack[x], 2.0 * (g.loops[x] - g.W[x]), abs_tol=1e-9
             )
+
+
+def reduced_half_degree(instance, loop_mode):
+    """The half-degree grid instance solved the long way round: strip the
+    loops with reduce_loops, solve the loopless copy, and gate the partition
+    again on the grid graph.  Returns the grid graph, partition and
+    certificate."""
+    graph = build_grid_graph(instance, loop_mode)
+    demands = squares_demands(graph, DemandScheme.HALF_DEGREE)
+    reduction = reduce_loops(graph, demands)
+    partition, cert = solve(reduction.graph, reduction.demands)
+    assert verify_partition(graph, demands, partition) == []
+    return graph, partition, cert
+
+
+def squares_partition(graph, result):
+    return Partition(
+        {graph.index_of(c) for c in result.side_a}, {graph.index_of(c) for c in result.side_b}
+    )
+
+
+LOOPED_RECTANGLES = [(2, 2), (3, 7), (5, 5), (8, 3), (9, 12), (16, 11)]
+
+
+class TestSolveSquaresMatchesTheReducedPath:
+    """``solve_squares`` searches the half-degree grid graph with its loops.
+    On these rectangles, wherever a cell has an edge, it makes the decisions
+    the search makes on the ``reduce_loops`` instance; h values differ, since
+    the looped h counts the loops and the unreduced demands."""
+
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    def test_same_search(self, loop_mode):
+        climbed = 0
+        for r in (0.6, 1.2, 2.1, 3.1, 4.4):
+            for width, height in LOOPED_RECTANGLES:
+                instance = GridInstance.rectangle(width, height, r)
+                case = (width, height, r)
+                try:
+                    graph, partition, cert = reduced_half_degree(instance, loop_mode)
+                except SolverError as exc:
+                    with pytest.raises(type(exc)):
+                        solve_squares(instance, loop_mode=loop_mode)
+                    continue
+                result = solve_squares(instance, loop_mode=loop_mode)
+                got = result.certificate
+                assert squares_partition(graph, result) == partition, case
+                assert got.phase_log == cert.phase_log, case
+                assert [(m.vertex, m.from_side, m.to_side) for m in got.moves] == [
+                    (m.vertex, m.from_side, m.to_side) for m in cert.moves
+                ], case
+                assert got.stable_pair == cert.stable_pair, case
+                climbed += bool(got.moves)
+        assert climbed
+
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    def test_cells_without_edges_split_stably(self, loop_mode):
+        # at r = 0.4 no disk reaches a neighbour's square: the loopless copy
+        # has no active vertex and splits {first cell} | rest, while the
+        # grid graph's loops make every cell active, so the search picks the
+        # split; both verify on the grid graph
+        for width, height in LOOPED_RECTANGLES:
+            instance = GridInstance.rectangle(width, height, 0.4)
+            graph, partition, _ = reduced_half_degree(instance, loop_mode)
+            assert partition.a == {0}
+            result = solve_squares(instance, loop_mode=loop_mode)
+            demands = squares_demands(graph, DemandScheme.HALF_DEGREE)
+            assert verify_partition(graph, demands, squares_partition(graph, result)) == []
 
 
 # shortest rectangle side at which the physical scheme has kept every margin

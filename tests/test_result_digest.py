@@ -13,10 +13,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SEED_1 = (
-    "553f8cfcb46ac0836906055c9108707c787bcb63f287f4c89075dca34eea80dc  seed=1 "
+    "ae48ea583112c1257714a851a154e32d0319d9d95c2228fac35b1c237e5f1785  seed=1 "
     "solve_calls=89 "
     "partitions=5950abcbddc59a409bc625dfce38fa253bf04c3f18fd8807badeda282c4177e3 "
-    "preconditions=6e6f6057a2330bbe05d87434d08a8c874748f28a71d903834aa4a37548146df9 "
+    "preconditions=7de3d200d6a9ffdcecc64e4a9d330a28a67ed6550fbce0e6fe214a0789de47c9 "
     "graphs=98 8edd19bce714172734adb2c0de27f586577cdb3dcb1b1858b9a5741125715b20"
 )
 

@@ -826,6 +826,84 @@ class TestReduceLoops:
                 assert not verify_partition(g, lifted, part)
 
 
+def looped_instance(seed, mode):
+    """A random graph on 3 to 10 vertices, loops at about half of them, and
+    demands sharing 80-100% of the loop-reduced budget d - s - 2W (s the
+    loop share); each demand is lifted by s, or set below s at random,
+    which the reduction clamps to zero."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 10)
+    g = conftest_random_graph(
+        rng, n, rng.choice([0.6, 0.8, 1.0]), (0.5, 1.0), loops=True, loop_mode=mode
+    )
+    a, b = [], []
+    for x in range(n):
+        share = mode.factor * g.loops[x]
+        budget = max(0.0, g.d[x] - share - 2.0 * g.W[x]) * rng.uniform(0.8, 1.0)
+        pair = [rng.random() * budget]
+        pair.append(budget - pair[0])
+        for i in range(2):
+            if share and rng.random() < 0.3:
+                pair[i] = rng.random() * share
+            else:
+                pair[i] += share
+        a.append(pair[0])
+        b.append(pair[1])
+    return g, Demands(tuple(a), tuple(b))
+
+
+def lifted_climb(seed, mode):
+    """Zero-slack unit G(100, 0.3) with a loop of weight 1/4, 1/2 or 1 at
+    about 30% of the vertices and both demands raised there by the loop
+    share: reduce_loops gives back the loopless zero-slack instance."""
+    rng = random.Random(seed)
+    n = 100
+    edges = [(i, j, 1.0) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    plain = build_graph(edges, vertices=range(n))
+    dem = [max(0.0, (plain.d[x] - 2.0 * plain.W[x]) / 2.0) for x in range(n)]
+    loops = {x: rng.choice([0.25, 0.5, 1.0]) for x in range(n) if rng.random() < 0.3}
+    g = build_graph(edges + [(x, x, w) for x, w in loops.items()], mode, vertices=range(n))
+    lifted = tuple(dem[x] + mode.factor * loops.get(x, 0.0) for x in range(n))
+    return g, Demands(lifted, lifted)
+
+
+class TestLoopedSearch:
+    """``solve`` searches a looped instance as given; the guarantee rests on
+    the loop-reduced slack that ``check_feasibility`` reports."""
+
+    def test_feasible_looped_instances_solve(self):
+        feasible = clamped = 0
+        for mode in (LoopMode.ONCE, LoopMode.DOUBLE):
+            for seed in range(100):
+                g, dem = looped_instance(seed, mode)
+                if not check_feasibility(g, dem).feasible:
+                    continue
+                feasible += 1
+                factor = mode.factor
+                clamped += any(
+                    min(dem.a[x], dem.b[x]) < factor * g.loops[x] for x in range(g.n)
+                )
+                partition, _ = solve(g, dem)
+                assert verify_partition(g, dem, partition) == [], (mode, seed)
+                assert brute_force_solve(g, dem).exists, (mode, seed)
+        # most reports are feasible, and most of those clamp a demand
+        assert feasible > 100
+        assert clamped > feasible // 2
+
+    @pytest.mark.parametrize("mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    def test_climbs_match_the_reduced_path(self, mode):
+        for seed in range(10):
+            g, dem = lifted_climb(seed, mode)
+            partition, cert = solve(g, dem)
+            red = reduce_loops(g, dem)
+            reduced_partition, reduced_cert = solve(red.graph, red.demands)
+            assert len(cert.moves) >= 10, seed
+            assert partition == reduced_partition, seed
+            assert [(m.vertex, m.from_side) for m in cert.moves] == [
+                (m.vertex, m.from_side) for m in reduced_cert.moves
+            ], seed
+
+
 def test_solver_imports_no_private_core_name_but_the_kept_set():
     # the band, the reseed rule and every exact-tie decision live in core;
     # solver reaches them only through the kept-set class
