@@ -11,12 +11,13 @@ as much weight on its own side as on the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .errors import TooFewCellsError
 from .graph import Demands, LoopMode, WeightedGraph, _assemble, without_loops
 from .solver import DEFAULT_MAX_MOVES, SolveCertificate, solve
+from .value import Value
 
 Cell = tuple[int, int]
 
@@ -24,22 +25,20 @@ Cell = tuple[int, int]
 MIN_EDGE_WEIGHT = 1e-12
 
 
-@dataclass(frozen=True)
-class GridInstance:
+class GridInstance(Value):
     """Distinct unit cells (i, j), each the square [i,i+1] x [j,j+1], plus a
     disk radius r > 0.  Cells are stored in row-major sorted order."""
 
-    cells: tuple[Cell, ...]
-    r: float
+    __slots__ = ("cells", "r")
 
-    def __post_init__(self):
-        cells = tuple(sorted((int(i), int(j)) for i, j in self.cells))
+    def __init__(self, cells: Iterable[Cell], r: float):
+        cells = tuple(sorted((int(i), int(j)) for i, j in cells))
         if len(set(cells)) != len(cells):
             raise ValueError("cells must be distinct")
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "r", float(self.r))
-        if not (self.r > 0.0) or math.isinf(self.r):
+        r = float(r)
+        if not (r > 0.0) or math.isinf(r):
             raise ValueError("radius must be positive and finite")
+        self._fill(cells, r)
 
     @classmethod
     def rectangle(cls, width: int, height: int, r: float) -> "GridInstance":
@@ -193,8 +192,7 @@ def squares_demands(graph: WeightedGraph, scheme: DemandScheme) -> Demands:
     return Demands(vals, vals)
 
 
-@dataclass(frozen=True)
-class SquaresResult:
+class SquaresResult(Value):
     """Two-coloring of the cells plus diagnostics.
 
     ``margins`` maps each cell to its physical margin: same-colored covered
@@ -206,12 +204,20 @@ class SquaresResult:
     the loopless graph they are set for.  ``precondition_ok`` reads it.
     """
 
-    side_a: tuple[Cell, ...]
-    side_b: tuple[Cell, ...]
-    margins: dict[Cell, float]
-    strict_majority_cells: int
-    precondition_ok: bool
-    certificate: SolveCertificate
+    __slots__ = (
+        "side_a", "side_b", "margins", "strict_majority_cells", "precondition_ok", "certificate",
+    )
+
+    def __init__(
+        self,
+        side_a: tuple[Cell, ...],
+        side_b: tuple[Cell, ...],
+        margins: dict[Cell, float],
+        strict_majority_cells: int,
+        precondition_ok: bool,
+        certificate: SolveCertificate,
+    ):
+        self._fill(side_a, side_b, margins, strict_majority_cells, precondition_ok, certificate)
 
 
 def solve_squares(

@@ -14,11 +14,11 @@ Every graph is made by ``_assemble``, the one place that computes the caches;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Hashable, Iterable
 
 from .errors import DuplicateEdgeError, NonPositiveWeightError, VertexNotInSetError
+from .value import Value
 
 Label = Hashable
 
@@ -35,23 +35,31 @@ class LoopMode(Enum):
         return 1 if self is LoopMode.ONCE else 2
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class WeightedGraph(Value):
     """Immutable weighted graph with validated, symmetric positive weights.
 
     ``adjacency[x]`` lists ``(neighbor, weight)`` pairs sorted by neighbor
     index and never contains x itself; loops live in ``loops[x]`` (0 means no
-    loop).  Safe to share between threads once built.
+    loop).  Equality leaves out ``label_index`` and the repr shows ``n`` and
+    ``loop_mode`` only.  Safe to share between threads once built.
     """
 
-    n: int
-    labels: tuple[Label, ...] = field(repr=False)
-    adjacency: tuple[tuple[tuple[int, float], ...], ...] = field(repr=False)
-    loops: tuple[float, ...] = field(repr=False)
-    loop_mode: LoopMode
-    d: tuple[float, ...] = field(repr=False)
-    W: tuple[float, ...] = field(repr=False)
-    label_index: dict[Label, int] = field(repr=False, compare=False)
+    __slots__ = ("n", "labels", "adjacency", "loops", "loop_mode", "d", "W", "label_index")
+    _uncompared = ("label_index",)
+    _unshown = ("labels", "adjacency", "loops", "d", "W", "label_index")
+
+    def __init__(
+        self,
+        n: int,
+        labels: tuple[Label, ...],
+        adjacency: tuple[tuple[tuple[int, float], ...], ...],
+        loops: tuple[float, ...],
+        loop_mode: LoopMode,
+        d: tuple[float, ...],
+        W: tuple[float, ...],
+        label_index: dict[Label, int],
+    ):
+        self._fill(n, labels, adjacency, loops, loop_mode, d, W, label_index)
 
     def index_of(self, label: Label) -> int:
         return self.label_index[label]
@@ -60,22 +68,21 @@ class WeightedGraph:
         return any(w > 0.0 for w in self.loops)
 
 
-@dataclass(frozen=True)
-class Demands:
+class Demands(Value):
     """Per-vertex non-negative degree targets for the two sides."""
 
-    a: tuple[float, ...]
-    b: tuple[float, ...]
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-        if len(self.a) != len(self.b):
+    def __init__(self, a: Iterable[float], b: Iterable[float]):
+        a = tuple([float(v) for v in a])
+        b = tuple([float(v) for v in b])
+        if len(a) != len(b):
             raise ValueError("demand vectors differ in length")
-        for values in (self.a, self.b):
+        for values in (a, b):
             for v in values:
                 if not math.isfinite(v) or v < 0.0:
                     raise ValueError(f"demands must be finite and non-negative, got {v}")
+        self._fill(a, b)
 
     @classmethod
     def constant(cls, n: int, a: float, b: float) -> "Demands":

@@ -3,46 +3,46 @@ whose outputs satisfy the degree precondition by construction."""
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
 
 from .errors import GenerationFailedError, TooLargeError
 from .graph import Demands, LoopMode, WeightedGraph, build_graph
 from .solver import Partition, check_feasibility
+from .value import Value
 
 MAX_BRUTE_VERTICES = 24
-_CHUNK = 1 << 16
+# vertices below this index vary within a chunk of masks
+_LOW_BITS = 16
 # draws random_feasible_instance makes before it gives up
 _MAX_RETRIES = 500
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    exists: bool
-    witness: Partition | None
-    count: int
+class OracleResult(Value):
+    __slots__ = ("exists", "witness", "count")
 
-
-def _weight_matrix(graph: WeightedGraph):
-    # numpy is imported here and in brute_force_solve only, so that the
-    # solver and the other CLI subcommands never pay for loading it
-    import numpy as np
-
-    m = np.zeros((graph.n, graph.n))
-    for x in range(graph.n):
-        for y, w in graph.adjacency[x]:
-            m[x, y] = w
-        m[x, x] = graph.loop_mode.factor * graph.loops[x]
-    return m
+    def __init__(self, exists: bool, witness: Partition | None, count: int):
+        self._fill(exists, witness, count)
 
 
 def brute_force_solve(graph: WeightedGraph, demands: Demands) -> OracleResult:
     """Decide stable-partition existence by checking every split.
 
-    Enumerates all 2^n - 2 assignments of vertices to side A in ascending
-    bitmask order (bit i set = vertex i on side A).  The witness is the
-    smallest qualifying mask; count is over ordered pairs, so (A, B) and
-    (B, A) count separately.
+    Covers all 2^n - 2 assignments of vertices to side A (bit i of a mask
+    set = vertex i on side A).  The witness is the smallest qualifying mask;
+    count is over ordered pairs, so (A, B) and (B, A) count separately.
+
+    The masks go in chunks of 2^16, one chunk per pattern of the vertices
+    from index 16 up.  A table built by doubling holds each vertex's degree
+    into every subset of the lower vertices: entry m | 2^y is entry m plus
+    w_xy for m below 2^y, so each entry is summed in ascending neighbour
+    order.  Within a chunk the vertices are tested one at a time, and only
+    the masks that still pass go on to the next vertex.  A vertex's degree
+    on side A is its table entry at the mask, on side B the entry at the
+    complement, plus its higher neighbours on the same side in ascending
+    order, plus its loop term last: exactly the sums ``induced_degree``
+    makes, so the oracle accepts a split exactly when ``verify_partition``
+    does.
     """
     n = graph.n
     if n > MAX_BRUTE_VERTICES:
@@ -52,28 +52,51 @@ def brute_force_solve(graph: WeightedGraph, demands: Demands) -> OracleResult:
     if n < 2:
         return OracleResult(False, None, 0)
 
+    # numpy is imported here only, so that the solver and the other CLI
+    # subcommands never pay for loading it
     import numpy as np
 
-    weights = _weight_matrix(graph)
-    totals = weights.sum(axis=0)
-    a = np.asarray(demands.a)
-    b = np.asarray(demands.b)
-    shifts = np.arange(n, dtype=np.uint64)
+    low = min(n, _LOW_BITS)
+    size = 1 << low
+    full = size - 1
+    weights = np.zeros((n, low))
+    for x in range(n):
+        for y, w in graph.adjacency[x]:
+            if y < low:
+                weights[x, y] = w
+    tables = np.zeros((n, size))
+    for y in range(low):
+        half = 1 << y
+        np.add(tables[:, :half], weights[:, y : y + 1], out=tables[:, half : 2 * half])
+    higher = [[(y, w) for y, w in graph.adjacency[x] if y >= low] for x in range(n)]
+    loop_terms = [graph.loop_mode.factor * w for w in graph.loops]
 
     count = 0
     witness_mask = None
-    top = (1 << n) - 1
-    for lo in range(1, top, _CHUNK):
-        hi = min(lo + _CHUNK, top)
-        masks = np.arange(lo, hi, dtype=np.uint64)
-        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        deg_a = bits @ weights
-        deg_b = totals[None, :] - deg_a
-        bad = ((bits == 1.0) & (deg_a < a[None, :])) | ((bits == 0.0) & (deg_b < b[None, :]))
-        ok = ~bad.any(axis=1)
-        count += int(ok.sum())
-        if witness_mask is None and ok.any():
-            witness_mask = int(masks[int(np.argmax(ok))])
+    chunks = 1 << (n - low)
+    for h in range(chunks):
+        # the all-B and the all-A masks split nothing
+        alive = np.arange(1 if h == 0 else 0, full if h == chunks - 1 else size)
+        for x in range(n):
+            # x's side: per mask below index 16, fixed by the chunk above
+            if x < low:
+                in_a = (alive >> x) & 1 == 1
+            else:
+                in_a = (h >> (x - low)) & 1 == 1
+            deg = tables[x][np.where(in_a, alive, alive ^ full)]
+            for y, w in higher[x]:
+                # adding 0.0 where y is on the other side changes no sum
+                y_in_a = (h >> (y - low)) & 1
+                deg += np.where(in_a, w if y_in_a else 0.0, 0.0 if y_in_a else w)
+            demand = np.where(in_a, demands.a[x], demands.b[x])
+            if loop_terms[x]:
+                deg += loop_terms[x]
+            alive = alive[deg >= demand]
+            if not alive.size:
+                break
+        count += alive.size
+        if witness_mask is None and alive.size:
+            witness_mask = (h << low) | int(alive[0])
 
     if witness_mask is None:
         return OracleResult(False, None, 0)
@@ -100,8 +123,8 @@ def random_feasible_instance(
     if n < 2:
         raise ValueError("need at least two vertices")
     lo, hi = weight_range
-    if not (0.0 < lo <= hi):
-        raise ValueError("weight_range must be positive and ordered")
+    if not (0.0 < lo <= hi) or math.isinf(hi):
+        raise ValueError("weight_range must be positive, finite and ordered")
     if not 0.0 <= edge_probability <= 1.0:
         raise ValueError("edge_probability must lie in [0, 1]")
 

@@ -49,7 +49,7 @@ those of a climb that re-peels and re-sums everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterable
 
 from .core import _KeptSet, minimal_satisfying_set, peel
 from .errors import (
@@ -61,6 +61,7 @@ from .errors import (
     UnstablePartitionError,
 )
 from .graph import Demands, WeightedGraph, induced_degree, without_loops
+from .value import Value
 
 DEFAULT_MAX_MOVES = 1_000_000
 
@@ -71,68 +72,79 @@ PHASE_HILLCLIMB = "HILLCLIMB"
 PHASE_COMPLETION = "COMPLETION"
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Two disjoint non-empty sides covering vertices 0..n-1 exactly."""
 
-    a: frozenset[int]
-    b: frozenset[int]
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", frozenset(self.a))
-        object.__setattr__(self, "b", frozenset(self.b))
-        if not self.a or not self.b:
+    def __init__(self, a: Iterable[int], b: Iterable[int]):
+        a, b = frozenset(a), frozenset(b)
+        if not a or not b:
             raise ValueError("both sides must be non-empty")
-        if self.a & self.b:
+        if a & b:
             raise ValueError("sides overlap")
-        n = len(self.a) + len(self.b)
-        if self.a | self.b != frozenset(range(n)):
+        if a | b != frozenset(range(len(a) + len(b))):
             raise ValueError("sides must cover vertex indices 0..n-1 exactly")
+        self._fill(a, b)
 
     @property
     def n(self) -> int:
         return len(self.a) + len(self.b)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(Value):
     """Per-vertex slack of the degree precondition; a negative entry marks a
     vertex where the success guarantee does not apply."""
 
-    slack: tuple[float, ...]
-    violations: tuple[int, ...]
-    feasible: bool
+    __slots__ = ("slack", "violations", "feasible")
+
+    def __init__(self, slack: tuple[float, ...], violations: tuple[int, ...], feasible: bool):
+        self._fill(slack, violations, feasible)
 
 
-@dataclass(frozen=True)
-class Violation:
-    vertex: int
-    side: str
-    degree: float
-    demand: float
+class Violation(Value):
+    __slots__ = ("vertex", "side", "degree", "demand")
+
+    def __init__(self, vertex: int, side: str, degree: float, demand: float):
+        self._fill(vertex, side, degree, demand)
 
 
-@dataclass(frozen=True)
-class Move:
-    vertex: int
-    from_side: str
-    to_side: str
-    h_before: float
-    h_after: float
+class Move(Value):
+    __slots__ = ("vertex", "from_side", "to_side", "h_before", "h_after")
+
+    def __init__(self, vertex: int, from_side: str, to_side: str, h_before: float, h_after: float):
+        self._fill(vertex, from_side, to_side, h_before, h_after)
 
 
-@dataclass
-class SolveCertificate:
+class SolveCertificate(Value):
     """Trace of a solver run: phases, hill-climb moves with h values, the
-    stable pair found before completion, and final per-vertex slacks."""
+    stable pair found before completion, and final per-vertex slacks.  The
+    solver fills it in as it runs, so its fields can be assigned and it has
+    no hash."""
 
-    phase_log: list[str] = field(default_factory=list)
-    moves: list[Move] = field(default_factory=list)
-    h_start: float | None = None
-    hillclimb_start: tuple[frozenset[int], frozenset[int]] | None = None
-    stable_pair: tuple[frozenset[int], frozenset[int]] | None = None
-    verification: list[float] | None = None
-    feasibility: FeasibilityReport | None = None
+    __slots__ = (
+        "phase_log", "moves", "h_start", "hillclimb_start", "stable_pair", "verification",
+        "feasibility",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        phase_log: list[str] | None = None,
+        moves: list[Move] | None = None,
+        h_start: float | None = None,
+        hillclimb_start: tuple[frozenset[int], frozenset[int]] | None = None,
+        stable_pair: tuple[frozenset[int], frozenset[int]] | None = None,
+        verification: list[float] | None = None,
+        feasibility: FeasibilityReport | None = None,
+    ):
+        self._fill(
+            [] if phase_log is None else phase_log,
+            [] if moves is None else moves,
+            h_start, hillclimb_start, stable_pair, verification, feasibility,
+        )
 
     @property
     def h_trace(self) -> tuple[float, ...]:
@@ -413,14 +425,14 @@ def solve(
     return partition, cert
 
 
-@dataclass(frozen=True)
-class LoopReduction:
+class LoopReduction(Value):
     """Loopless graph, adjusted demands, and the precondition report for the
     reduced instance."""
 
-    graph: WeightedGraph
-    demands: Demands
-    precondition: FeasibilityReport
+    __slots__ = ("graph", "demands", "precondition")
+
+    def __init__(self, graph: WeightedGraph, demands: Demands, precondition: FeasibilityReport):
+        self._fill(graph, demands, precondition)
 
 
 def reduce_loops(graph: WeightedGraph, demands: Demands) -> LoopReduction:

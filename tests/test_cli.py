@@ -199,10 +199,12 @@ def grid_cells(tmp_path):
         ["verify", "--tolerance", "nan"],
         ["squares", "--show-circle", "1,1"],
         ["squares", "--show-circle", "zz"],
+        ["gen", "--weight-max", "inf"],
     ],
     ids=[
         "solve-max-moves", "squares-max-moves", "verify-tolerance", "verify-tolerance-nan",
         "squares-show-circle-without-svg", "squares-show-circle-bad-without-svg",
+        "gen-weight-max-inf",
     ],
 )
 def test_bad_flag_values_exit_two(capsys, tmp_path, k9_files, grid_cells, command):
@@ -213,9 +215,12 @@ def test_bad_flag_values_exit_two(capsys, tmp_path, k9_files, grid_cells, comman
         "verify": ["--graph", graph, "--demands", dem3,
                    "--partition", write(tmp_path, "p.json", json.dumps(good))],
         "squares": ["--cells", grid_cells, "--radius", "2.1"],
+        "gen": ["--n", "5", "--out-graph", str(tmp_path / "g.edges"),
+                "--out-demands", str(tmp_path / "g.dem")],
     }[command[0]]
     payload = assert_input_error(*run_cli(capsys, command + files))
     assert payload["error"] == "InputError"
+    assert not (tmp_path / "g.edges").exists()
 
 
 def test_overflowing_degree_exits_two(capsys, tmp_path):
@@ -304,18 +309,35 @@ def test_squares_with_a_huge_radius(capsys, tmp_path):
     assert verify_partition(graph, demands, partition) == []
 
 
-def test_numpy_stays_unloaded_off_the_oracle_path(tmp_path, k9_files, grid_cells):
+def cli_commands(tmp_path, k9_files, grid_cells):
+    """solve, verify, squares and gen argv lists that all exit 0."""
     graph, dem3, _ = k9_files
     good = {"A": [f"v{i}" for i in range(4)], "B": [f"v{i}" for i in range(4, 9)]}
     files = ["--graph", graph, "--demands", dem3]
-    commands = [
+    return [
         ["solve", *files],
         ["verify", *files, "--partition", write(tmp_path, "p.json", json.dumps(good))],
         ["squares", "--cells", grid_cells, "--radius", "2.1"],
         ["gen", "--n", "6", "--out-graph", str(tmp_path / "g.edges"),
          "--out-demands", str(tmp_path / "g.dem")],
     ]
-    script = (
+
+
+def run_fresh_python(script):
+    """Run ``script`` in a new interpreter that imports this checkout's
+    package; pytest itself loads the modules these tests look for."""
+    src = str(Path(degsplit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_numpy_stays_unloaded_off_the_oracle_path(tmp_path, k9_files, grid_cells):
+    commands = cli_commands(tmp_path, k9_files, grid_cells)
+    run_fresh_python(
         "import sys\n"
         "import degsplit\n"
         "assert 'numpy' not in sys.modules, 'import degsplit'\n"
@@ -324,13 +346,26 @@ def test_numpy_stays_unloaded_off_the_oracle_path(tmp_path, k9_files, grid_cells
         "    assert main(argv) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, argv\n"
     )
-    src = str(Path(degsplit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+
+
+def test_dataclasses_and_inspect_stay_unloaded(tmp_path, k9_files, grid_cells):
+    # numpy loads inspect itself, so after the oracle only dataclasses is checked
+    graph, dem3, _ = k9_files
+    commands = cli_commands(tmp_path, k9_files, grid_cells)
+    oracle = ["oracle", "--graph", graph, "--demands", dem3]
+    run_fresh_python(
+        "import sys\n"
+        "import degsplit\n"
+        "from degsplit.cli import main\n"
+        "unloaded = ('dataclasses', 'inspect')\n"
+        "assert not set(unloaded) & set(sys.modules), 'import degsplit'\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert not set(unloaded) & set(sys.modules), argv\n"
+        f"assert main({oracle!r}) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert 'dataclasses' not in sys.modules, 'oracle'\n"
     )
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_comments_and_loops_parse(capsys, tmp_path):

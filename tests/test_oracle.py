@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,9 +7,13 @@ import pytest
 from degsplit import (
     Demands,
     GenerationFailedError,
+    LoopMode,
+    Partition,
     TooLargeError,
     brute_force_solve,
+    build_graph,
     check_feasibility,
+    induced_degree,
     random_feasible_instance,
     solve,
     verify_partition,
@@ -137,6 +142,8 @@ class TestRandomFeasibleInstance:
             random_feasible_instance(4, 0.5, (0.0, 1.0), seed=0)
         with pytest.raises(ValueError):
             random_feasible_instance(4, 1.5, (0.5, 1.0), seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            random_feasible_instance(5, 0.5, (0.5, math.inf), seed=0)
 
 
 class TestOracleSolverAgreement:
@@ -150,3 +157,98 @@ class TestOracleSolverAgreement:
             assert not verify_partition(g, dem, part)
             # the solver's split is one of the enumerated stable splits
             assert not verify_partition(g, dem, result.witness)
+
+
+def matmul_enumeration(graph, demands):
+    """The oracle as it was before the pruned version: every mask's A-side
+    degrees by a float matrix product, the B side as the degree minus the A
+    side.  Exact only where every sum is, as with small integer weights."""
+    import numpy as np
+
+    n = graph.n
+    weights = np.zeros((n, n))
+    for x in range(n):
+        for y, w in graph.adjacency[x]:
+            weights[x, y] = w
+        weights[x, x] = graph.loop_mode.factor * graph.loops[x]
+    totals = weights.sum(axis=0)
+    a, b = np.asarray(demands.a), np.asarray(demands.b)
+    shifts = np.arange(n, dtype=np.uint64)
+    count, witness = 0, None
+    top = (1 << n) - 1
+    for lo in range(1, top, 1 << 16):
+        masks = np.arange(lo, min(lo + (1 << 16), top), dtype=np.uint64)
+        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+        deg_a = bits @ weights
+        deg_b = totals[None, :] - deg_a
+        bad = ((bits == 1.0) & (deg_a < a[None, :])) | ((bits == 0.0) & (deg_b < b[None, :]))
+        ok = ~bad.any(axis=1)
+        count += int(ok.sum())
+        if witness is None and ok.any():
+            witness = int(masks[int(np.argmax(ok))])
+    return count, witness
+
+
+def mask_of(side):
+    return sum(1 << x for x in side)
+
+
+class TestOracleExactness:
+    @pytest.mark.parametrize("loop_mode", list(LoopMode), ids=lambda m: m.value)
+    def test_ties_are_decided_as_verify_partition_decides_them(self, loop_mode):
+        # demands are a random split's exact induced degrees, so that split
+        # and its neighbours sit exactly on their demands
+        rng = random.Random(5 if loop_mode is LoopMode.ONCE else 6)
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            g = random_graph(rng, n, rng.choice([0.5, 0.9]), loops=True, loop_mode=loop_mode)
+            side_a = {x for x in range(n) if rng.random() < 0.5}
+            side_b = set(range(n)) - side_a
+            dem = Demands(
+                tuple(induced_degree(g, side_a | {x}, x) for x in range(n)),
+                tuple(induced_degree(g, side_b | {x}, x) for x in range(n)),
+            )
+            accepted = []
+            for mask in range(1, (1 << n) - 1):
+                a = frozenset(x for x in range(n) if (mask >> x) & 1)
+                if not verify_partition(g, dem, Partition(a, frozenset(range(n)) - a)):
+                    accepted.append(mask)
+            result = brute_force_solve(g, dem)
+            assert result.count == len(accepted)
+            assert result.exists == bool(accepted)
+            if accepted:
+                assert mask_of(result.witness.a) == accepted[0]
+            if side_a and side_b:
+                assert mask_of(side_a) in accepted
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_integer_weights_match_the_matmul_enumeration(self, n):
+        rng = random.Random(n)
+        found = 0
+        for trial in range(3):
+            loop_mode = list(LoopMode)[trial % 2]
+            edges = [
+                (i, j, rng.randint(1, 3))
+                for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
+            ]
+            edges += [(i, i, rng.randint(1, 2)) for i in range(n) if rng.random() < 0.3]
+            g = build_graph(edges, loop_mode, vertices=range(n))
+            dem = Demands(
+                tuple(rng.randint(0, int(d) // 3) for d in g.d),
+                tuple(rng.randint(0, int(d) // 3) for d in g.d),
+            )
+            count, witness = matmul_enumeration(g, dem)
+            result = brute_force_solve(g, dem)
+            assert result.count == count
+            assert result.exists == (witness is not None)
+            if witness is not None:
+                found += 1
+                assert mask_of(result.witness.a) == witness
+                assert verify_partition(g, dem, result.witness) == []
+        assert found
+
+    def test_zero_demands_accept_every_split_across_chunks(self):
+        g = random_graph(random.Random(20), 20, 0.3, loops=True)
+        result = brute_force_solve(g, Demands.constant(20, 0.0, 0.0))
+        assert result.count == 2**20 - 2
+        assert result.witness.a == {0}
