@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import TooFewCellsError
 from .graph import Demands, LoopMode, WeightedGraph, _assemble, without_loops
-from .solver import DEFAULT_MAX_MOVES, SolveCertificate, solve
+from .solver import DEFAULT_MAX_MOVES, solve
 from .value import Value
 
 Cell = tuple[int, int]
@@ -38,7 +38,7 @@ class GridInstance(Value):
         r = float(r)
         if not (r > 0.0) or math.isinf(r):
             raise ValueError("radius must be positive and finite")
-        self._fill(cells, r)
+        super().__init__(cells, r)
 
     @classmethod
     def rectangle(cls, width: int, height: int, r: float) -> "GridInstance":
@@ -207,17 +207,6 @@ class SquaresResult(Value):
     __slots__ = (
         "side_a", "side_b", "margins", "strict_majority_cells", "precondition_ok", "certificate",
     )
-
-    def __init__(
-        self,
-        side_a: tuple[Cell, ...],
-        side_b: tuple[Cell, ...],
-        margins: dict[Cell, float],
-        strict_majority_cells: int,
-        precondition_ok: bool,
-        certificate: SolveCertificate,
-    ):
-        self._fill(side_a, side_b, margins, strict_majority_cells, precondition_ok, certificate)
 
 
 def solve_squares(

@@ -48,19 +48,6 @@ class WeightedGraph(Value):
     _uncompared = ("label_index",)
     _unshown = ("labels", "adjacency", "loops", "d", "W", "label_index")
 
-    def __init__(
-        self,
-        n: int,
-        labels: tuple[Label, ...],
-        adjacency: tuple[tuple[tuple[int, float], ...], ...],
-        loops: tuple[float, ...],
-        loop_mode: LoopMode,
-        d: tuple[float, ...],
-        W: tuple[float, ...],
-        label_index: dict[Label, int],
-    ):
-        self._fill(n, labels, adjacency, loops, loop_mode, d, W, label_index)
-
     def index_of(self, label: Label) -> int:
         return self.label_index[label]
 
@@ -82,7 +69,7 @@ class Demands(Value):
             for v in values:
                 if not math.isfinite(v) or v < 0.0:
                     raise ValueError(f"demands must be finite and non-negative, got {v}")
-        self._fill(a, b)
+        super().__init__(a, b)
 
     @classmethod
     def constant(cls, n: int, a: float, b: float) -> "Demands":

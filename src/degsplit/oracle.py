@@ -21,9 +21,6 @@ _MAX_RETRIES = 500
 class OracleResult(Value):
     __slots__ = ("exists", "witness", "count")
 
-    def __init__(self, exists: bool, witness: Partition | None, count: int):
-        self._fill(exists, witness, count)
-
 
 def brute_force_solve(graph: WeightedGraph, demands: Demands) -> OracleResult:
     """Decide stable-partition existence by checking every split.

@@ -30,15 +30,17 @@ accuracy and is strictly increasing by construction.  The certificate stores
 only the starting h; the trace is derived from it and each move's h_after.
 
 Loops are searched as given.  A loop w_xx adds s = factor * w_xx to x's
-degree on either side; write Sigma = d - s.  check_feasibility reports the
-slack of the loop-reduced instance, whose demands are max(0, a - s) and
-max(0, b - s), so Sigma + 2s - a - b - 2W is at least that slack.  The
-proof's bounds hold with it: a witness move gains more than twice it, and a
-vertex that completion adds to A exceeds its a-demand there by more than it
-plus 2W.  By the reduced slack, every vertex keeps d - W >= a in V - v, so
-the minimal set is never all of V.  Where no demand is clamped at zero, both
-sides of every comparison shift by s, so the search decides as it does on
-the reduce_loops instance.
+degree on either side; write Sigma = d - s.  The loop-reduced instance drops
+every loop and lowers x's demands to max(0, a - s) and max(0, b - s); a
+partition stable there is stable here, since the loop stays on x's side.
+check_feasibility reports the reduced instance's slack,
+Sigma - max(0, a - s) - max(0, b - s) - 2W, so Sigma + 2s - a - b - 2W is at
+least that slack.  The proof's bounds hold with it: a witness move gains more
+than twice it, and a vertex that completion adds to A exceeds its a-demand
+there by more than it plus 2W.  By the reduced slack, every vertex keeps
+d - W >= a in V - v, so the minimal set is never all of V.  Where no demand
+is clamped at zero, both sides of every comparison shift by s, so the search
+decides as it does on the loop-reduced instance.
 
 Each side of the climb is a kept set from the core module, which holds the
 side's kept degrees and core across moves, and makes every decision that
@@ -60,7 +62,7 @@ from .errors import (
     SingleVertexGraphError,
     UnstablePartitionError,
 )
-from .graph import Demands, WeightedGraph, induced_degree, without_loops
+from .graph import Demands, WeightedGraph, induced_degree
 from .value import Value
 
 DEFAULT_MAX_MOVES = 1_000_000
@@ -85,7 +87,7 @@ class Partition(Value):
             raise ValueError("sides overlap")
         if a | b != frozenset(range(len(a) + len(b))):
             raise ValueError("sides must cover vertex indices 0..n-1 exactly")
-        self._fill(a, b)
+        super().__init__(a, b)
 
     @property
     def n(self) -> int:
@@ -98,22 +100,13 @@ class FeasibilityReport(Value):
 
     __slots__ = ("slack", "violations", "feasible")
 
-    def __init__(self, slack: tuple[float, ...], violations: tuple[int, ...], feasible: bool):
-        self._fill(slack, violations, feasible)
-
 
 class Violation(Value):
     __slots__ = ("vertex", "side", "degree", "demand")
 
-    def __init__(self, vertex: int, side: str, degree: float, demand: float):
-        self._fill(vertex, side, degree, demand)
-
 
 class Move(Value):
     __slots__ = ("vertex", "from_side", "to_side", "h_before", "h_after")
-
-    def __init__(self, vertex: int, from_side: str, to_side: str, h_before: float, h_after: float):
-        self._fill(vertex, from_side, to_side, h_before, h_after)
 
 
 class SolveCertificate(Value):
@@ -140,7 +133,7 @@ class SolveCertificate(Value):
         verification: list[float] | None = None,
         feasibility: FeasibilityReport | None = None,
     ):
-        self._fill(
+        super().__init__(
             [] if phase_log is None else phase_log,
             [] if moves is None else moves,
             h_start, hillclimb_start, stable_pair, verification, feasibility,
@@ -163,13 +156,13 @@ def _require_matching(graph: WeightedGraph, demands: Demands) -> None:
 def check_feasibility(graph: WeightedGraph, demands: Demands) -> FeasibilityReport:
     """Per-vertex slack d - a - b - 2W of the loop-reduced instance.
 
-    reduce_loops strips each loop and lowers both demands by its degree
-    share (2*w_xx under DOUBLE, w_xx under ONCE), clamped at zero.  So at a
-    vertex with a loop the slack is the plain one plus the share, minus the
-    part of the share each clamp kept out of its demand.  Cancelling the
-    original demands against the original degree first keeps zero slack
-    exact; the naive order loses a few ulps there.  Reporting only; nothing
-    is enforced.
+    That instance drops each loop and lowers both demands by the loop's
+    degree share s (2*w_xx under DOUBLE, w_xx under ONCE), clamped at zero:
+    max(0, a - s) and max(0, b - s).  So at a vertex with a loop the slack
+    is the plain one plus s, minus the part of s each clamp kept out of its
+    demand.  Cancelling the original demands against the original degree
+    first keeps zero slack exact; the naive order loses a few ulps there.
+    Reporting only; nothing is enforced.
     """
     _require_matching(graph, demands)
     factor = graph.loop_mode.factor
@@ -310,6 +303,16 @@ def _complete_sets(graph, demands, abar, side_b, universe):
     return side_a, side_b
 
 
+def _side_degrees(graph, demands, partition):
+    """Each vertex in index order as (vertex, its side's name, its induced
+    degree in that side, its demand there)."""
+    for x in range(graph.n):
+        if x in partition.a:
+            yield x, "A", induced_degree(graph, partition.a, x), demands.a[x]
+        else:
+            yield x, "B", induced_degree(graph, partition.b, x), demands.b[x]
+
+
 def verify_partition(
     graph: WeightedGraph,
     demands: Demands,
@@ -324,16 +327,11 @@ def verify_partition(
         raise ValueError("partition does not cover this graph")
     if not tol >= 0.0:
         raise ValueError("tol must be non-negative")
-    out = []
-    for x in range(graph.n):
-        if x in partition.a:
-            side, members, dem = "A", partition.a, demands.a[x]
-        else:
-            side, members, dem = "B", partition.b, demands.b[x]
-        deg = induced_degree(graph, members, x)
-        if deg < dem - tol:
-            out.append(Violation(x, side, deg, dem))
-    return out
+    return [
+        Violation(x, side, deg, dem)
+        for x, side, deg, dem in _side_degrees(graph, demands, partition)
+        if deg < dem - tol
+    ]
 
 
 def _attach_isolated(side_a, side_b, isolated, demands):
@@ -364,8 +362,10 @@ def solve(
     raises UnstablePartitionError instead.
 
     ``certificate.feasibility`` is ``check_feasibility`` of the instance
-    given; pass a looped instance as it is, since the report of a
-    ``reduce_loops`` result can round below 0 where the slack is zero.
+    given: the slack of the instance with every loop dropped and demands
+    max(0, a - s) and max(0, b - s), s = factor * w_xx.  Pass a looped
+    instance as it is; building that loopless instance first and checking it
+    can round the slack below 0 where it is exactly zero.
     """
     if graph.n < 2:
         raise SingleVertexGraphError("no partition exists with fewer than two vertices")
@@ -407,11 +407,7 @@ def solve(
     cert.phase_log.insert(0, PHASE_FEASIBILITY)
     cert.feasibility = check_feasibility(graph, demands)
     partition = Partition(frozenset(side_a), frozenset(side_b))
-    slacks = []
-    for x in range(graph.n):
-        members = partition.a if x in partition.a else partition.b
-        dem = demands.a[x] if x in partition.a else demands.b[x]
-        slacks.append(induced_degree(graph, members, x) - dem)
+    slacks = [deg - dem for _, _, deg, dem in _side_degrees(graph, demands, partition)]
     cert.verification = slacks
 
     # the exact gate: with finite doubles deg - dem < 0 exactly when
@@ -423,31 +419,3 @@ def solve(
             "the input violates the degree precondition"
         )
     return partition, cert
-
-
-class LoopReduction(Value):
-    """Loopless graph, adjusted demands, and the precondition report for the
-    reduced instance."""
-
-    __slots__ = ("graph", "demands", "precondition")
-
-    def __init__(self, graph: WeightedGraph, demands: Demands, precondition: FeasibilityReport):
-        self._fill(graph, demands, precondition)
-
-
-def reduce_loops(graph: WeightedGraph, demands: Demands) -> LoopReduction:
-    """Strip loops and lower each demand by the loop's degree contribution.
-
-    Under DOUBLE a loop w_xx lowers both demands by 2*w_xx, under ONCE by
-    w_xx (clamped at zero).  Any partition stable for the reduced instance is
-    stable for the original: the loop weight rejoins its vertex's side.
-    """
-    precondition = check_feasibility(graph, demands)
-    factor = graph.loop_mode.factor
-    a = tuple(
-        max(0.0, demands.a[x] - factor * graph.loops[x]) for x in range(graph.n)
-    )
-    b = tuple(
-        max(0.0, demands.b[x] - factor * graph.loops[x]) for x in range(graph.n)
-    )
-    return LoopReduction(without_loops(graph), Demands(a, b), precondition)

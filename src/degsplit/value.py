@@ -1,12 +1,15 @@
 """Base class of the package's value types.
 
-A value type lists its fields in ``__slots__`` in constructor order, and its
-constructor hands their values to ``_fill`` once; assigning or deleting a
-field afterwards raises AttributeError.  Values of one class are equal when
-their fields are, as a tuple; the hash is that tuple's, and the repr reads
-``Class(field=...)``.  ``_uncompared`` fields are left out of equality and
-hash, ``_unshown`` ones out of the repr.  Copies and pickles call the class
-with the fields in order, so its conversions and checks run again.
+A value type lists its fields in ``__slots__``.  ``Value``'s constructor
+binds its arguments to them in that order, positionally and by keyword, and
+raises TypeError on too many, unknown, repeated or missing fields; a type
+that converts, validates or sets defaults does so in its own ``__init__``
+and then calls this one.  Assigning or deleting a field afterwards raises
+AttributeError.  Values of one class are equal when their fields are, as a
+tuple; the hash is that tuple's, and the repr reads ``Class(field=...)``.
+``_uncompared`` fields are left out of equality and hash, ``_unshown`` ones
+out of the repr.  Copies and pickles call the class with the fields in
+order, so its conversions and checks run again.
 
 Not ``dataclasses``: importing it loads ``inspect`` and more, and each
 decorated class takes about a millisecond to create, paid on every CLI call.
@@ -24,9 +27,22 @@ class Value:
         cls._compared = tuple(f for f in cls.__slots__ if f not in cls._uncompared)
         cls._shown = tuple(f for f in cls.__slots__ if f not in cls._unshown)
 
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        name = self.__class__.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected field {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got multiple values for field {field!r}")
+            values[field] = value
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name}() missing field {field!r}")
+            object.__setattr__(self, field, values[field])
 
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self._compared])

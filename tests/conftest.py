@@ -90,6 +90,25 @@ def qualifying_subsets(graph, subset, thresholds):
     return out
 
 
+def reduce_loops(graph, demands):
+    """The loop-reduced instance: the graph rebuilt from its edges without
+    the loops, and each demand lowered by its vertex's loop share
+    factor * w_xx, clamped at zero.  A partition stable for it is stable for
+    the looped instance, since each loop stays on its vertex's side."""
+    edges = [
+        (graph.labels[x], graph.labels[y], w)
+        for x in range(graph.n)
+        for y, w in graph.adjacency[x]
+        if x < y
+    ]
+    loopless = build_graph(edges, graph.loop_mode, vertices=graph.labels)
+    shares = [graph.loop_mode.factor * w for w in graph.loops]
+    return loopless, Demands(
+        [max(0.0, a - s) for a, s in zip(demands.a, shares)],
+        [max(0.0, b - s) for b, s in zip(demands.b, shares)],
+    )
+
+
 def random_graph(rng: random.Random, n, p, weight_range=(0.1, 2.0), loops=False,
                  loop_mode=LoopMode.DOUBLE):
     """Plain random graph builder independent of the package generator."""

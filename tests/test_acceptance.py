@@ -29,13 +29,12 @@ from degsplit import (
     circle_square_area,
     peel,
     random_feasible_instance,
-    reduce_loops,
     solve,
     solve_squares,
     verify_partition,
 )
 
-from conftest import complete_graph, is_meager, random_graph, weight_dict
+from conftest import complete_graph, is_meager, random_graph, reduce_loops, weight_dict
 
 
 def report(criterion, detail):
@@ -312,14 +311,14 @@ def test_criterion_8_loop_reduction_consistency():
                 tuple(dem.a[x] + factor * loops[x] for x in range(n)),
                 tuple(dem.b[x] + factor * loops[x] for x in range(n)),
             )
-            reduction = reduce_loops(graph, lifted)
-            assert not reduction.graph.has_loops()
+            loopless, demands = reduce_loops(graph, lifted)
+            assert not loopless.has_loops()
 
-            partition, _ = solve(reduction.graph, reduction.demands)
-            assert verify_partition(reduction.graph, reduction.demands, partition) == []
+            partition, _ = solve(loopless, demands)
+            assert verify_partition(loopless, demands, partition) == []
             assert verify_partition(graph, lifted, partition, tol=0.0) == []
 
-            witness = brute_force_solve(reduction.graph, reduction.demands).witness
+            witness = brute_force_solve(loopless, demands).witness
             assert witness is not None
             assert verify_partition(graph, lifted, witness, tol=0.0) == []
             checked += 1

@@ -12,13 +12,12 @@ from degsplit import (
     induced_degree,
     minimal_satisfying_set,
     peel,
-    reduce_loops,
     squares_demands,
 )
 from degsplit import core as core_module
 from degsplit.core import _KeptSet
 
-from conftest import complete_graph, is_meager, qualifying_subsets, random_graph
+from conftest import complete_graph, is_meager, qualifying_subsets, random_graph, reduce_loops
 
 
 def const(n, v):
@@ -266,8 +265,8 @@ class TestMinimalSetMatchesRestartSearch:
     @pytest.mark.parametrize("width,height,r", [(6, 6, 2.1), (7, 5, 2.6), (8, 6, 3.1)])
     def test_reduced_half_degree_grids(self, width, height, r):
         graph = build_grid_graph(GridInstance.rectangle(width, height, r))
-        reduction = reduce_loops(graph, squares_demands(graph, DemandScheme.HALF_DEGREE))
-        assert self.assert_same(reduction.graph, reduction.demands.a)
+        loopless, demands = reduce_loops(graph, squares_demands(graph, DemandScheme.HALF_DEGREE))
+        assert self.assert_same(loopless, demands.a)
 
 
 # weights whose sums round: subtracting them one by one from an ascending sum

@@ -16,6 +16,7 @@ from degsplit import (
     TooFewCellsError,
     build_graph,
     build_grid_graph,
+    check_feasibility,
     circle_square_area,
     solve,
     solve_squares,
@@ -24,7 +25,8 @@ from degsplit import (
     without_loops,
 )
 from degsplit.geometry import MIN_EDGE_WEIGHT
-from degsplit.solver import reduce_loops
+
+from conftest import reduce_loops
 
 
 def quadrature_area(dx, dy, r):
@@ -306,8 +308,7 @@ class TestSolveSquares:
         inst = GridInstance(((0, 0), (1, 0)), 2.1)
         g = build_grid_graph(inst)
         dem = squares_demands(g, DemandScheme.HALF_DEGREE)
-        red = reduce_loops(g, dem)
-        assert brute_force_solve(red.graph, red.demands).count == 2
+        assert brute_force_solve(*reduce_loops(g, dem)).count == 2
 
     def test_small_radius_physical_any_split_works(self):
         inst = GridInstance.rectangle(2, 2, 0.5)
@@ -353,24 +354,20 @@ class TestSolveSquares:
         # instance, which is non-negative exactly when W <= w_xx
         inst = GridInstance.rectangle(6, 6, 2.1)
         g = build_grid_graph(inst)
-        dem = squares_demands(g, DemandScheme.HALF_DEGREE)
-        red = reduce_loops(g, dem)
-        assert red.precondition.feasible
+        report = check_feasibility(g, squares_demands(g, DemandScheme.HALF_DEGREE))
+        assert report.feasible
         for x in range(g.n):
-            assert math.isclose(
-                red.precondition.slack[x], 2.0 * (g.loops[x] - g.W[x]), abs_tol=1e-9
-            )
+            assert math.isclose(report.slack[x], 2.0 * (g.loops[x] - g.W[x]), abs_tol=1e-9)
 
 
 def reduced_half_degree(instance, loop_mode):
     """The half-degree grid instance solved the long way round: strip the
-    loops with reduce_loops, solve the loopless copy, and gate the partition
-    again on the grid graph.  Returns the grid graph, partition and
-    certificate."""
+    loops with the reference reduce_loops, solve the loopless copy, and gate
+    the partition again on the grid graph.  Returns the grid graph,
+    partition and certificate."""
     graph = build_grid_graph(instance, loop_mode)
     demands = squares_demands(graph, DemandScheme.HALF_DEGREE)
-    reduction = reduce_loops(graph, demands)
-    partition, cert = solve(reduction.graph, reduction.demands)
+    partition, cert = solve(*reduce_loops(graph, demands))
     assert verify_partition(graph, demands, partition) == []
     return graph, partition, cert
 
@@ -387,7 +384,7 @@ LOOPED_RECTANGLES = [(2, 2), (3, 7), (5, 5), (8, 3), (9, 12), (16, 11)]
 class TestSolveSquaresMatchesTheReducedPath:
     """``solve_squares`` searches the half-degree grid graph with its loops.
     On these rectangles, wherever a cell has an edge, it makes the decisions
-    the search makes on the ``reduce_loops`` instance; h values differ, since
+    the search makes on the loop-reduced instance; h values differ, since
     the looped h counts the loops and the unreduced demands."""
 
     @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])

@@ -24,7 +24,6 @@ from degsplit import (
     find_stable_pair,
     induced_degree,
     random_feasible_instance,
-    reduce_loops,
     solve,
     verify_partition,
 )
@@ -32,7 +31,7 @@ from degsplit import solver as solver_module
 from degsplit.core import minimal_satisfying_set, peel
 from degsplit.solver import PHASE_HILLCLIMB, Move, _complete_sets
 
-from conftest import complete_graph, is_meager, weight_dict
+from conftest import complete_graph, is_meager, reduce_loops, weight_dict
 from conftest import random_graph as conftest_random_graph
 
 
@@ -190,7 +189,6 @@ class TestCheckFeasibility:
         report = check_feasibility(g, dem)
         assert report.feasible is False
         assert report.slack == (-1.5,) * 9
-        assert report == reduce_loops(g, dem).precondition
         assert not brute_force_solve(g, dem).exists
 
     def test_random_loop_graphs_report_the_reduced_slack(self):
@@ -212,9 +210,7 @@ class TestCheckFeasibility:
                     b.append(rng.random() * (budget - a[-1]))
                 dem = Demands(tuple(a), tuple(b))
                 report = check_feasibility(g, dem)
-                red = reduce_loops(g, dem)
-                assert report == red.precondition
-                plain = check_feasibility(red.graph, red.demands)
+                plain = check_feasibility(*reduce_loops(g, dem))
                 for s, t in zip(report.slack, plain.slack):
                     assert math.isclose(s, t, rel_tol=1e-12, abs_tol=1e-12)
                 if report.feasible:
@@ -777,21 +773,22 @@ class TestVerifyPartition:
 class TestReduceLoops:
     def test_loopless_identity(self, triangle):
         dem = Demands.constant(3, 1.0, 0.5)
-        red = reduce_loops(triangle, dem)
-        assert red.graph is triangle
-        assert red.demands == dem
+        graph, demands = reduce_loops(triangle, dem)
+        assert graph == triangle
+        assert demands == dem
 
     def test_double_loop_shifts_demand_by_twice_weight(self):
         g = build_graph([("x", "y", 1.0), ("x", "x", 1.0)], LoopMode.DOUBLE)
-        red = reduce_loops(g, Demands((3.0, 0.0), (0.5, 0.0)))
-        assert red.demands.a == (1.0, 0.0)
-        assert red.demands.b == (0.0, 0.0)  # clamped at zero
-        assert red.graph.loops == (0.0, 0.0)
+        graph, demands = reduce_loops(g, Demands((3.0, 0.0), (0.5, 0.0)))
+        assert demands.a == (1.0, 0.0)
+        assert demands.b == (0.0, 0.0)  # clamped at zero
+        assert graph.loops == (0.0, 0.0)
+        assert graph.d == (1.0, 1.0)
 
     def test_once_loop_shifts_demand_by_weight(self):
         g = build_graph([("x", "y", 1.0), ("x", "x", 1.0)], LoopMode.ONCE)
-        red = reduce_loops(g, Demands((3.0, 0.0), (0.5, 0.0)))
-        assert red.demands.a == (2.0, 0.0)
+        _, demands = reduce_loops(g, Demands((3.0, 0.0), (0.5, 0.0)))
+        assert demands.a == (2.0, 0.0)
 
     def test_precondition_is_the_reduced_instance_slack(self):
         # loops above and below the demands, so each clamp is hit and missed;
@@ -799,8 +796,8 @@ class TestReduceLoops:
         edges = [("x", "y", 1.0), ("y", "z", 2.0), ("x", "x", 1.0), ("z", "z", 3.0)]
         dem = Demands((3.0, 1.0, 0.5), (0.5, 0.0, 4.0))
         for mode in (LoopMode.ONCE, LoopMode.DOUBLE):
-            red = reduce_loops(build_graph(edges, mode), dem)
-            assert red.precondition == check_feasibility(red.graph, red.demands)
+            g = build_graph(edges, mode)
+            assert check_feasibility(g, dem) == check_feasibility(*reduce_loops(g, dem))
 
     def test_stability_transfers_to_original(self):
         rng = random.Random(99)
@@ -821,8 +818,7 @@ class TestReduceLoops:
                     tuple(dem.a[x] + factor * loops[x] for x in range(6)),
                     tuple(dem.b[x] + factor * loops[x] for x in range(6)),
                 )
-                red = reduce_loops(g, lifted)
-                part, _ = solve(red.graph, red.demands)
+                part, _ = solve(*reduce_loops(g, lifted))
                 assert not verify_partition(g, lifted, part)
 
 
@@ -895,8 +891,7 @@ class TestLoopedSearch:
         for seed in range(10):
             g, dem = lifted_climb(seed, mode)
             partition, cert = solve(g, dem)
-            red = reduce_loops(g, dem)
-            reduced_partition, reduced_cert = solve(red.graph, red.demands)
+            reduced_partition, reduced_cert = solve(*reduce_loops(g, dem))
             assert len(cert.moves) >= 10, seed
             assert partition == reduced_partition, seed
             assert [(m.vertex, m.from_side) for m in cert.moves] == [

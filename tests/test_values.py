@@ -4,6 +4,7 @@ equality, hash, repr, immutability, and copy/deepcopy/pickle round-trips."""
 import copy
 import math
 import pickle
+import re
 
 import pytest
 
@@ -11,7 +12,6 @@ from degsplit import (
     Demands,
     FeasibilityReport,
     GridInstance,
-    LoopReduction,
     Move,
     OracleResult,
     Partition,
@@ -20,7 +20,6 @@ from degsplit import (
     Violation,
     WeightedGraph,
     build_graph,
-    reduce_loops,
 )
 
 
@@ -30,10 +29,6 @@ def sample_graph():
 
 def sample_partition():
     return Partition(frozenset({0}), frozenset({1, 2}))
-
-
-def sample_reduction():
-    return reduce_loops(sample_graph(), Demands((1.0, 0.5, 2.0), (0.0, 1.0, 0.25)))
 
 
 def sample_squares_result():
@@ -80,15 +75,6 @@ CASES = {
         "h_after",
         lambda: Move(3, "A", "B", 1.0, 3.5),
     ),
-    "LoopReduction": (
-        sample_reduction,
-        "LoopReduction(graph=WeightedGraph(n=3, loop_mode=<LoopMode.DOUBLE: 'double'>), "
-        "demands=Demands(a=(1.0, 0.5, 1.0), b=(0.0, 1.0, 0.0)), "
-        "precondition=FeasibilityReport(slack=(-2.0, -2.5, -3.0), "
-        "violations=(0, 1, 2), feasible=False))",
-        "graph",
-        lambda: reduce_loops(sample_graph(), Demands.constant(3, 0.0, 0.0)),
-    ),
     "OracleResult": (
         lambda: OracleResult(True, sample_partition(), 3),
         "OracleResult(exists=True, witness=Partition(a=frozenset({0}), "
@@ -134,7 +120,6 @@ FIELDS = {
     "FeasibilityReport": ("slack", "violations", "feasible"),
     "Violation": ("vertex", "side", "degree", "demand"),
     "Move": ("vertex", "from_side", "to_side", "h_before", "h_after"),
-    "LoopReduction": ("graph", "demands", "precondition"),
     "OracleResult": ("exists", "witness", "count"),
     "GridInstance": ("cells", "r"),
     "SquaresResult": (
@@ -247,6 +232,31 @@ def test_constructors_take_keywords():
     assert Demands(a=[1], b=[2]).a == (1.0,)
     assert GridInstance(cells=[(0, 1), (0, 0)], r=1).cells == ((0, 0), (0, 1))
     assert Move(vertex=1, from_side="A", to_side="B", h_before=0.0, h_after=1.0).vertex == 1
+    for name, (make, *_) in CASES.items():
+        value = make()
+        fields = {f: getattr(value, f) for f in FIELDS[name]}
+        assert type(value)(**fields) == type(value)(*fields.values()) == value, name
+
+
+# the types that Value's own constructor builds
+GENERIC = ["FeasibilityReport", "Move", "OracleResult", "SquaresResult", "Violation", "WeightedGraph"]
+
+
+@pytest.mark.parametrize("name", GENERIC)
+@pytest.mark.parametrize("fault", ["too many", "unknown", "repeated", "missing"])
+def test_generic_constructor_rejects_bad_fields(name, fault):
+    value, fields = CASES[name][0](), FIELDS[name]
+    values = [getattr(value, f) for f in fields]
+    args, kwargs, message = {
+        "too many": (
+            [*values, 0], {}, f"takes {len(fields)} fields but {len(fields) + 1} were given"
+        ),
+        "unknown": (values, {"extra": 0}, "got an unexpected field 'extra'"),
+        "repeated": (values, {fields[0]: 0}, f"got multiple values for field {fields[0]!r}"),
+        "missing": (values[:-1], {}, f"missing field {fields[-1]!r}"),
+    }[fault]
+    with pytest.raises(TypeError, match=re.escape(f"{name}() {message}")):
+        type(value)(*args, **kwargs)
 
 
 class TestValidation:
