@@ -317,7 +317,13 @@ def _cmd_squares(args) -> int:
     return EXIT_OK
 
 
+_NO_EDGE = "no edge was drawn; raise --edge-probability or --n"
+
+
 def _cmd_gen(args) -> int:
+    # no coin can come up at p = 0, so fail before drawing n^2 / 2 of them
+    if args.edge_probability == 0.0:
+        raise InputError(_NO_EDGE)
     graph, demands = random_feasible_instance(
         args.n,
         args.edge_probability,
@@ -327,7 +333,7 @@ def _cmd_gen(args) -> int:
     edge_count = sum(len(row) for row in graph.adjacency) // 2
     if not edge_count:
         # a graph file without lines cannot be read back
-        raise InputError("no edge was drawn; raise --edge-probability or --n")
+        raise InputError(_NO_EDGE)
     _write_text(args.out_graph, format_graph_file(graph))
     _write_text(args.out_demands, format_demands_file(graph, demands))
     _emit(

@@ -18,6 +18,18 @@ rule applies: when |deg(x) - threshold(x)| <= band(x) = 8 (k + 2) 2^-53 d(x),
 with k the number of x's neighbours, x is decided on the exact ascending sum
 instead.  Every decision is therefore the one exact recomputation makes.
 
+An exact row needs no band.  A row is exact (``graph.exact``) when its edge
+weights and its loop term are integers and d(x) < 2^53.  Every sum of some
+of its terms is then an integer below 2^53, which a double holds, so each
+addition or subtraction that leads from one such sum to another is exact,
+in whatever order: the kept degree is the exact sum at every step.  Such a
+vertex gets a band of 0, which the kept set reads as "the kept degree is
+the exact sum": the cascade decides it on deg(x) < threshold(x) without an
+exact sum, it is never reseeded, and the witness takes deg(x) as its exact
+degree.  A band of 0 means the same on any other row: it rounds to 0 only
+when d(x) < 2^-1022, where every partial sum is a subnormal multiple of
+2^-1074 and so exact too.
+
 The exact sum is ``_exact``, which tests a flag where ``induced_degree``
 tests set membership.  It adds the same weights (the flagged neighbours',
 in the ascending order of the row) and then the loop term, the same
@@ -32,7 +44,9 @@ pop without an exact sum, and degrees only fall during a cascade, so the next
 decrement that brings it within reach queues it again.  Every kept degree
 starts from the same seed: ``graph.d`` for a member that no vertex left out
 is a neighbour of, since its whole row lies in the set and ``_exact`` would
-add the same terms in the same order, and ``_exact`` for the rest.
+add the same terms in the same order.  A member of an exact row starts from
+``graph.d`` less the weights to its neighbours left out, and any other
+member from ``_exact``.
 
 The band is the one bound on how far a kept degree may drift.  It covers a
 degree seeded by an exact sum (k + 1 roundings), then up to k single-edge
@@ -53,7 +67,11 @@ A move's gain 2 (d_new - d_old + swap) takes both degrees as exact
 ascending sums of the moved vertex's row, together within its band of the
 real difference; the demand swap and the total round once each.  A gain of
 at most 0 whose size is within 2 (band(v) + 2^-52 (a(v) + b(v))) is a tie,
-not a loss, and ``tie_bound`` says so.
+not a loss, and ``tie_bound`` says so.  On an exact row that bound is 0.
+There d_new - d_old is exact, so when the real gain is 0 the real swap is
+-(d_new - d_old), a double, which rounds to itself, and the computed gain
+is 0 too; and since rounding is monotone, the computed gain is negative
+only when the real gain is.
 
 A set keeps its core in one of two ways.  ``minimal_satisfying_set``
 cascades in place and undoes a failed trial from a log of degree changes.
@@ -154,14 +172,18 @@ class _KeptSet:
         self.flags = flags
         self.size = flags.count(1)
         # the seed: d[x] when no vertex left out is a neighbour of x, since
-        # the ascending sum is then d[x] bit for bit
+        # the ascending sum is then d[x] bit for bit; on an exact row, d[x]
+        # less the weights to the neighbours left out
         adjacency = graph.adjacency
         deg = list(graph.d)
         reached = bytearray(n)
         for x in range(n):
             if not flags[x]:
-                for y, _ in adjacency[x]:
-                    reached[y] = 1
+                for y, w in adjacency[x]:
+                    if band[y]:
+                        reached[y] = 1
+                    else:
+                        deg[y] -= w
         for x in compress(range(n), reached):
             if flags[x]:
                 deg[x] = _exact(graph, flags, x)
@@ -173,8 +195,12 @@ class _KeptSet:
     @staticmethod
     def bands(graph: WeightedGraph) -> list[float]:
         # bound on |kept degree - ascending sum| per vertex: no partial sum
-        # exceeds d[x], so a rounding is at most _ROUNDOFF * d[x]
-        return [8 * (len(adj) + 2) * _ROUNDOFF * d for adj, d in zip(graph.adjacency, graph.d)]
+        # exceeds d[x], so a rounding is at most _ROUNDOFF * d[x]; 0 on an
+        # exact row, whose kept degree is the ascending sum
+        return [
+            0.0 if exact else 8 * (len(adj) + 2) * _ROUNDOFF * d
+            for adj, d, exact in zip(graph.adjacency, graph.d, graph.exact)
+        ]
 
     def exact(self, x: int) -> float:
         """x's induced degree in the set plus x, as the exact ascending sum."""
@@ -192,8 +218,8 @@ class _KeptSet:
                 continue
             floor = thresholds[x]
             # outside the band the kept degree and the exact sum fall on the same
-            # side of the floor
-            if abs(deg[x] - floor) <= band[x]:
+            # side of the floor; on an exact row (band 0) they are equal
+            if band[x] and abs(deg[x] - floor) <= band[x]:
                 below = _exact(graph, flags, x) < floor
             else:
                 below = deg[x] < floor
@@ -221,16 +247,19 @@ class _KeptSet:
 
     def _update(self, v, sign) -> None:
         # one edge update per member neighbour of v, reseeding a kept degree
-        # after as many updates as its vertex has neighbours
+        # after as many updates as its vertex has neighbours; an exact row's
+        # kept degree never drifts, so it is never reseeded
         graph, flags, deg, updates = self.graph, self.flags, self.deg, self.updates
+        band = self.band
         adjacency = graph.adjacency
         for y, w in adjacency[v]:
             if flags[y]:
                 deg[y] += sign * w
-                updates[y] += 1
-                if updates[y] >= len(adjacency[y]):
-                    deg[y] = _exact(graph, flags, y)
-                    updates[y] = 0
+                if band[y]:
+                    updates[y] += 1
+                    if updates[y] >= len(adjacency[y]):
+                        deg[y] = _exact(graph, flags, y)
+                        updates[y] = 0
 
     def add(self, v: int, degree: float) -> None:
         """Insert v, whose exact induced degree in the grown set is
@@ -260,18 +289,25 @@ class _KeptSet:
         best, found = 0.0, None
         for x in compress(range(graph.n), flags):
             approx = target[x] - deg[x]
-            # a kept margin this far below the best cannot beat it exactly
-            if approx < best - 2.0 * (band[x] + 2.0 * _ROUNDOFF * abs(approx)):
+            if not band[x]:
+                # an exact row's kept degree is the exact sum
+                degree, margin = deg[x], approx
+            elif approx < best - 2.0 * (band[x] + 2.0 * _ROUNDOFF * abs(approx)):
+                # a kept margin this far below the best cannot beat it exactly
                 continue
-            degree = _exact(graph, flags, x)
-            margin = target[x] - degree
+            else:
+                degree = _exact(graph, flags, x)
+                margin = target[x] - degree
             if margin > best:
                 best, found = margin, (x, degree)
         return found
 
     def tie_bound(self, other: _KeptSet, v: int) -> float:
         """The rounding bound on the gain of moving v from this set to
-        ``other``."""
+        ``other``: 0 on an exact row, where only a gain of exactly 0 is a
+        tie."""
+        if not self.band[v]:
+            return 0.0
         return 2.0 * (self.band[v] + 2.0 * _ROUNDOFF * (self.thresholds[v] + other.thresholds[v]))
 
 

@@ -137,8 +137,13 @@ def build_grid_graph(instance: GridInstance, loop_mode: LoopMode = LoopMode.DOUB
     offsets are both sorted, so every row comes out in ascending neighbour
     order and goes to the graph as it is, with no edge list, validation or
     sort: the weights exceed MIN_EDGE_WEIGHT, and cells are distinct.  The
-    cost is O(n * |stencil|), where |stencil| is about pi (r + 0.71)^2 and
-    at most four times the bounding box area.
+    probes cost O(n * |stencil|), where |stencil| is at most about
+    pi (r + 0.71)^2.  Making the stencil costs a walk over
+    (min(s, width - 1) + 1) * (2 min(s, height - 1) + 1) offsets, with
+    s = ceil(r + 0.71): about 2 min(s, width) min(s, height), whatever n is.
+    That walk is a known defect: for two cells at (0, 0) and (k, 0) at
+    r = 2k it visits and keeps k offsets to build one edge, so a few cells
+    far apart under a large radius can hang the build.
     """
     cells = instance.cells
     if len(cells) < 2:

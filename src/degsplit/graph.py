@@ -5,7 +5,9 @@ graph caches, per vertex, the degree ``d`` (sum of incident weights, with a
 declared convention for how loops count) and ``W`` (largest non-loop incident
 weight).  Both caches are summed in ascending-neighbor order so that
 rebuilding the same graph from a shuffled edge list reproduces them bit for
-bit.
+bit.  A third cache, ``exact``, flags the rows that sum exactly: every edge
+weight and the loop term are integers and ``d`` is below 2^53, so every sum
+of the row's terms, in any order, is an integer a double holds exactly.
 
 Every graph is made by ``_assemble``, the one place that computes the caches;
 ``build_graph``, ``without_loops`` and ``geometry.build_grid_graph`` end in it.
@@ -15,12 +17,18 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from operator import itemgetter
 from typing import Hashable, Iterable
 
 from .errors import DuplicateEdgeError, NonPositiveWeightError, VertexNotInSetError
 from .value import Value
 
 Label = Hashable
+
+# integers below this are doubles, and so are all their sums and differences
+# that stay below it
+_EXACT_LIMIT = 2.0 ** 53
+_weight = itemgetter(1)
 
 
 class LoopMode(Enum):
@@ -44,9 +52,11 @@ class WeightedGraph(Value):
     ``loop_mode`` only.  Safe to share between threads once built.
     """
 
-    __slots__ = ("n", "labels", "adjacency", "loops", "loop_mode", "d", "W", "label_index")
+    __slots__ = (
+        "n", "labels", "adjacency", "loops", "loop_mode", "d", "W", "exact", "label_index",
+    )
     _uncompared = ("label_index",)
-    _unshown = ("labels", "adjacency", "loops", "d", "W", "label_index")
+    _unshown = ("labels", "adjacency", "loops", "d", "W", "exact", "label_index")
 
     def index_of(self, label: Label) -> int:
         return self.label_index[label]
@@ -89,6 +99,7 @@ def _assemble(
     # rows must already be symmetric, positive and in ascending neighbour order
     degrees = []
     maxima = []
+    exact = []
     factor = loop_mode.factor
     for x in range(len(adjacency)):
         total = 0.0
@@ -103,6 +114,14 @@ def _assemble(
             raise ValueError(f"vertex {labels[x]!r} has degree {total}; degrees must be finite")
         degrees.append(total)
         maxima.append(best)
+        # a row with a non-integer weight almost always has a non-integer
+        # sum, so such a row (every grid row) stops at the first test
+        exact.append(
+            total.is_integer()
+            and total < _EXACT_LIMIT
+            and (factor * loops[x]).is_integer()
+            and all(map(float.is_integer, map(_weight, adjacency[x])))
+        )
     return WeightedGraph(
         n=len(labels),
         labels=labels,
@@ -111,6 +130,7 @@ def _assemble(
         loop_mode=loop_mode,
         d=tuple(degrees),
         W=tuple(maxima),
+        exact=tuple(exact),
         label_index=label_index,
     )
 

@@ -125,6 +125,27 @@ def random_graph(rng: random.Random, n, p, weight_range=(0.1, 2.0), loops=False,
     return build_graph(edges, loop_mode, vertices=range(n))
 
 
+def mixed_graph(rng: random.Random, n, p, fractional, integer_weights=(1.0,),
+                loop_mode=LoopMode.DOUBLE, loops=False):
+    """G(n, p) with exact rows and banded rows side by side: an edge that
+    touches one of ``fractional`` chosen vertices weighs 0.1, 0.3 or 1/3,
+    any other one of ``integer_weights``.  With ``loops``, about half the
+    vertices get a loop of 0.5 or 1, whose term is an integer except for
+    0.5 under ONCE."""
+    chosen = set(rng.sample(range(n), fractional))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                if i in chosen or j in chosen:
+                    edges.append((i, j, rng.choice((0.1, 0.3, 1.0 / 3.0))))
+                else:
+                    edges.append((i, j, rng.choice(integer_weights)))
+    if loops:
+        edges += [(x, x, rng.choice((0.5, 1.0))) for x in range(n) if rng.random() < 0.5]
+    return build_graph(edges, loop_mode, vertices=range(n))
+
+
 def random_demands(rng: random.Random, n, high):
     return Demands(
         tuple(rng.uniform(0.0, high) for _ in range(n)),

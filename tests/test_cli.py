@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -507,6 +508,23 @@ def test_gen_without_edges_exits_two(capsys, tmp_path):
     ))
     assert payload["error"] == "InputError"
     assert not out_graph.exists() and not out_dem.exists()
+
+
+def test_gen_at_edge_probability_zero_exits_two_before_drawing(tmp_path):
+    # drawing would take n^2 / 2 coins, about 5e15 here
+    out_graph = tmp_path / "g.edges"
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "degsplit", "gen", "--n", "100000000",
+         "--edge-probability", "0", "--out-graph", str(out_graph),
+         "--out-demands", str(tmp_path / "g.dem")],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert time.perf_counter() - start < 1.0
+    payload = assert_input_error(done.returncode, done.stdout, done.stderr)
+    assert payload["error"] == "InputError"
+    assert payload["message"] == "no edge was drawn; raise --edge-probability or --n"
+    assert not out_graph.exists()
 
 
 def test_identical_argv_identical_output(capsys, k9_files):

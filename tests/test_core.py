@@ -17,7 +17,14 @@ from degsplit import (
 from degsplit import core as core_module
 from degsplit.core import _KeptSet
 
-from conftest import complete_graph, is_meager, qualifying_subsets, random_graph, reduce_loops
+from conftest import (
+    complete_graph,
+    is_meager,
+    mixed_graph,
+    qualifying_subsets,
+    random_graph,
+    reduce_loops,
+)
 
 
 def const(n, v):
@@ -274,11 +281,19 @@ class TestMinimalSetMatchesRestartSearch:
 TIE_WEIGHTS = (0.1, 0.2, 0.3, 0.7, 1.0 / 3.0)
 
 
+def planted_thresholds(rng, graph, tol=0.0):
+    """Thresholds that equal each member's ascending induced degree in a
+    random subset S plus ``tol``, and 1e9 elsewhere, so every member of S
+    sits on its threshold once the rest is peeled away."""
+    planted = {x for x in range(graph.n) if rng.random() < 0.6}
+    thresholds = [1e9] * graph.n
+    for x in planted:
+        thresholds[x] = induced_degree(graph, planted, x) + tol
+    return thresholds
+
+
 def planted_tight_core(rng, n, p, tol=0.0):
-    """A random graph whose thresholds inside a random subset S equal each
-    member's ascending induced degree in S plus ``tol``, and 1e9 elsewhere,
-    so every member of S sits on its threshold once the rest is peeled
-    away."""
+    """A random graph with planted thresholds."""
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -286,11 +301,7 @@ def planted_tight_core(rng, n, p, tol=0.0):
                 w = rng.choice(TIE_WEIGHTS + (None,))
                 edges.append((i, j, rng.uniform(0.05, 1.0) if w is None else w))
     graph = build_graph(edges, vertices=range(n))
-    planted = {x for x in range(n) if rng.random() < 0.6}
-    thresholds = [1e9] * n
-    for x in planted:
-        thresholds[x] = induced_degree(graph, planted, x) + tol
-    return graph, thresholds
+    return graph, planted_thresholds(rng, graph, tol)
 
 
 class TestPlantedTightCore:
@@ -459,3 +470,124 @@ class TestKeptSideDegrees:
                     side.add(v, induced_degree(g, members(side) | {v}, v))
                 assert side.core == peel(g, members(side), demand)
         assert grown >= 100
+
+
+class TestExactRows:
+    """An exact row (integer weights and loop term, d < 2^53) has a band of
+    0, and its kept degree stands for the exact sum.  Rows just outside that
+    rule keep their band, and on graphs that mix both kinds every decision
+    is still the reference's."""
+
+    BIG = 2.0 ** 52
+
+    # each case: edges, loop mode, thresholds, the core; vertex 0's row is
+    # banded, and deleting vertex 1 leaves its kept degree off the exact sum
+    # by a whole unit or more, on the wrong side of its threshold
+    CASES = {
+        "degree-2^53": (
+            [(0, 1, BIG), (0, 2, BIG), (0, 3, 1.0), (2, 3, 1.0)],
+            LoopMode.DOUBLE, [BIG + 1.0, 1e300, BIG, 1.0], {0, 2, 3},
+        ),
+        "half-weight": (
+            [(0, 1, BIG), (0, 2, 0.5), (0, 3, 0.5), (2, 3, 1.0)],
+            LoopMode.DOUBLE, [1.0, 1e300, 1.0, 1.0], {0, 2, 3},
+        ),
+        "half-loop-once": (
+            [(0, 1, BIG), (0, 2, 1.0), (0, 0, 0.5), (2, 3, 1.0)],
+            LoopMode.ONCE, [1.75, 1e300, 1.0, 1.0], {2, 3},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_a_row_just_outside_the_rule_keeps_its_band(self, name):
+        edges, mode, thresholds, core = self.CASES[name]
+        g = build_graph(edges, mode, vertices=range(4))
+        assert not g.exact[0]
+        assert _KeptSet.bands(g)[0] > 0.0
+        assert reference_peel(g, range(4), thresholds) == core
+        assert peel(g, range(4), thresholds) == core
+
+    def test_a_half_loop_doubled_is_an_exact_row(self):
+        # the ONCE case above with the loop counted twice: 1.0 + 1.0 >= 1.75
+        g = build_graph([(0, 1, self.BIG), (0, 2, 1.0), (0, 0, 0.5), (2, 3, 1.0)],
+                        LoopMode.DOUBLE)
+        thresholds = [1.75, 1e300, 1.0, 1.0]
+        assert g.exact == (True,) * 4
+        assert _KeptSet.bands(g) == [0.0] * 4
+        assert reference_peel(g, range(4), thresholds) == {0, 2, 3}
+        assert peel(g, range(4), thresholds) == {0, 2, 3}
+
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    def test_mixed_rows_match_the_reference_searches(self, loop_mode):
+        rng = random.Random(17)
+        exact_rows = banded_rows = nonempty = solved = 0
+        for _ in range(120):
+            n = rng.randint(4, 14)
+            g = mixed_graph(rng, n, 0.4, rng.randint(1, 2), (1.0, 2.0, 3.0), loop_mode, True)
+            band = _KeptSet.bands(g)
+            assert [b == 0.0 for b in band] == list(g.exact)
+            exact_rows += sum(g.exact)
+            banded_rows += g.n - sum(g.exact)
+            thresholds = planted_thresholds(rng, g)
+            expected = reference_peel(g, range(g.n), thresholds)
+            assert peel(g, range(g.n), thresholds) == expected
+            nonempty += bool(expected)
+            solved += TestMinimalSetMatchesRestartSearch.assert_same(g, thresholds)
+        assert exact_rows >= 250 and banded_rows >= 250
+        assert nonempty >= 100 and solved >= 100
+
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    def test_mixed_rows_on_a_hill_climb_side(self, loop_mode):
+        # every add and remove against the reference peel, every exact row's
+        # kept degree against the ascending sum, and the witness against a
+        # scan of exact margins
+        rng = random.Random(23)
+        grown = 0
+        for _ in range(30):
+            n = rng.randint(6, 14)
+            g = mixed_graph(rng, n, 0.5, rng.randint(1, 2), (1.0, 2.0, 3.0), loop_mode, True)
+            demand = [rng.choice((0.3, 0.4, 0.5)) * d for d in g.d]
+            target = [t + w for t, w in zip(demand, g.W)]
+            side = _KeptSet(g, [x for x in range(n) if rng.random() < 0.5], demand,
+                            _KeptSet.bands(g))
+            for _ in range(40):
+                v = rng.randrange(n)
+                if side.flags[v]:
+                    side.remove(v)
+                else:
+                    grown += bool(side.core)
+                    side.add(v, induced_degree(g, members(side) | {v}, v))
+                kept = members(side)
+                assert side.core == reference_peel(g, kept, demand)
+                for x in kept:
+                    if g.exact[x]:
+                        assert side.deg[x] == induced_degree(g, kept, x)
+                best, found = 0.0, None
+                for x in sorted(kept):
+                    margin = target[x] - induced_degree(g, kept, x)
+                    if margin > best:
+                        best, found = margin, (x, induced_degree(g, kept, x))
+                assert side.witness(target) == found
+        assert grown >= 100
+
+    def test_an_exact_row_is_never_reseeded(self, monkeypatch):
+        # a unit star whose leaves leave and return thousands of times: the
+        # centre's kept degree stays the exact sum without one exact sum
+        g = build_graph([(0, leaf, 1.0) for leaf in range(1, 6)])
+        demand = [2.0] + [1.0] * 5
+        side = _KeptSet(g, range(6), demand, _KeptSet.bands(g))
+        calls = []
+        original = core_module._exact
+        monkeypatch.setattr(
+            core_module, "_exact", lambda *args: calls.append(args) or original(*args)
+        )
+        rng = random.Random(3)
+        for _ in range(2000):
+            v = rng.randrange(1, 6)
+            if side.flags[v]:
+                side.remove(v)
+            else:
+                side.add(v, induced_degree(g, members(side) | {v}, v))
+            assert side.deg[0] == induced_degree(g, members(side), 0)
+            assert side.core == reference_peel(g, members(side), demand)
+        assert calls == []

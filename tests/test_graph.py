@@ -217,3 +217,45 @@ def test_loop_degree_sum_identity():
         g = build_graph(edges + loops, mode)
         expected = 2.0 * sum(w for _, _, w in edges) + factor * sum(w for _, _, w in loops)
         assert math.isclose(sum(g.d), expected, rel_tol=1e-12)
+
+
+class TestExactRows:
+    """``graph.exact`` flags the rows whose every sum is exact: integer edge
+    weights, an integer loop term and a degree below 2^53."""
+
+    def test_integer_rows_are_exact(self, k9):
+        assert k9.exact == (True,) * 9
+
+    def test_grid_rows_are_not(self):
+        g = build_grid_graph(GridInstance.rectangle(4, 4, 2.1))
+        assert not any(g.exact)
+
+    def test_a_degree_of_two_to_the_53_is_not_exact(self):
+        big = 2.0 ** 52
+        g = build_graph([(0, 1, big), (0, 2, big), (1, 2, big - 1.0)])
+        assert g.d == (2.0 ** 53, 2.0 ** 53 - 1.0, 2.0 ** 53 - 1.0)
+        assert g.exact == (False, True, True)
+
+    def test_one_half_weight_spoils_an_integer_sum(self):
+        g = build_graph([(0, 1, 0.5), (0, 2, 1.5), (1, 2, 1.0), (2, 3, 2.0)])
+        assert g.d[0] == 2.0
+        assert g.exact == (False, False, False, True)
+
+    def test_a_half_weight_rounded_away_still_spoils_the_row(self):
+        # 2^52 + 0.5 + 0.5 rounds to the integer 2^52 on each addition
+        g = build_graph([(0, 1, 2.0 ** 52), (0, 2, 0.5), (0, 3, 0.5)])
+        assert g.d[0] == 2.0 ** 52
+        assert g.exact == (False, True, False, False)
+
+    @pytest.mark.parametrize("mode,exact", [(LoopMode.ONCE, False), (LoopMode.DOUBLE, True)])
+    def test_a_half_loop_counts_by_its_term(self, mode, exact):
+        # the loop adds 0.5 once, rounding 2^52 + 1.5 to the integer
+        # 2^52 + 2, or 1.0 doubled
+        g = build_graph([(0, 1, 2.0 ** 52), (0, 2, 1.0), (0, 0, 0.5)], mode)
+        assert g.d[0] == 2.0 ** 52 + 2.0
+        assert g.exact == (exact, True, True)
+
+    def test_without_loops_recomputes_the_flags(self):
+        g = build_graph([(0, 1, 1.0), (0, 0, 0.25)])
+        assert g.exact == (False, True)
+        assert without_loops(g).exact == (True, True)

@@ -1,12 +1,16 @@
 """The scripts run from a plain checkout: each puts ``src`` on its own path,
-so neither an install nor PYTHONPATH is needed."""
+so neither an install nor PYTHONPATH is needed.  The climb ladder's
+half-weight twin rungs climb as their unit rungs do."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from degsplit import solve
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -27,3 +31,22 @@ def test_script_runs_without_pythonpath(tmp_path, argv):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_climb_ladder_twin_makes_the_unit_moves_at_half_the_h():
+    # the half-weight twin of the seed-1 G(100, 0.3) rung runs on banded rows
+    # and the unit rung on exact rows, yet every sum is exact on both
+    spec = importlib.util.spec_from_file_location("climb_ladder", SCRIPTS / "climb_ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    unit_graph, unit_demands = ladder.zero_slack_instance(100, 0.3, 1)
+    twin_graph, twin_demands = ladder.zero_slack_instance(100, 0.3, 1, 0.5)
+    assert all(unit_graph.exact) and not any(twin_graph.exact)
+    unit, unit_cert = solve(unit_graph, unit_demands)
+    twin, twin_cert = solve(twin_graph, twin_demands)
+    assert twin == unit
+    assert len(unit_cert.moves) >= 10
+    assert [(m.vertex, m.from_side, m.to_side) for m in twin_cert.moves] == [
+        (m.vertex, m.from_side, m.to_side) for m in unit_cert.moves
+    ]
+    assert twin_cert.h_trace == tuple(h / 2.0 for h in unit_cert.h_trace)

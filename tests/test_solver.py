@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,11 +28,12 @@ from degsplit import (
     solve,
     verify_partition,
 )
+from degsplit import core as core_module
 from degsplit import solver as solver_module
 from degsplit.core import minimal_satisfying_set, peel
 from degsplit.solver import PHASE_HILLCLIMB, Move, _complete_sets
 
-from conftest import complete_graph, is_meager, reduce_loops, weight_dict
+from conftest import complete_graph, is_meager, mixed_graph, reduce_loops, weight_dict
 from conftest import random_graph as conftest_random_graph
 
 
@@ -537,6 +539,131 @@ def zero_slack_climb(seed, weight=1.0):
     g = build_graph(edges, vertices=range(n))
     dem = tuple(max(0.0, (g.d[x] - 2.0 * g.W[x]) / 2.0) for x in range(n))
     return edges, Demands(dem, dem)
+
+
+def mixed_zero_slack_climb(seed):
+    """G(n, 0.3), n from 30 to 60, at zero slack a = b = (d - 2W) / 2, with
+    unit weights but for the edges of three chosen vertices: exact rows and
+    banded rows in one climb."""
+    rng = random.Random(seed)
+    g = mixed_graph(rng, rng.randint(30, 60), 0.3, 3)
+    dem = tuple(max(0.0, (g.d[x] - 2.0 * g.W[x]) / 2.0) for x in range(g.n))
+    return g, Demands(dem, dem)
+
+
+class TestMixedRowClimbMatchesReference:
+    """The kept-degree climb on graphs that mix exact rows (band 0, kept
+    degrees taken as exact sums) and banded rows makes the re-summing
+    reference's moves."""
+
+    def test_same_climb(self):
+        long_climbs = exact_rows = banded_rows = 0
+        for seed in range(60):
+            g, demands = mixed_zero_slack_climb(seed)
+            exact_rows += sum(g.exact)
+            banded_rows += g.n - sum(g.exact)
+            got = climb_outcome(kept_degree_climb, g, demands)
+            assert got == climb_outcome(reference_find_stable_pair, g, demands), seed
+            if isinstance(got, tuple) and len(got[1]) >= 5:
+                long_climbs += 1
+        assert long_climbs >= 12
+        assert exact_rows >= 800 and banded_rows >= 800
+
+
+class TestExactRowTies:
+    """On an exact row the degrees in a move's gain are exact, so the gain's
+    rounding bound is 0: a gain of exactly 0 is a tie, and any other loss is
+    a loss."""
+
+    def test_a_zero_gain_is_a_tie_within_zero(self):
+        g = build_graph([(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0)])
+        dem = Demands((1.0, 4.0, 0.0, 4.0), (1.0, 3.0, 3.0, 4.0))
+        with pytest.raises(
+            NonImprovingMoveError, match=r"gains 0\.0, a tie within the rounding bound 0;"
+        ):
+            solve(g, dem)
+
+    def test_a_negative_gain_is_no_tie(self):
+        g = build_graph(
+            [(0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0), (0, 5, 1.0), (1, 2, 1.0), (1, 3, 1.0),
+             (1, 4, 1.0), (1, 6, 1.0), (2, 3, 1.0), (2, 5, 1.0), (2, 6, 1.0), (4, 6, 1.0)],
+            vertices=range(7),
+        )
+        dem = Demands((2.0, 3.0, 4.0, 0.0, 2.0, 3.0, 2.0), (4.0, 1.0, 4.0, 3.0, 3.0, 4.0, 2.0))
+        with pytest.raises(NonImprovingMoveError, match=r"gains -2\.0; the degree"):
+            solve(g, dem)
+
+    def test_only_the_moved_vertex_is_summed(self, monkeypatch):
+        # on unit weights at zero slack the one exact sum a climb still
+        # makes is the moved vertex's degree on its new side
+        sums, new_side = [], []
+        original_sum, original_exact = core_module._exact, core_module._KeptSet.exact
+
+        def counting_sum(graph, flags, x):
+            sums.append(x)
+            return original_sum(graph, flags, x)
+
+        def counting_exact(self, x):
+            new_side.append(x)
+            return original_exact(self, x)
+
+        monkeypatch.setattr(core_module, "_exact", counting_sum)
+        monkeypatch.setattr(core_module._KeptSet, "exact", counting_exact)
+        moves = 0
+        for seed in range(40):
+            edges, dem = zero_slack_climb(seed)
+            _, cert = solve(build_graph(edges, vertices=range(len(dem))), dem)
+            moves += len(cert.moves)
+        assert moves >= 80
+        assert sums == new_side and len(sums) >= moves
+
+
+class TestPreconditionEdge:
+    """Past zero slack the guarantee is gone: a = b = f (d - 2W) / 2 with f
+    from 1.05 to 1.5, on integer weights (exact rows) and on fractional
+    weights (banded rows).  ``solve`` must raise a solver error or return a
+    partition that verifies, never an unstable one.  Up to 14 vertices the
+    oracle's verdict is recorded too: a partition ``solve`` returns means
+    one exists, while ``solve`` may raise where the oracle still finds one,
+    which the precondition allows."""
+
+    @staticmethod
+    def instance(seed, integer):
+        rng = random.Random(seed)
+        n = rng.randint(6, 14) if seed % 2 else rng.randint(30, 40)
+        p = rng.choice([0.5, 0.7, 0.9])
+        edges = [
+            (i, j, float(rng.randint(1, 3)) if integer else rng.uniform(0.5, 2.0))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < p
+        ]
+        g = build_graph(edges, vertices=range(n))
+        f = rng.uniform(1.05, 1.5)
+        dem = tuple(f * max(0.0, (g.d[x] - 2.0 * g.W[x]) / 2.0) for x in range(n))
+        return g, Demands(dem, dem)
+
+    @pytest.mark.parametrize("integer", [True, False], ids=["integer", "fractional"])
+    def test_solve_raises_or_verifies(self, integer):
+        verdicts = Counter()
+        for seed in range(80):
+            g, dem = self.instance(seed, integer)
+            assert all(g.exact) if integer else not any(g.exact)
+            try:
+                partition, _ = solve(g, dem)
+            except SolverError:
+                outcome = "raised"
+            else:
+                assert verify_partition(g, dem, partition) == [], seed
+                outcome = "solved"
+            exists = brute_force_solve(g, dem).exists if g.n <= 14 else None
+            assert exists is not False or outcome == "raised", seed
+            verdicts[outcome, exists] += 1
+        # both outcomes occur, on both sizes, and the solver gives up on
+        # some instance that has a stable partition
+        assert verdicts["solved", True] >= 10 and verdicts["solved", None] >= 2
+        assert verdicts["raised", True] >= 3 and verdicts["raised", False] >= 1
+        assert verdicts["raised", None] >= 5
 
 
 class TestMetamorphic:

@@ -114,7 +114,9 @@ CASES = {
     ),
 }
 FIELDS = {
-    "WeightedGraph": ("n", "labels", "adjacency", "loops", "loop_mode", "d", "W", "label_index"),
+    "WeightedGraph": (
+        "n", "labels", "adjacency", "loops", "loop_mode", "d", "W", "exact", "label_index",
+    ),
     "Demands": ("a", "b"),
     "Partition": ("a", "b"),
     "FeasibilityReport": ("slack", "violations", "feasible"),
