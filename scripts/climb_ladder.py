@@ -12,7 +12,8 @@ rung the script prints the best-of-three solve time of each seed's instance,
 its number of hill-climb moves, and a SHA-256 over both seeds' partitions
 and moves, so that two checkouts can be shown to climb the same way.  A
 twin's h values are scaled back by 1 / weight before hashing, so a twin
-prints its unit rung's digest exactly when it makes the same moves:
+prints its unit rung's digest exactly when it makes the same moves.
+``climb_rung`` runs one rung and returns what the script prints for it:
 
     python scripts/climb_ladder.py
 
@@ -51,33 +52,41 @@ def zero_slack_instance(n, p, seed, weight=1.0):
     return graph, Demands(demand, demand)
 
 
+def climb_rung(n, p, weight=1.0, repeats=REPEATS):
+    """Solve each seed's instance of one rung ``repeats`` times.  Returns the
+    best solve time and the number of moves per seed, and the first 16 hex
+    digits of the digest over both seeds' partitions and moves."""
+    digest = hashlib.sha256()
+    times, moves = [], []
+    for seed in SEEDS:
+        graph, demands = zero_slack_instance(n, p, seed, weight)
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            partition, cert = solve(graph, demands)
+            best = min(best, time.perf_counter() - start)
+        times.append(best)
+        moves.append(len(cert.moves))
+        scale = 1.0 / weight
+        scaled = [
+            Move(m.vertex, m.from_side, m.to_side, m.h_before * scale, m.h_after * scale)
+            for m in cert.moves
+        ]
+        record = (sorted(partition.a), sorted(partition.b), scaled)
+        digest.update(repr(record).encode() + b"\n")
+    return times, moves, digest.hexdigest()[:16]
+
+
 def main() -> None:
     for n, p, weight in RUNGS:
-        digest = hashlib.sha256()
-        times, moves = [], []
-        for seed in SEEDS:
-            graph, demands = zero_slack_instance(n, p, seed, weight)
-            best = float("inf")
-            for _ in range(REPEATS):
-                start = time.perf_counter()
-                partition, cert = solve(graph, demands)
-                best = min(best, time.perf_counter() - start)
-            times.append(best)
-            moves.append(len(cert.moves))
-            scale = 1.0 / weight
-            scaled = [
-                Move(m.vertex, m.from_side, m.to_side, m.h_before * scale, m.h_after * scale)
-                for m in cert.moves
-            ]
-            record = (sorted(partition.a), sorted(partition.b), scaled)
-            digest.update(repr(record).encode() + b"\n")
+        times, moves, digest = climb_rung(n, p, weight)
         label = f"G({n}, {p})" + ("" if weight == 1.0 else f" w={weight}")
         print(
             f"{label} best of {REPEATS}: "
             + " ".join(f"{t:.4f}s" for t in times)
             + "  moves: "
             + " ".join(map(str, moves))
-            + f"  digest: {digest.hexdigest()[:16]}",
+            + f"  digest: {digest}",
             flush=True,
         )
 

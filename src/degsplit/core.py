@@ -17,18 +17,19 @@ few ulps from the ascending sum ``induced_degree`` returns, so the exact-tie
 rule applies: when |deg(x) - threshold(x)| <= band(x) = 8 (k + 2) 2^-53 d(x),
 with k the number of x's neighbours, x is decided on the exact ascending sum
 instead.  Every decision is therefore the one exact recomputation makes.
+The graph computes band(x) once, with its other caches, as ``graph.band``.
 
-An exact row needs no band.  A row is exact (``graph.exact``) when its edge
-weights and its loop term are integers and d(x) < 2^53.  Every sum of some
-of its terms is then an integer below 2^53, which a double holds, so each
-addition or subtraction that leads from one such sum to another is exact,
-in whatever order: the kept degree is the exact sum at every step.  Such a
-vertex gets a band of 0, which the kept set reads as "the kept degree is
-the exact sum": the cascade decides it on deg(x) < threshold(x) without an
-exact sum, it is never reseeded, and the witness takes deg(x) as its exact
-degree.  A band of 0 means the same on any other row: it rounds to 0 only
-when d(x) < 2^-1022, where every partial sum is a subnormal multiple of
-2^-1074 and so exact too.
+An exact row needs no band.  A row is exact when its edge weights and its
+loop term are integers and d(x) < 2^53.  Every sum of some of its terms is
+then an integer below 2^53, which a double holds, so each addition or
+subtraction that leads from one such sum to another is exact, in whatever
+order: the kept degree is the exact sum at every step.  Such a vertex gets
+a band of 0 in ``graph.band``, which the kept set reads as "the kept degree
+is the exact sum": the cascade decides it on deg(x) < threshold(x) without
+an exact sum, it is never reseeded, and the witness takes deg(x) as its
+exact degree.  A band of 0 means the same on any other row: it rounds to 0
+only when d(x) < 2^-1022, where every partial sum is a subnormal multiple
+of 2^-1074 and so exact too.
 
 The exact sum is ``_exact``, which tests a flag where ``induced_degree``
 tests set membership.  It adds the same weights (the flagged neighbours',
@@ -53,9 +54,7 @@ degree seeded by an exact sum (k + 1 roundings), then up to k single-edge
 updates as vertices join and leave the set, after which ``add`` and
 ``remove`` reseed it with the exact sum, then up to k cascade subtractions,
 against an exact sum of k + 1 roundings: 4k + 2 roundings of at most about
-2^-53 d(x) each, with a factor of two to spare.  ``_KeptSet.bands`` computes
-it for every vertex once per public call, and once for both hill-climb
-sides, as a list the cascade reads.
+2^-53 d(x) each, with a factor of two to spare.
 
 Two more decisions of the hill-climb rest on the band.  The witness is the
 member of largest margin target(x) - deg(x), lowest index first.  A kept
@@ -102,12 +101,9 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import NoSatisfyingSetError
-from .graph import WeightedGraph
+from .graph import _ROUNDOFF, WeightedGraph
 
 Thresholds = Sequence[float]
-
-# unit roundoff of a double
-_ROUNDOFF = 2.0 ** -53
 
 
 def _exact(graph: WeightedGraph, flags, x: int) -> float:
@@ -156,8 +152,7 @@ class _KeptSet:
     and ``remove``.
     """
 
-    def __init__(self, graph: WeightedGraph, members: Iterable[int],
-                 thresholds: Thresholds, band: list[float]):
+    def __init__(self, graph: WeightedGraph, members: Iterable[int], thresholds: Thresholds):
         n = graph.n
         if len(thresholds) != n:
             raise ValueError(f"expected {n} thresholds, got {len(thresholds)}")
@@ -168,13 +163,13 @@ class _KeptSet:
             if not 0 <= x < n:
                 raise ValueError(f"vertex {x} is out of range")
             flags[x] = 1
-        self.graph, self.thresholds, self.band = graph, thresholds, band
+        self.graph, self.thresholds = graph, thresholds
         self.flags = flags
         self.size = flags.count(1)
         # the seed: d[x] when no vertex left out is a neighbour of x, since
         # the ascending sum is then d[x] bit for bit; on an exact row, d[x]
         # less the weights to the neighbours left out
-        adjacency = graph.adjacency
+        adjacency, band = graph.adjacency, graph.band
         deg = list(graph.d)
         reached = bytearray(n)
         for x in range(n):
@@ -192,16 +187,6 @@ class _KeptSet:
         self.updates = [0] * n
         self._core = None
 
-    @staticmethod
-    def bands(graph: WeightedGraph) -> list[float]:
-        # bound on |kept degree - ascending sum| per vertex: no partial sum
-        # exceeds d[x], so a rounding is at most _ROUNDOFF * d[x]; 0 on an
-        # exact row, whose kept degree is the ascending sum
-        return [
-            0.0 if exact else 8 * (len(adj) + 2) * _ROUNDOFF * d
-            for adj, d, exact in zip(graph.adjacency, graph.d, graph.exact)
-        ]
-
     def exact(self, x: int) -> float:
         """x's induced degree in the set plus x, as the exact ascending sum."""
         return _exact(self.graph, self.flags, x)
@@ -210,8 +195,8 @@ class _KeptSet:
         # delete every queued vertex below its threshold, and in turn whatever
         # those deletions push below theirs; False, with the cascade cut short,
         # as soon as it would delete a vertex flagged in ``stop``
-        graph, thresholds, band, stop = self.graph, self.thresholds, self.band, self.stop
-        adjacency = graph.adjacency
+        graph, thresholds, stop = self.graph, self.thresholds, self.stop
+        adjacency, band = graph.adjacency, graph.band
         while stack:
             x = stack.pop()
             if not flags[x]:
@@ -250,8 +235,7 @@ class _KeptSet:
         # after as many updates as its vertex has neighbours; an exact row's
         # kept degree never drifts, so it is never reseeded
         graph, flags, deg, updates = self.graph, self.flags, self.deg, self.updates
-        band = self.band
-        adjacency = graph.adjacency
+        adjacency, band = graph.adjacency, graph.band
         for y, w in adjacency[v]:
             if flags[y]:
                 deg[y] += sign * w
@@ -285,7 +269,7 @@ class _KeptSet:
     def witness(self, target: Thresholds) -> tuple[int, float] | None:
         """The member of largest margin target - degree, lowest index first,
         with its exact degree; None if no margin is positive."""
-        graph, flags, deg, band = self.graph, self.flags, self.deg, self.band
+        graph, flags, deg, band = self.graph, self.flags, self.deg, self.graph.band
         best, found = 0.0, None
         for x in compress(range(graph.n), flags):
             approx = target[x] - deg[x]
@@ -306,9 +290,10 @@ class _KeptSet:
         """The rounding bound on the gain of moving v from this set to
         ``other``: 0 on an exact row, where only a gain of exactly 0 is a
         tie."""
-        if not self.band[v]:
+        band = self.graph.band[v]
+        if not band:
             return 0.0
-        return 2.0 * (self.band[v] + 2.0 * _ROUNDOFF * (self.thresholds[v] + other.thresholds[v]))
+        return 2.0 * (band + 2.0 * _ROUNDOFF * (self.thresholds[v] + other.thresholds[v]))
 
 
 def peel(graph: WeightedGraph, subset: Iterable[int], thresholds: Thresholds) -> frozenset[int]:
@@ -321,7 +306,7 @@ def peel(graph: WeightedGraph, subset: Iterable[int], thresholds: Thresholds) ->
     degree within a few ulps of its threshold is recomputed as the exact
     ascending sum, so the result is the one exact recomputation gives.
     """
-    return _KeptSet(graph, subset, thresholds, _KeptSet.bands(graph)).core
+    return _KeptSet(graph, subset, thresholds).core
 
 
 def minimal_satisfying_set(
@@ -351,9 +336,9 @@ def minimal_satisfying_set(
     that vertex, which was empty.
     """
     n = graph.n
-    kept = _KeptSet(graph, range(n) if within is None else within, demands, _KeptSet.bands(graph))
-    flags, deg, band, essential = kept.flags, kept.deg, kept.band, kept.stop
-    adjacency = graph.adjacency
+    kept = _KeptSet(graph, range(n) if within is None else within, demands)
+    flags, deg, essential = kept.flags, kept.deg, kept.stop
+    adjacency, band = graph.adjacency, graph.band
     removed = []
     kept.cascade(flags, deg, list(compress(range(n), flags)), removed)
     kept.size -= len(removed)

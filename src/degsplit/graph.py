@@ -5,9 +5,13 @@ graph caches, per vertex, the degree ``d`` (sum of incident weights, with a
 declared convention for how loops count) and ``W`` (largest non-loop incident
 weight).  Both caches are summed in ascending-neighbor order so that
 rebuilding the same graph from a shuffled edge list reproduces them bit for
-bit.  A third cache, ``exact``, flags the rows that sum exactly: every edge
-weight and the loop term are integers and ``d`` is below 2^53, so every sum
-of the row's terms, in any order, is an integer a double holds exactly.
+bit.  A third cache, ``band``, bounds how far a degree kept by adding and
+subtracting the row's weights may drift from the ascending sum (see
+``core``): 8 (k + 2) 2^-53 d for a row of k neighbours, since no partial
+sum exceeds d and so no rounding exceeds 2^-53 d.  An exact row gets 0:
+every edge weight and the loop term are integers and ``d`` is below 2^53,
+so every sum of the row's terms, in any order, is an integer a double holds
+exactly.
 
 Every graph is made by ``_assemble``, the one place that computes the caches;
 ``build_graph``, ``without_loops`` and ``geometry.build_grid_graph`` end in it.
@@ -28,6 +32,8 @@ Label = Hashable
 # integers below this are doubles, and so are all their sums and differences
 # that stay below it
 _EXACT_LIMIT = 2.0 ** 53
+# unit roundoff of a double
+_ROUNDOFF = 2.0 ** -53
 _weight = itemgetter(1)
 
 
@@ -53,10 +59,10 @@ class WeightedGraph(Value):
     """
 
     __slots__ = (
-        "n", "labels", "adjacency", "loops", "loop_mode", "d", "W", "exact", "label_index",
+        "n", "labels", "adjacency", "loops", "loop_mode", "d", "W", "band", "label_index",
     )
     _uncompared = ("label_index",)
-    _unshown = ("labels", "adjacency", "loops", "d", "W", "exact", "label_index")
+    _unshown = ("labels", "adjacency", "loops", "d", "W", "band", "label_index")
 
     def index_of(self, label: Label) -> int:
         return self.label_index[label]
@@ -99,7 +105,7 @@ def _assemble(
     # rows must already be symmetric, positive and in ascending neighbour order
     degrees = []
     maxima = []
-    exact = []
+    bands = []
     factor = loop_mode.factor
     for x in range(len(adjacency)):
         total = 0.0
@@ -116,12 +122,15 @@ def _assemble(
         maxima.append(best)
         # a row with a non-integer weight almost always has a non-integer
         # sum, so such a row (every grid row) stops at the first test
-        exact.append(
+        if (
             total.is_integer()
             and total < _EXACT_LIMIT
             and (factor * loops[x]).is_integer()
             and all(map(float.is_integer, map(_weight, adjacency[x])))
-        )
+        ):
+            bands.append(0.0)
+        else:
+            bands.append(8 * (len(adjacency[x]) + 2) * _ROUNDOFF * total)
     return WeightedGraph(
         n=len(labels),
         labels=labels,
@@ -130,7 +139,7 @@ def _assemble(
         loop_mode=loop_mode,
         d=tuple(degrees),
         W=tuple(maxima),
-        exact=tuple(exact),
+        band=tuple(bands),
         label_index=label_index,
     )
 

@@ -8,7 +8,7 @@ import random
 
 from .errors import GenerationFailedError, TooLargeError
 from .graph import Demands, LoopMode, WeightedGraph, build_graph
-from .solver import Partition, check_feasibility
+from .solver import Partition, _require_matching, check_feasibility
 from .value import Value
 
 MAX_BRUTE_VERTICES = 24
@@ -44,8 +44,7 @@ def brute_force_solve(graph: WeightedGraph, demands: Demands) -> OracleResult:
     n = graph.n
     if n > MAX_BRUTE_VERTICES:
         raise TooLargeError(f"{n} vertices exceeds the enumeration cap {MAX_BRUTE_VERTICES}")
-    if len(demands) != n:
-        raise ValueError("demands do not match the graph")
+    _require_matching(graph, demands)
     if n < 2:
         return OracleResult(False, None, 0)
 

@@ -153,6 +153,16 @@ def _require_matching(graph: WeightedGraph, demands: Demands) -> None:
         raise ValueError(f"expected demands for {graph.n} vertices, got {len(demands)}")
 
 
+def _active(graph: WeightedGraph, demands: Demands, max_moves: int) -> frozenset[int]:
+    """The vertices of positive degree, once the demands match the graph and
+    ``max_moves`` is at least 1: the entry checks of ``solve`` and
+    ``find_stable_pair``."""
+    _require_matching(graph, demands)
+    if max_moves < 1:
+        raise ValueError("max_moves must be at least 1")
+    return frozenset(x for x in range(graph.n) if graph.d[x] > 0.0)
+
+
 def check_feasibility(graph: WeightedGraph, demands: Demands) -> FeasibilityReport:
     """Per-vertex slack d - a - b - 2W of the loop-reduced instance.
 
@@ -210,12 +220,8 @@ def find_stable_pair(
     when the search cannot finish; all three are only reachable when the
     degree precondition fails.
     """
-    _require_matching(graph, demands)
-    if max_moves < 1:
-        raise ValueError("max_moves must be at least 1")
+    active = _active(graph, demands, max_moves)
     cert = SolveCertificate()
-
-    active = frozenset(x for x in range(graph.n) if graph.d[x] > 0.0)
     if len(active) < 2:
         raise PartitionCollapseError("need at least two vertices of positive degree")
     a_dem, b_dem = demands.a, demands.b
@@ -227,15 +233,14 @@ def find_stable_pair(
         raise PartitionCollapseError("every active vertex is needed to meet the a-demands")
 
     cert.phase_log.append(PHASE_CASE1_CORE)
-    band = _KeptSet.bands(graph)
-    sb = _KeptSet(graph, side_b, b_dem, band)
+    sb = _KeptSet(graph, side_b, b_dem)
     if sb.core:
         cert.stable_pair = (side_a, sb.core)
         return side_a, sb.core, cert
 
     cert.phase_log.append(PHASE_HILLCLIMB)
     cert.hillclimb_start = (side_a, side_b)
-    sa = _KeptSet(graph, side_a, a_dem, band)
+    sa = _KeptSet(graph, side_a, a_dem)
     strong_a = [a + w for a, w in zip(a_dem, graph.W)]
     strong_b = [b + w for b, w in zip(b_dem, graph.W)]
     order_a, order_b = sorted(side_a), sorted(side_b)
@@ -369,11 +374,7 @@ def solve(
     """
     if graph.n < 2:
         raise SingleVertexGraphError("no partition exists with fewer than two vertices")
-    _require_matching(graph, demands)
-    if max_moves < 1:
-        raise ValueError("max_moves must be at least 1")
-
-    active = frozenset(x for x in range(graph.n) if graph.d[x] > 0.0)
+    active = _active(graph, demands, max_moves)
     isolated = sorted(set(range(graph.n)) - active)
 
     cert = SolveCertificate()

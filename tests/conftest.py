@@ -125,6 +125,13 @@ def random_graph(rng: random.Random, n, p, weight_range=(0.1, 2.0), loops=False,
     return build_graph(edges, loop_mode, vertices=range(n))
 
 
+def zero_band(graph):
+    """Which rows of ``graph`` have a band of 0 (the exact rows); every other
+    row's band must be positive."""
+    assert all(b > 0.0 for b in graph.band if b != 0.0)
+    return tuple(b == 0.0 for b in graph.band)
+
+
 def mixed_graph(rng: random.Random, n, p, fractional, integer_weights=(1.0,),
                 loop_mode=LoopMode.DOUBLE, loops=False):
     """G(n, p) with exact rows and banded rows side by side: an edge that

@@ -24,6 +24,7 @@ from conftest import (
     qualifying_subsets,
     random_graph,
     reduce_loops,
+    zero_band,
 )
 
 
@@ -383,7 +384,7 @@ class TestKeptSideDegrees:
         # neighbour leaves; its exact margin 0.8 + 0.2 - 0.2 ties vertex 1's,
         # and the lower index must win
         g = build_graph([(0, 2, 0.2), (0, 3, 0.1), (1, 2, 0.2)], vertices=range(4))
-        side = _KeptSet(g, range(4), [0.8] * 4, _KeptSet.bands(g))
+        side = _KeptSet(g, range(4), [0.8] * 4)
         side.remove(3)
         assert side.deg[0] != induced_degree(g, members(side), 0)
         assert side.witness([0.8 + w for w in g.W]) == (0, 0.2)
@@ -398,8 +399,7 @@ class TestKeptSideDegrees:
             [(0, leaf, w) for leaf, w in enumerate(weights, start=1)], vertices=range(6)
         )
         demand = [induced_degree(g, {0, 1, 3, 4}, 0)] + [0.1] * 5
-        band = _KeptSet.bands(g)
-        side = _KeptSet(g, range(6), demand, band)
+        side = _KeptSet(g, range(6), demand)
         rng = random.Random(0)
         for _ in range(4000):
             v = rng.randrange(1, 6)
@@ -409,7 +409,7 @@ class TestKeptSideDegrees:
                 side.add(v, induced_degree(g, members(side) | {v}, v))
             assert side.size == sum(side.flags)
             for x in members(side):
-                assert abs(side.deg[x] - induced_degree(g, members(side), x)) <= band[x]
+                assert abs(side.deg[x] - induced_degree(g, members(side), x)) <= g.band[x]
             assert side.core == peel(g, members(side), demand)
 
     @staticmethod
@@ -425,7 +425,7 @@ class TestKeptSideDegrees:
 
     def test_removing_a_vertex_outside_the_core_keeps_it(self):
         g, demand = self.triangle_with_tails()
-        side = _KeptSet(g, range(4), demand, _KeptSet.bands(g))
+        side = _KeptSet(g, range(4), demand)
         core = side.core
         assert core == {0, 1, 2}
         side.remove(3)
@@ -434,7 +434,7 @@ class TestKeptSideDegrees:
 
     def test_adding_a_vertex_that_is_peeled_keeps_the_old_core(self):
         g, demand = self.triangle_with_tails()
-        side = _KeptSet(g, range(3), demand, _KeptSet.bands(g))
+        side = _KeptSet(g, range(3), demand)
         core = side.core
         side.add(3, induced_degree(g, {0, 1, 2, 3}, 3))
         assert side.core is core
@@ -442,7 +442,7 @@ class TestKeptSideDegrees:
 
     def test_adding_to_a_non_empty_core(self):
         g, demand = self.triangle_with_tails()
-        side = _KeptSet(g, range(4), demand, _KeptSet.bands(g))
+        side = _KeptSet(g, range(4), demand)
         # 4 joins the core by itself; 5 brings 3 in with it
         side.add(4, induced_degree(g, {0, 1, 2, 3, 4}, 4))
         assert side.core == peel(g, members(side), demand) == {0, 1, 2, 4}
@@ -460,7 +460,7 @@ class TestKeptSideDegrees:
             g = random_graph(rng, n, 0.5)
             demand = [rng.uniform(0.3, 0.6) * d for d in g.d]
             start = [x for x in range(n) if rng.random() < 0.5]
-            side = _KeptSet(g, start, demand, _KeptSet.bands(g))
+            side = _KeptSet(g, start, demand)
             for _ in range(60):
                 v = rng.randrange(n)
                 if side.flags[v]:
@@ -502,8 +502,7 @@ class TestExactRows:
     def test_a_row_just_outside_the_rule_keeps_its_band(self, name):
         edges, mode, thresholds, core = self.CASES[name]
         g = build_graph(edges, mode, vertices=range(4))
-        assert not g.exact[0]
-        assert _KeptSet.bands(g)[0] > 0.0
+        assert g.band[0] > 0.0
         assert reference_peel(g, range(4), thresholds) == core
         assert peel(g, range(4), thresholds) == core
 
@@ -512,8 +511,7 @@ class TestExactRows:
         g = build_graph([(0, 1, self.BIG), (0, 2, 1.0), (0, 0, 0.5), (2, 3, 1.0)],
                         LoopMode.DOUBLE)
         thresholds = [1.75, 1e300, 1.0, 1.0]
-        assert g.exact == (True,) * 4
-        assert _KeptSet.bands(g) == [0.0] * 4
+        assert g.band == (0.0,) * 4
         assert reference_peel(g, range(4), thresholds) == {0, 2, 3}
         assert peel(g, range(4), thresholds) == {0, 2, 3}
 
@@ -524,10 +522,8 @@ class TestExactRows:
         for _ in range(120):
             n = rng.randint(4, 14)
             g = mixed_graph(rng, n, 0.4, rng.randint(1, 2), (1.0, 2.0, 3.0), loop_mode, True)
-            band = _KeptSet.bands(g)
-            assert [b == 0.0 for b in band] == list(g.exact)
-            exact_rows += sum(g.exact)
-            banded_rows += g.n - sum(g.exact)
+            exact_rows += sum(zero_band(g))
+            banded_rows += g.n - sum(zero_band(g))
             thresholds = planted_thresholds(rng, g)
             expected = reference_peel(g, range(g.n), thresholds)
             assert peel(g, range(g.n), thresholds) == expected
@@ -548,8 +544,7 @@ class TestExactRows:
             g = mixed_graph(rng, n, 0.5, rng.randint(1, 2), (1.0, 2.0, 3.0), loop_mode, True)
             demand = [rng.choice((0.3, 0.4, 0.5)) * d for d in g.d]
             target = [t + w for t, w in zip(demand, g.W)]
-            side = _KeptSet(g, [x for x in range(n) if rng.random() < 0.5], demand,
-                            _KeptSet.bands(g))
+            side = _KeptSet(g, [x for x in range(n) if rng.random() < 0.5], demand)
             for _ in range(40):
                 v = rng.randrange(n)
                 if side.flags[v]:
@@ -560,7 +555,7 @@ class TestExactRows:
                 kept = members(side)
                 assert side.core == reference_peel(g, kept, demand)
                 for x in kept:
-                    if g.exact[x]:
+                    if g.band[x] == 0.0:
                         assert side.deg[x] == induced_degree(g, kept, x)
                 best, found = 0.0, None
                 for x in sorted(kept):
@@ -575,7 +570,7 @@ class TestExactRows:
         # centre's kept degree stays the exact sum without one exact sum
         g = build_graph([(0, leaf, 1.0) for leaf in range(1, 6)])
         demand = [2.0] + [1.0] * 5
-        side = _KeptSet(g, range(6), demand, _KeptSet.bands(g))
+        side = _KeptSet(g, range(6), demand)
         calls = []
         original = core_module._exact
         monkeypatch.setattr(

@@ -18,7 +18,7 @@ from degsplit import (
     without_loops,
 )
 
-from conftest import complete_graph, random_graph
+from conftest import complete_graph, mixed_graph, random_graph, zero_band
 
 
 def test_triangle_profile(triangle):
@@ -220,32 +220,32 @@ def test_loop_degree_sum_identity():
 
 
 class TestExactRows:
-    """``graph.exact`` flags the rows whose every sum is exact: integer edge
+    """``graph.band`` is 0 on the rows whose every sum is exact: integer edge
     weights, an integer loop term and a degree below 2^53."""
 
     def test_integer_rows_are_exact(self, k9):
-        assert k9.exact == (True,) * 9
+        assert k9.band == (0.0,) * 9
 
     def test_grid_rows_are_not(self):
         g = build_grid_graph(GridInstance.rectangle(4, 4, 2.1))
-        assert not any(g.exact)
+        assert all(b > 0.0 for b in g.band)
 
     def test_a_degree_of_two_to_the_53_is_not_exact(self):
         big = 2.0 ** 52
         g = build_graph([(0, 1, big), (0, 2, big), (1, 2, big - 1.0)])
         assert g.d == (2.0 ** 53, 2.0 ** 53 - 1.0, 2.0 ** 53 - 1.0)
-        assert g.exact == (False, True, True)
+        assert zero_band(g) == (False, True, True)
 
     def test_one_half_weight_spoils_an_integer_sum(self):
         g = build_graph([(0, 1, 0.5), (0, 2, 1.5), (1, 2, 1.0), (2, 3, 2.0)])
         assert g.d[0] == 2.0
-        assert g.exact == (False, False, False, True)
+        assert zero_band(g) == (False, False, False, True)
 
     def test_a_half_weight_rounded_away_still_spoils_the_row(self):
         # 2^52 + 0.5 + 0.5 rounds to the integer 2^52 on each addition
         g = build_graph([(0, 1, 2.0 ** 52), (0, 2, 0.5), (0, 3, 0.5)])
         assert g.d[0] == 2.0 ** 52
-        assert g.exact == (False, True, False, False)
+        assert zero_band(g) == (False, True, False, False)
 
     @pytest.mark.parametrize("mode,exact", [(LoopMode.ONCE, False), (LoopMode.DOUBLE, True)])
     def test_a_half_loop_counts_by_its_term(self, mode, exact):
@@ -253,9 +253,56 @@ class TestExactRows:
         # 2^52 + 2, or 1.0 doubled
         g = build_graph([(0, 1, 2.0 ** 52), (0, 2, 1.0), (0, 0, 0.5)], mode)
         assert g.d[0] == 2.0 ** 52 + 2.0
-        assert g.exact == (exact, True, True)
+        assert zero_band(g) == (exact, True, True)
 
-    def test_without_loops_recomputes_the_flags(self):
+    def test_without_loops_recomputes_the_bands(self):
         g = build_graph([(0, 1, 1.0), (0, 0, 0.25)])
-        assert g.exact == (False, True)
-        assert without_loops(g).exact == (True, True)
+        assert zero_band(g) == (False, True)
+        assert without_loops(g).band == (0.0, 0.0)
+
+
+def reference_band(graph):
+    """8 (k + 2) 2^-53 d per row of k neighbours, or 0 when the row's edge
+    weights and loop term are integers and d < 2^53, from the graph's rows."""
+    bands = []
+    for x in range(graph.n):
+        terms = [w for _, w in graph.adjacency[x]] + [graph.loop_mode.factor * graph.loops[x]]
+        if all(t == math.floor(t) for t in terms) and graph.d[x] < 2.0 ** 53:
+            bands.append(0.0)
+        else:
+            bands.append(8 * (len(graph.adjacency[x]) + 2) * 2.0 ** -53 * graph.d[x])
+    return bands
+
+
+@pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+class TestBandFormula:
+    """Every builder gives each row the band of its formula, bit for bit."""
+
+    @staticmethod
+    def assert_formula(graph):
+        assert [b.hex() for b in graph.band] == [b.hex() for b in reference_band(graph)]
+
+    def test_build_graph_and_without_loops(self, loop_mode):
+        rng = random.Random(29)
+        exact_rows = banded_rows = 0
+        for _ in range(40):
+            g = mixed_graph(rng, rng.randint(4, 20), 0.4, rng.randint(1, 3), (1.0, 2.0, 3.0),
+                            loop_mode, True)
+            for graph in (g, without_loops(g)):
+                self.assert_formula(graph)
+                exact_rows += sum(zero_band(graph))
+                banded_rows += graph.n - sum(zero_band(graph))
+        assert exact_rows >= 200 and banded_rows >= 200
+
+    def test_build_grid_graph_and_without_loops(self, loop_mode):
+        # overlap areas are fractions but for whole squares: a cell far from
+        # the rest has only its own square, a loop of 1, and at r = 10 every
+        # square of a 3x3 block lies inside every disk
+        mixed = GridInstance([*GridInstance.rectangle(5, 4, 2.1).cells, (12, 12)], 2.1)
+        for instance, exact in ((mixed, (False,) * 20 + (True,)),
+                                (GridInstance.rectangle(3, 3, 10.0), (True,) * 9)):
+            g = build_grid_graph(instance, loop_mode)
+            assert g.has_loops()
+            assert zero_band(g) == zero_band(without_loops(g)) == exact
+            self.assert_formula(g)
+            self.assert_formula(without_loops(g))

@@ -85,6 +85,13 @@ class TestBruteForce:
         result = brute_force_solve(k9, dem)
         assert verify_partition(k9, dem, result.witness) == []
 
+    @pytest.mark.parametrize("n,m", [(3, 2), (3, 4), (1, 2)])
+    def test_demands_of_the_wrong_length(self, n, m):
+        # the solver's entry check and message
+        g = build_graph([], vertices=range(n)) if n == 1 else complete_graph(n)
+        with pytest.raises(ValueError, match=rf"^expected demands for {n} vertices, got {m}$"):
+            brute_force_solve(g, Demands.constant(m, 0.0, 0.0))
+
     def test_cap_enforced(self):
         g = complete_graph(25)
         with pytest.raises(TooLargeError):

@@ -1,6 +1,7 @@
 """The scripts run from a plain checkout: each puts ``src`` on its own path,
 so neither an install nor PYTHONPATH is needed.  The climb ladder's
-half-weight twin rungs climb as their unit rungs do."""
+half-weight twin rungs climb as their unit rungs do, and make the digests
+recorded for them."""
 
 import importlib.util
 import os
@@ -33,15 +34,20 @@ def test_script_runs_without_pythonpath(tmp_path, argv):
     assert done.stdout
 
 
-def test_climb_ladder_twin_makes_the_unit_moves_at_half_the_h():
+@pytest.fixture(scope="module")
+def ladder():
+    spec = importlib.util.spec_from_file_location("climb_ladder", SCRIPTS / "climb_ladder.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_climb_ladder_twin_makes_the_unit_moves_at_half_the_h(ladder):
     # the half-weight twin of the seed-1 G(100, 0.3) rung runs on banded rows
     # and the unit rung on exact rows, yet every sum is exact on both
-    spec = importlib.util.spec_from_file_location("climb_ladder", SCRIPTS / "climb_ladder.py")
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
     unit_graph, unit_demands = ladder.zero_slack_instance(100, 0.3, 1)
     twin_graph, twin_demands = ladder.zero_slack_instance(100, 0.3, 1, 0.5)
-    assert all(unit_graph.exact) and not any(twin_graph.exact)
+    assert unit_graph.band == (0.0,) * 100 and all(b > 0.0 for b in twin_graph.band)
     unit, unit_cert = solve(unit_graph, unit_demands)
     twin, twin_cert = solve(twin_graph, twin_demands)
     assert twin == unit
@@ -50,3 +56,14 @@ def test_climb_ladder_twin_makes_the_unit_moves_at_half_the_h():
         (m.vertex, m.from_side, m.to_side) for m in unit_cert.moves
     ]
     assert twin_cert.h_trace == tuple(h / 2.0 for h in unit_cert.h_trace)
+
+
+@pytest.mark.parametrize(
+    "n,moves,digest", [(100, [13, 18], "f3e0f8f6b1a306cd"), (400, [118, 118], "4a2438f3c66291a4")]
+)
+def test_climb_ladder_twin_digests_are_pinned(ladder, n, moves, digest):
+    # the twins climb on banded rows only, where every peel, witness and
+    # gain decision rests on the exact-tie band; the digests are their unit
+    # rungs', recorded before the twins existed
+    _, got_moves, got_digest = ladder.climb_rung(n, 0.3, 0.5, repeats=1)
+    assert (got_moves, got_digest) == (moves, digest)

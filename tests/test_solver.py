@@ -33,7 +33,9 @@ from degsplit import solver as solver_module
 from degsplit.core import minimal_satisfying_set, peel
 from degsplit.solver import PHASE_HILLCLIMB, Move, _complete_sets
 
-from conftest import complete_graph, is_meager, mixed_graph, reduce_loops, weight_dict
+from conftest import (
+    complete_graph, is_meager, mixed_graph, reduce_loops, weight_dict, zero_band,
+)
 from conftest import random_graph as conftest_random_graph
 
 
@@ -560,8 +562,8 @@ class TestMixedRowClimbMatchesReference:
         long_climbs = exact_rows = banded_rows = 0
         for seed in range(60):
             g, demands = mixed_zero_slack_climb(seed)
-            exact_rows += sum(g.exact)
-            banded_rows += g.n - sum(g.exact)
+            exact_rows += sum(zero_band(g))
+            banded_rows += g.n - sum(zero_band(g))
             got = climb_outcome(kept_degree_climb, g, demands)
             assert got == climb_outcome(reference_find_stable_pair, g, demands), seed
             if isinstance(got, tuple) and len(got[1]) >= 5:
@@ -648,7 +650,7 @@ class TestPreconditionEdge:
         verdicts = Counter()
         for seed in range(80):
             g, dem = self.instance(seed, integer)
-            assert all(g.exact) if integer else not any(g.exact)
+            assert zero_band(g) == (integer,) * g.n
             try:
                 partition, _ = solve(g, dem)
             except SolverError:
@@ -720,6 +722,59 @@ class TestMetamorphic:
             assert verify_partition(g, relabelled, part) == [], seed
             climbed += bool(cert.moves)
         assert climbed >= 10
+
+
+class TestEntryChecks:
+    """``solve`` and ``find_stable_pair`` share their entry checks: a demand
+    vector of the wrong length and ``max_moves`` below 1 raise the same
+    ValueError from both, before any phase runs, whether the graph has 0, 1
+    or at least 2 vertices of positive degree."""
+
+    GRAPHS = {
+        "no-positive-degree": lambda: build_graph([], vertices=["u", "v", "w"]),
+        "one-positive-degree": lambda: build_graph([("v", "v", 1.0)], vertices=["v", "u"]),
+        "k9": lambda: complete_graph(9),
+    }
+
+    @pytest.fixture(params=sorted(GRAPHS))
+    def graph(self, request, monkeypatch):
+        # any phase that runs fails the test
+        def no_phase(*args, **kwargs):
+            raise AssertionError("a phase ran before the entry checks")
+
+        for name in ("minimal_satisfying_set", "peel", "_KeptSet", "check_feasibility"):
+            monkeypatch.setattr(solver_module, name, no_phase)
+        return self.GRAPHS[request.param]()
+
+    @pytest.mark.parametrize("entry", [solve, find_stable_pair], ids=["solve", "find_stable_pair"])
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_demands_of_the_wrong_length(self, graph, entry, offset):
+        m = graph.n + offset
+        message = rf"^expected demands for {graph.n} vertices, got {m}$"
+        with pytest.raises(ValueError, match=message):
+            entry(graph, Demands.constant(m, 0.0, 0.0))
+
+    @pytest.mark.parametrize("entry", [solve, find_stable_pair], ids=["solve", "find_stable_pair"])
+    @pytest.mark.parametrize("max_moves", [0, -1])
+    def test_max_moves_below_one(self, graph, entry, max_moves):
+        with pytest.raises(ValueError, match=r"^max_moves must be at least 1$"):
+            entry(graph, Demands.constant(graph.n, 0.0, 0.0), max_moves=max_moves)
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_each_graph_is_accepted_with_valid_arguments(self, name):
+        # so the errors above come from the entry checks, not from the graph:
+        # solve accepts all three, and find_stable_pair needs two vertices
+        # of positive degree
+        g = self.GRAPHS[name]()
+        dem = Demands.constant(g.n, 0.0, 0.0)
+        part, _ = solve(g, dem, max_moves=1)
+        assert part.n == g.n
+        if name == "k9":
+            abar, bbar, _ = find_stable_pair(g, dem, max_moves=1)
+            assert abar and bbar
+        else:
+            with pytest.raises(PartitionCollapseError):
+                find_stable_pair(g, dem, max_moves=1)
 
 
 class TestSolve:
@@ -821,15 +876,6 @@ class TestSolve:
         assert cert.moves
         assert len(calls) == 1
         assert not verify_partition(g, dem, part)
-
-    def test_max_moves_checked_before_any_phase(self):
-        # one vertex of positive degree never reaches the hill-climb, whose
-        # own check used to be the only one
-        g = build_graph([("v", "v", 1.0)], vertices=["v", "u"])
-        dem = Demands((0.0, 0.0), (0.0, 0.0))
-        with pytest.raises(ValueError):
-            solve(g, dem, max_moves=0)
-        assert solve(g, dem, max_moves=1)[0].a
 
     def test_random_instances_verified_against_demands(self):
         for seed in range(60):
@@ -1027,8 +1073,8 @@ class TestLoopedSearch:
 
 
 def test_solver_imports_no_private_core_name_but_the_kept_set():
-    # the band, the reseed rule and every exact-tie decision live in core;
-    # solver reaches them only through the kept-set class
+    # the reseed rule and every exact-tie decision live in core (the band is
+    # the graph's); solver reaches them only through the kept-set class
     source = Path(solver_module.__file__).read_text()
     imported = [
         alias.name

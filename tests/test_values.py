@@ -115,7 +115,7 @@ CASES = {
 }
 FIELDS = {
     "WeightedGraph": (
-        "n", "labels", "adjacency", "loops", "loop_mode", "d", "W", "exact", "label_index",
+        "n", "labels", "adjacency", "loops", "loop_mode", "d", "W", "band", "label_index",
     ),
     "Demands": ("a", "b"),
     "Partition": ("a", "b"),
