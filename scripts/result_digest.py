@@ -19,19 +19,25 @@ certificate's feasibility slacks, taken when ``solve`` returns, and the
 Sets are hashed as sorted tuples, since the iteration order of equal sets
 can differ.  The graph digest covers the labels, adjacency, loops, ``d`` and
 ``W`` of every graph that ``geometry.build_grid_graph`` and
-``graph.build_graph`` return, floats by their exact ``repr``.
+``graph.build_graph`` return, floats by their exact ``repr``.  The CLI
+digest (``cli=``) covers the kind, exit code and standard output of every
+op of the benchmark's cli pool, run in pool order through ``cli.main`` in
+this process, after the other pools.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from degsplit import geometry, graph, solver  # noqa: E402
+from degsplit import cli, geometry, graph, solver  # noqa: E402
 
 
 def canonical(value):
@@ -120,6 +126,25 @@ def digest(seed: int) -> tuple[str, str, int, str, str, int]:
     )
 
 
+def cli_digest(seed: int) -> str:
+    """The digest of the cli pool's ops: each op's kind, exit code and
+    standard output, which is also written to the op's output file, since
+    the verify op reads the solve op's."""
+    outputs = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for op in workloads.setup("cli", seed, Path(tmp), ROOT / "src").ops:
+            captured = io.StringIO()
+            with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(op.argv)
+            text = captured.getvalue()
+            op.stdout_path.write_text(text, encoding="utf-8")
+            if not op.check(code, text):
+                raise SystemExit(f"cli: a {op.kind} op failed verification")
+            outputs.update(repr((op.kind, code, text)).encode())
+            outputs.update(b"\n")
+    return outputs.hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, nargs="+", required=True)
@@ -128,7 +153,8 @@ def main() -> None:
         value, partition_value, calls, precondition_value, graph_value, builds = digest(seed)
         print(
             f"{value}  seed={seed} solve_calls={calls} partitions={partition_value} "
-            f"preconditions={precondition_value} graphs={builds} {graph_value}"
+            f"preconditions={precondition_value} graphs={builds} {graph_value} "
+            f"cli={cli_digest(seed)}"
         )
 
 

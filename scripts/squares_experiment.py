@@ -45,7 +45,7 @@ def main():
     result = solve_squares(instance, DemandScheme.HALF_DEGREE, loop_mode=mode)
     summarize("half-degree", result)
     if args.svg:
-        render_squares_svg(args.svg, instance, set(result.side_a), instance.r)
+        render_squares_svg(args.svg, instance, result.side_a)
         print(f"  [half-degree] wrote {args.svg}")
 
     try:

@@ -26,6 +26,8 @@ from .solver import DEFAULT_MAX_MOVES, Partition, solve, verify_partition
 EXIT_OK = 0
 EXIT_NO_PARTITION = 1
 EXIT_INPUT = 2
+# pixels per grid cell in a squares SVG
+_SVG_SCALE = 20
 
 
 class InputError(DegsplitError):
@@ -202,10 +204,11 @@ def _violation_payload(graph, violations):
     ]
 
 
-def render_squares_svg(path, instance, side_a, r, show_circle=None, scale=20):
-    """One unit rect per cell: side A ``#1f77b4``, side B ``#ff7f0e``, 1px
-    grid stroke; optionally overlay the radius-r circle of one cell."""
-    cells = instance.cells
+def render_squares_svg(path, instance, side_a, show_circle=None):
+    """One unit rect per cell, ``_SVG_SCALE`` pixels wide: side A
+    ``#1f77b4``, side B ``#ff7f0e``, 1px grid stroke; optionally overlay the
+    radius-r circle of one cell."""
+    cells, r, scale = instance.cells, instance.r, _SVG_SCALE
     in_a = set(side_a)
     min_i = min(i for i, _ in cells)
     max_i = max(i for i, _ in cells)
@@ -311,7 +314,7 @@ def _cmd_squares(args) -> int:
         "moves": len(result.certificate.moves),
     }
     if args.svg:
-        render_squares_svg(args.svg, instance, set(result.side_a), instance.r, show)
+        render_squares_svg(args.svg, instance, result.side_a, show)
         payload["svg"] = args.svg
     _emit(payload, args.format)
     return EXIT_OK

@@ -33,11 +33,11 @@ of 2^-1074 and so exact too.
 
 The exact sum is ``_exact``, which tests a flag where ``induced_degree``
 tests set membership.  It adds the same weights (the flagged neighbours',
-in the ascending order of the row) and then the loop term, the same
-product, last; floating-point addition in the same order on the same
-operands gives the same double, so the two agree bit for bit.  It does not
-test x's own flag, so on a vertex left out it gives the degree x would have
-on joining the set.
+in the ascending order of the row) and then the graph's cached loop term,
+``graph.loop_term[x]``, last; floating-point addition in the same order on
+the same operands gives the same double, so the two agree bit for bit.  It
+does not test x's own flag, so on a vertex left out it gives the degree x
+would have on joining the set.
 
 A deletion queues only the neighbours that can fall: a vertex whose kept
 degree still exceeds its threshold by more than its band would be kept at its
@@ -113,9 +113,7 @@ def _exact(graph: WeightedGraph, flags, x: int) -> float:
     for y, w in graph.adjacency[x]:
         if flags[y]:
             total += w
-    if graph.loops[x]:
-        total += graph.loop_mode.factor * graph.loops[x]
-    return total
+    return total + graph.loop_term[x]
 
 
 def _delete(adjacency, flags, deg, thresholds, band, stop, x, stack, removed, log) -> bool:

@@ -43,7 +43,8 @@ class NonImprovingMoveError(SolverError):
 
 
 class CompletionAssertFailedError(SolverError):
-    """A leftover vertex could not be absorbed into either side."""
+    """A vertex that completion added to side A misses its a-demand there,
+    so it meets neither side's demand."""
 
 
 class UnstablePartitionError(SolverError):

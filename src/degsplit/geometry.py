@@ -175,9 +175,9 @@ class DemandScheme(Enum):
 
 
 def _covered_area(graph: WeightedGraph, x: int) -> float:
-    # total area of the disk around x lying over existing cells, own square once
-    factor = graph.loop_mode.factor
-    return graph.d[x] - (factor - 1) * graph.loops[x]
+    # total area of the disk around x lying over existing cells, own square
+    # once: the loop term less the loop is 0 or w_xx, exactly
+    return graph.d[x] - (graph.loop_term[x] - graph.loops[x])
 
 
 def squares_demands(graph: WeightedGraph, scheme: DemandScheme) -> Demands:

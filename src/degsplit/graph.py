@@ -1,17 +1,19 @@
 """Weighted undirected graph model.
 
 Vertices are dense indices 0..n-1 behind arbitrary hashable labels.  The
-graph caches, per vertex, the degree ``d`` (sum of incident weights, with a
-declared convention for how loops count) and ``W`` (largest non-loop incident
-weight).  Both caches are summed in ascending-neighbor order so that
+graph caches, per vertex, the loop term ``loop_term`` (what x's loop adds to
+its degree under the declared convention: w_xx or 2 w_xx, 0.0 without a
+loop), the degree ``d`` (the incident weights in ascending-neighbor order,
+then the loop term) and ``W`` (largest non-loop incident weight), so that
 rebuilding the same graph from a shuffled edge list reproduces them bit for
-bit.  A third cache, ``band``, bounds how far a degree kept by adding and
-subtracting the row's weights may drift from the ascending sum (see
-``core``): 8 (k + 2) 2^-53 d for a row of k neighbours, since no partial
-sum exceeds d and so no rounding exceeds 2^-53 d.  An exact row gets 0:
-every edge weight and the loop term are integers and ``d`` is below 2^53,
-so every sum of the row's terms, in any order, is an integer a double holds
-exactly.
+bit.  Every other degree sum ends in the cached loop term, so nothing else
+reads the convention.  A fourth cache, ``band``, bounds how far a degree
+kept by adding and subtracting the row's weights may drift from the
+ascending sum (see ``core``): 8 (k + 2) 2^-53 d for a row of k neighbours,
+since no partial sum exceeds d and so no rounding exceeds 2^-53 d.  An exact
+row gets 0: every edge weight and the loop term are integers and ``d`` is
+below 2^53, so every sum of the row's terms, in any order, is an integer a
+double holds exactly.
 
 Every graph is made by ``_assemble``, the one place that computes the caches;
 ``build_graph``, ``without_loops`` and ``geometry.build_grid_graph`` end in it.
@@ -59,10 +61,11 @@ class WeightedGraph(Value):
     """
 
     __slots__ = (
-        "n", "labels", "adjacency", "loops", "loop_mode", "d", "W", "band", "label_index",
+        "n", "labels", "adjacency", "loops", "loop_mode", "loop_term", "d", "W", "band",
+        "label_index",
     )
     _uncompared = ("label_index",)
-    _unshown = ("labels", "adjacency", "loops", "d", "W", "band", "label_index")
+    _unshown = ("labels", "adjacency", "loops", "loop_term", "d", "W", "band", "label_index")
 
     def index_of(self, label: Label) -> int:
         return self.label_index[label]
@@ -103,10 +106,10 @@ def _assemble(
     label_index: dict[Label, int],
 ) -> WeightedGraph:
     # rows must already be symmetric, positive and in ascending neighbour order
+    terms = [loop_mode.factor * w for w in loops]
     degrees = []
     maxima = []
     bands = []
-    factor = loop_mode.factor
     for x in range(len(adjacency)):
         total = 0.0
         best = 0.0
@@ -114,8 +117,8 @@ def _assemble(
             total += w
             if w > best:
                 best = w
-        if loops[x]:
-            total += factor * loops[x]
+        # the loop term last; adding 0.0 where there is no loop changes nothing
+        total += terms[x]
         if not math.isfinite(total):
             raise ValueError(f"vertex {labels[x]!r} has degree {total}; degrees must be finite")
         degrees.append(total)
@@ -125,7 +128,7 @@ def _assemble(
         if (
             total.is_integer()
             and total < _EXACT_LIMIT
-            and (factor * loops[x]).is_integer()
+            and terms[x].is_integer()
             and all(map(float.is_integer, map(_weight, adjacency[x])))
         ):
             bands.append(0.0)
@@ -137,6 +140,7 @@ def _assemble(
         adjacency=adjacency,
         loops=loops,
         loop_mode=loop_mode,
+        loop_term=tuple(terms),
         d=tuple(degrees),
         W=tuple(maxima),
         band=tuple(bands),
@@ -201,8 +205,8 @@ def induced_degree(graph: WeightedGraph, subset, x: int) -> float:
     """Degree of x inside the subgraph induced by ``subset``.
 
     Sums the weights of edges from x to other members (in ascending-neighbor
-    order, so results are reproducible) plus x's own loop contribution under
-    the graph's loop mode.  ``x`` must be a member.
+    order, so results are reproducible) plus x's loop term, last.  ``x`` must
+    be a member.
     """
     if x not in subset:
         raise VertexNotInSetError(f"vertex {x} is not in the queried subset")
@@ -210,9 +214,7 @@ def induced_degree(graph: WeightedGraph, subset, x: int) -> float:
     for y, w in graph.adjacency[x]:
         if y in subset:
             total += w
-    if graph.loops[x]:
-        total += graph.loop_mode.factor * graph.loops[x]
-    return total
+    return total + graph.loop_term[x]
 
 
 def without_loops(graph: WeightedGraph) -> WeightedGraph:

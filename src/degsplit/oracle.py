@@ -65,7 +65,6 @@ def brute_force_solve(graph: WeightedGraph, demands: Demands) -> OracleResult:
         half = 1 << y
         np.add(tables[:, :half], weights[:, y : y + 1], out=tables[:, half : 2 * half])
     higher = [[(y, w) for y, w in graph.adjacency[x] if y >= low] for x in range(n)]
-    loop_terms = [graph.loop_mode.factor * w for w in graph.loops]
 
     count = 0
     witness_mask = None
@@ -85,8 +84,8 @@ def brute_force_solve(graph: WeightedGraph, demands: Demands) -> OracleResult:
                 y_in_a = (h >> (y - low)) & 1
                 deg += np.where(in_a, w if y_in_a else 0.0, 0.0 if y_in_a else w)
             demand = np.where(in_a, demands.a[x], demands.b[x])
-            if loop_terms[x]:
-                deg += loop_terms[x]
+            if graph.loop_term[x]:
+                deg += graph.loop_term[x]
             alive = alive[deg >= demand]
             if not alive.size:
                 break

@@ -15,7 +15,10 @@ demand + W) across the split.  Every accepted move strictly increases the
 potential h, so no split repeats and the climb terminates.  Last, complete
 the stable pair (Abar, Bbar): B is the b-core of everything outside Abar,
 which holds Bbar, and A is the rest.  After the second phase everything
-outside Abar is B itself and Bbar is its core, so no peel runs.
+outside Abar is B itself and Bbar is its core, so no peel runs.  Completion
+checks nothing itself: the exact gate that ends ``solve`` sums every
+vertex's degree on its side, and raises CompletionAssertFailedError on the
+lowest vertex that completion added to A and that misses its a-demand there.
 
 On h: the value counts each internal edge twice (once per endpoint) and the
 cross demand terms twice as well: both sides' induced degrees plus 2b over A
@@ -175,13 +178,12 @@ def check_feasibility(graph: WeightedGraph, demands: Demands) -> FeasibilityRepo
     Reporting only; nothing is enforced.
     """
     _require_matching(graph, demands)
-    factor = graph.loop_mode.factor
     slack = []
     for x in range(graph.n):
         a, b = demands.a[x], demands.b[x]
         s = graph.d[x] - a - b - 2.0 * graph.W[x]
-        if graph.loops[x]:
-            share = factor * graph.loops[x]
+        share = graph.loop_term[x]
+        if share:
             s += share
             s -= max(0.0, share - a)
             s -= max(0.0, share - b)
@@ -292,22 +294,6 @@ def find_stable_pair(
     raise MoveLimitExceededError(f"no stable pair within {max_moves} moves")
 
 
-def _complete_sets(graph, demands, abar, side_b, universe):
-    """Extend a stable pair (Abar, Bbar) to a partition of ``universe``: B is
-    ``side_b``, the b-core of ``universe`` - Abar, and A the rest.  Bbar lies
-    in that core, since its members meet their b-demands inside it.  Raises
-    CompletionAssertFailedError on the lowest vertex that joined A and misses
-    its a-demand there."""
-    side_a = universe - side_b
-    for x in sorted(side_a - abar):
-        if induced_degree(graph, side_a, x) < demands.a[x]:
-            raise CompletionAssertFailedError(
-                f"vertex {x} meets neither side's demand; "
-                "the degree precondition fails"
-            )
-    return side_a, side_b
-
-
 def _side_degrees(graph, demands, partition):
     """Each vertex in index order as (vertex, its side's name, its induced
     degree in that side, its demand there)."""
@@ -364,7 +350,8 @@ def solve(
     and re-attached afterwards (to side A, or to B when only their b-demand
     is zero).  Never returns an unstable partition: if verification fails,
     which requires an input violating the degree precondition, the solver
-    raises UnstablePartitionError instead.
+    raises CompletionAssertFailedError when a vertex that completion added
+    to A misses its a-demand, and UnstablePartitionError otherwise.
 
     ``certificate.feasibility`` is ``check_feasibility`` of the instance
     given: the slack of the instance with every loop dropped and demands
@@ -378,28 +365,28 @@ def solve(
     isolated = sorted(set(range(graph.n)) - active)
 
     cert = SolveCertificate()
+    # the vertices completion adds to A
+    grown = frozenset()
     if len(active) >= 2:
         abar, bbar, cert = find_stable_pair(graph, demands, max_moves)
         cert.phase_log.append(PHASE_COMPLETION)
-        # a case-1 pair is the minimal set and the b-core of the rest of
-        # ``active``, so Bbar is the core completion needs
+        # B is the b-core of everything outside Abar, which holds Bbar; a
+        # case-1 pair is the minimal set and the b-core of the rest of
+        # ``active``, so there Bbar is that core
         if cert.hillclimb_start is None:
-            side_b = bbar
+            side_b = set(bbar)
         else:
-            side_b = peel(graph, active - abar, demands.b)
-        raw_a, raw_b = _complete_sets(graph, demands, abar, side_b, active)
-        side_a, side_b = set(raw_a), set(raw_b)
+            side_b = set(peel(graph, active - abar, demands.b))
+        side_a = set(active - side_b)
+        grown = side_a - abar
         _attach_isolated(side_a, side_b, isolated, demands)
     elif len(active) == 1:
         side_a, side_b = set(active), set()
         _attach_isolated(side_a, side_b, isolated, demands)
         if not side_b:
             # keep both sides non-empty: move whichever vertex can meet its
-            # b-demand alone (isolated members leave no degree behind)
-            mover = min(
-                side_a,
-                key=lambda x: (induced_degree(graph, {x}, x) < demands.b[x], x),
-            )
+            # b-demand alone; no vertex here has an edge, so that degree is d
+            mover = min(side_a, key=lambda x: (graph.d[x] < demands.b[x], x))
             side_a.discard(mover)
             side_b.add(mover)
     else:
@@ -413,10 +400,15 @@ def solve(
 
     # the exact gate: with finite doubles deg - dem < 0 exactly when
     # deg < dem, the test verify_partition makes at tol = 0
-    misses = sum(1 for s in slacks if s < 0.0)
+    misses = [x for x, s in enumerate(slacks) if s < 0.0]
+    for x in misses:
+        if x in grown:
+            raise CompletionAssertFailedError(
+                f"vertex {x} meets neither side's demand; the degree precondition fails"
+            )
     if misses:
         raise UnstablePartitionError(
-            f"{misses} vertices miss their demand; "
+            f"{len(misses)} vertices miss their demand; "
             "the input violates the degree precondition"
         )
     return partition, cert

@@ -72,6 +72,20 @@ def plain_induced_degree(weights, loop_factor, members, x):
     return total
 
 
+def branching_degree(graph, members, x):
+    """x's degree in ``members`` (x itself need not be one) as the package
+    summed it before the loop term was cached: the member neighbours'
+    weights in ascending order, then factor * w_xx under an ``if``, only
+    where x has a loop."""
+    total = 0.0
+    for y, w in graph.adjacency[x]:
+        if y in members:
+            total += w
+    if graph.loops[x]:
+        total += graph.loop_mode.factor * graph.loops[x]
+    return total
+
+
 def qualifying_subsets(graph, subset, thresholds):
     """All non-empty subsets T of ``subset`` with every member's induced
     degree >= its threshold.  Exponential; keep n small."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -417,6 +418,29 @@ def test_squares_with_svg(capsys, tmp_path):
     assert svg.count("<rect") == 16
     assert "#1f77b4" in svg and "#ff7f0e" in svg
     assert "<circle" in svg
+
+
+@pytest.mark.parametrize(
+    "extra, sha256",
+    [
+        ([], "df5197d3eee6a318e5e24976a2fa736d6f935a446cafe2f39de9ab1519d6c5d6"),
+        (["--show-circle", "1,1"],
+         "b125eda5f3c0c27552bea867030908605b194c8820c98dab44de3bc067b8aa91"),
+    ],
+)
+def test_squares_svg_bytes_are_pinned(capsys, tmp_path, extra, sha256):
+    cells = write(
+        tmp_path, "grid.cells",
+        "".join(f"{i} {j}\n" for i in range(4) for j in range(4)),
+    )
+    svg_path = tmp_path / "out.svg"
+    code, _, _ = run_cli(
+        capsys,
+        ["squares", "--cells", cells, "--radius", "2.1",
+         "--scheme", "half-degree", "--svg", str(svg_path), *extra],
+    )
+    assert code == 0
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == sha256
 
 
 def test_squares_physical_scheme(capsys, tmp_path):

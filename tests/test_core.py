@@ -18,6 +18,7 @@ from degsplit import core as core_module
 from degsplit.core import _KeptSet
 
 from conftest import (
+    branching_degree,
     complete_graph,
     is_meager,
     mixed_graph,
@@ -121,6 +122,21 @@ class TestExactSum:
                 descending += loop_mode.factor * g.loops[x]
                 reordered += descending != exact
         assert reordered >= 50
+
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    def test_equals_the_branching_sum_bit_for_bit(self, loop_mode):
+        # the cached loop term, added unconditionally, gives the sum that
+        # adding factor * w_xx only where x has a loop gave
+        rng = random.Random(41)
+        for _ in range(100):
+            n = rng.randint(1, 16)
+            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.9]), loops=True,
+                             loop_mode=loop_mode)
+            subset = {x for x in range(n) if rng.random() < 0.6}
+            flags = bytearray(x in subset for x in range(n))
+            for x in range(n):
+                got = core_module._exact(g, flags, x)
+                assert got.hex() == branching_degree(g, subset, x).hex()
 
 
 class TestIsMeager:

@@ -18,7 +18,7 @@ from degsplit import (
     without_loops,
 )
 
-from conftest import complete_graph, mixed_graph, random_graph, zero_band
+from conftest import branching_degree, complete_graph, mixed_graph, random_graph, zero_band
 
 
 def test_triangle_profile(triangle):
@@ -306,3 +306,49 @@ class TestBandFormula:
             assert zero_band(g) == zero_band(without_loops(g)) == exact
             self.assert_formula(g)
             self.assert_formula(without_loops(g))
+
+
+@pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+class TestLoopTerm:
+    """Each builder caches factor * w_xx per row, and +0.0 on a loopless
+    row; every degree sum ends in that cached term."""
+
+    @staticmethod
+    def assert_terms(graph):
+        factor = graph.loop_mode.factor
+        # compared by float.hex, which tells -0.0 from 0.0
+        assert [t.hex() for t in graph.loop_term] == [
+            (factor * w if w else 0.0).hex() for w in graph.loops
+        ]
+
+    def test_build_graph_and_without_loops(self, loop_mode):
+        rng = random.Random(31)
+        looped = loopless = 0
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 16), rng.uniform(0.2, 0.9), loops=True,
+                             loop_mode=loop_mode)
+            for graph in (g, without_loops(g)):
+                self.assert_terms(graph)
+                looped += sum(1 for w in graph.loops if w)
+                loopless += sum(1 for w in graph.loops if not w)
+            assert without_loops(g).loop_term == (0.0,) * g.n
+        assert looped >= 100 and loopless >= 200
+
+    def test_build_grid_graph_and_without_loops(self, loop_mode):
+        g = build_grid_graph(GridInstance.rectangle(6, 5, 2.6), loop_mode)
+        assert all(g.loops)
+        self.assert_terms(g)
+        self.assert_terms(without_loops(g))
+        assert without_loops(g).loop_term == (0.0,) * g.n
+
+    def test_induced_degree_equals_the_branching_sum(self, loop_mode):
+        rng = random.Random(37)
+        for _ in range(100):
+            n = rng.randint(1, 16)
+            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.9]), loops=True,
+                             loop_mode=loop_mode)
+            subset = {x for x in range(n) if rng.random() < 0.6}
+            for x in range(n):
+                members = subset | {x}
+                got = induced_degree(g, members, x)
+                assert got.hex() == branching_degree(g, members, x).hex()

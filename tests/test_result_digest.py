@@ -1,9 +1,9 @@
 """Results stay the same unless a change says why.
 
 ``scripts/result_digest.py`` hashes every result, partition, precondition
-report and graph of the benchmark's seed-1 grid and climb pools.  A change
-that alters any of them must record the new line here and say why in
-CHANGES.md.
+report and graph of the benchmark's seed-1 grid and climb pools, and the
+exit code and output of every op of its cli pool.  A change that alters any
+of them must record the new line here and say why in CHANGES.md.
 """
 
 import subprocess
@@ -17,7 +17,8 @@ SEED_1 = (
     "solve_calls=89 "
     "partitions=5950abcbddc59a409bc625dfce38fa253bf04c3f18fd8807badeda282c4177e3 "
     "preconditions=7de3d200d6a9ffdcecc64e4a9d330a28a67ed6550fbce0e6fe214a0789de47c9 "
-    "graphs=98 8edd19bce714172734adb2c0de27f586577cdb3dcb1b1858b9a5741125715b20"
+    "graphs=98 8edd19bce714172734adb2c0de27f586577cdb3dcb1b1858b9a5741125715b20 "
+    "cli=c8fba4bbf6c0248f593306af1308a92bcac4583dec47a66f3924d8d77571cc85"
 )
 
 

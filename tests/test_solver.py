@@ -31,7 +31,7 @@ from degsplit import (
 from degsplit import core as core_module
 from degsplit import solver as solver_module
 from degsplit.core import minimal_satisfying_set, peel
-from degsplit.solver import PHASE_HILLCLIMB, Move, _complete_sets
+from degsplit.solver import PHASE_HILLCLIMB, Move
 
 from conftest import (
     complete_graph, is_meager, mixed_graph, reduce_loops, weight_dict, zero_band,
@@ -412,38 +412,6 @@ class TestKeptDegreeClimbMatchesReference:
         assert long_climbs >= 10
 
 
-def complete_pair(graph, demands, pair):
-    universe = frozenset(range(graph.n))
-    side_b = peel(graph, universe - pair[0], demands.b)
-    return Partition(*_complete_sets(graph, demands, pair[0], side_b, universe))
-
-
-class TestCompletePair:
-    """``solver._complete_sets`` over every vertex, as ``solve`` calls it."""
-
-    def test_pair_covering_everything_is_kept(self, k9):
-        dem = Demands.constant(9, 3.0, 3.0)
-        side_a, side_b, _ = find_stable_pair(k9, dem)
-        part = complete_pair(k9, dem, (side_a, side_b))
-        assert part.a == side_a and part.b == side_b
-
-    def test_triangle_leftover_joins_b(self, triangle):
-        dem = Demands.constant(3, 0.0, 0.0)
-        part = complete_pair(triangle, dem, (frozenset({0}), frozenset({1})))
-        assert part.a == {0}
-        assert part.b == {1, 2}
-
-    def test_random_instances_extend_and_stay_stable(self):
-        for seed in range(40):
-            n = 4 + seed % 7
-            g, dem = random_feasible_instance(n, 0.7, (0.5, 1.0), seed=seed)
-            side_a, side_b, _ = find_stable_pair(g, dem)
-            part = complete_pair(g, dem, (side_a, side_b))
-            assert side_a <= part.a
-            assert side_b <= part.b
-            assert not verify_partition(g, dem, part)
-
-
 def reference_complete_sets(graph, demands, pair, universe):
     """The restart-scan completion: leftovers default to the B side, and
     the lowest leftover that misses its b-demand there moves into A, which
@@ -471,10 +439,61 @@ def completion_outcome(complete):
         return str(exc)
 
 
+class TestCompletePair:
+    """Completion through ``solve``: the pair ``find_stable_pair`` finds,
+    extended to a partition of every vertex."""
+
+    def test_pair_covering_everything_is_kept(self, k9):
+        dem = Demands.constant(9, 3.0, 3.0)
+        side_a, side_b, _ = find_stable_pair(k9, dem)
+        part, _ = solve(k9, dem)
+        assert part.a == side_a and part.b == side_b
+
+    def test_path_leftover_joins_b(self, path3):
+        # the climb ends on the pair ({x}, {y}), and z, which meets b = 0
+        # next to Bbar, joins B
+        dem = Demands((0.0, 1.0, 1.0), (3.0, 0.0, 0.0))
+        abar, bbar, cert = find_stable_pair(path3, dem)
+        assert cert.hillclimb_start is not None
+        assert (abar, bbar) == ({0}, {1})
+        part, _ = solve(path3, dem)
+        assert part == Partition({0}, {1, 2})
+        assert (part.a, part.b) == reference_complete_sets(
+            path3, dem, (abar, bbar), frozenset(range(3))
+        )
+
+    def test_random_instances_extend_and_stay_stable(self):
+        for seed in range(40):
+            n = 4 + seed % 7
+            g, dem = random_feasible_instance(n, 0.7, (0.5, 1.0), seed=seed)
+            side_a, side_b, _ = find_stable_pair(g, dem)
+            part, _ = solve(g, dem)
+            assert side_a <= part.a
+            assert side_b <= part.b
+            assert not verify_partition(g, dem, part)
+
+    def test_completion_miss_comes_before_the_isolated_misses(self):
+        # u, isolated at index 0, joins A and misses a = 1 there too, but
+        # the gate names y, the vertex that completion added to A
+        g = build_graph([("x", "y", 1.0), ("y", "z", 1.0)], vertices=["u", "x", "y", "z"])
+        dem = Demands((1.0, 0.0, 3.0, 1.0), (1.0, 1.0, 3.0, 0.0))
+        with pytest.raises(CompletionAssertFailedError, match="vertex 2 "):
+            solve(g, dem)
+
+    def test_isolated_misses_alone_are_counted(self):
+        g = build_graph([("x", "y", 1.0), ("y", "z", 1.0), ("z", "x", 1.0)],
+                        vertices=["u", "x", "y", "z", "v"])
+        dem = Demands((1.0, 0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 0.0, 1.0))
+        with pytest.raises(UnstablePartitionError, match="^2 vertices miss their demand"):
+            solve(g, dem)
+
+
 class TestCompletionMatchesRestartScan:
-    """Completion takes B as one b-core peel of everything outside Abar.  Wherever the restart scan returns, that is the same partition;
-    where the scan raises, the peel may still complete, since it checks the
-    a-demands in the final A, which holds every vertex the scan had moved."""
+    """Completion takes B as one b-core peel of everything outside Abar.
+    Wherever the restart scan returns, ``solve`` returns the same partition;
+    where the scan raises, ``solve`` may still complete, since its gate
+    checks the a-demands in the final A, which holds every vertex the scan
+    had moved."""
 
     def test_random_pairs_on_both_sides_of_the_precondition(self):
         outcomes = {"same": 0, "feasible": 0, "peel completes": 0}
@@ -497,11 +516,11 @@ class TestCompletionMatchesRestartScan:
             expected = completion_outcome(
                 lambda: reference_complete_sets(g, dem, (abar, bbar), universe)
             )
-            got = completion_outcome(
-                lambda: _complete_sets(g, dem, abar, peel(g, universe - abar, dem.b), universe)
-            )
+            # isolated vertices have zero demands here, so they join A
+            got = completion_outcome(lambda: solve(g, dem, max_moves=5000)[0])
             feasible = check_feasibility(g, dem).feasible
-            if isinstance(got, tuple):
+            if isinstance(got, Partition):
+                got = got.a & universe, got.b
                 side_a, side_b = got
                 assert side_a | side_b == universe, seed
                 assert abar <= side_a and bbar <= side_b, seed
@@ -519,16 +538,17 @@ class TestCompletionMatchesRestartScan:
         assert outcomes["peel completes"] >= 1
 
     def test_vertex_needing_a_later_leftover_in_a(self):
-        # leftover 2 misses b = 2 next to Bbar, and alone in A it misses
-        # a = 1, so the scan raises; but 3 then misses b = 1 too, and in A
-        # together both meet a = 1
+        # the pair is ({2}, {3}); leftover 0 misses b = 2 next to Bbar, and
+        # alone in A it misses a = 1, so the scan raises; but 1 then misses
+        # b = 2 too, and in A together both meet a = 1
         g = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
-        dem = Demands((0.0, 5.0, 1.0, 1.0), (5.0, 0.0, 2.0, 1.0))
-        pair, universe = (frozenset({0}), frozenset({1})), frozenset(range(4))
-        with pytest.raises(CompletionAssertFailedError, match="vertex 2 "):
-            reference_complete_sets(g, dem, pair, universe)
-        part = complete_pair(g, dem, pair)
-        assert part == Partition(frozenset({0, 2, 3}), frozenset({1}))
+        dem = Demands((1.0, 1.0, 0.0, 5.0), (2.0, 2.0, 0.0, 0.0))
+        abar, bbar, _ = find_stable_pair(g, dem)
+        assert (abar, bbar) == ({2}, {3})
+        with pytest.raises(CompletionAssertFailedError, match="vertex 0 "):
+            reference_complete_sets(g, dem, (abar, bbar), frozenset(range(4)))
+        part, _ = solve(g, dem)
+        assert part == Partition(frozenset({0, 1, 2}), frozenset({3}))
         assert not verify_partition(g, dem, part)
 
 

@@ -115,7 +115,8 @@ CASES = {
 }
 FIELDS = {
     "WeightedGraph": (
-        "n", "labels", "adjacency", "loops", "loop_mode", "d", "W", "band", "label_index",
+        "n", "labels", "adjacency", "loops", "loop_mode", "loop_term", "d", "W", "band",
+        "label_index",
     ),
     "Demands": ("a", "b"),
     "Partition": ("a", "b"),
