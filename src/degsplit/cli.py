@@ -8,6 +8,9 @@ File formats (UTF-8 text, ``#`` starts a comment):
 
 Exit codes: 0 success with stable output, 1 infeasible or no-partition
 outcome, 2 input error (one machine-parsable JSON line on stderr).
+
+``geometry`` and ``oracle`` are imported inside the subcommands that use
+them, so ``solve`` and ``verify`` load neither.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ import math
 import sys
 
 from .errors import DegsplitError, SolverError
-from .geometry import DemandScheme, GridInstance, solve_squares
 from .graph import Demands, LoopMode, WeightedGraph, build_graph
-from .oracle import brute_force_solve, random_feasible_instance
 from .solver import DEFAULT_MAX_MOVES, Partition, solve, verify_partition
 
 EXIT_OK = 0
@@ -262,6 +263,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import brute_force_solve
+
     graph = parse_graph_file(args.graph, args.loop_mode)
     demands = parse_demands_file(args.demands, graph)
     result = brute_force_solve(graph, demands)
@@ -291,6 +294,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_squares(args) -> int:
+    from .geometry import DemandScheme, GridInstance, solve_squares
+
     cells = parse_cells_file(args.cells)
     show = None
     if args.show_circle is not None:
@@ -324,6 +329,8 @@ _NO_EDGE = "no edge was drawn; raise --edge-probability or --n"
 
 
 def _cmd_gen(args) -> int:
+    from .oracle import random_feasible_instance
+
     # no coin can come up at p = 0, so fail before drawing n^2 / 2 of them
     if args.edge_probability == 0.0:
         raise InputError(_NO_EDGE)

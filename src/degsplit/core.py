@@ -43,18 +43,17 @@ A deletion queues only the neighbours that can fall: a vertex whose kept
 degree still exceeds its threshold by more than its band would be kept at its
 pop without an exact sum, and degrees only fall during a cascade, so the next
 decrement that brings it within reach queues it again.  Every kept degree
-starts from the same seed: ``graph.d`` for a member that no vertex left out
-is a neighbour of, since its whole row lies in the set and ``_exact`` would
-add the same terms in the same order.  A member of an exact row starts from
-``graph.d`` less the weights to its neighbours left out, and any other
-member from ``_exact``.
+starts from one seed: ``graph.d[x]`` less the weights to x's neighbours left
+out.  ``graph.d[x]`` is the exact sum of x's whole row, the terms ``_exact``
+adds when every neighbour is flagged, in the same order; each subtraction
+counts as one single-edge update since that exact sum.
 
-The band is the one bound on how far a kept degree may drift.  It covers a
-degree seeded by an exact sum (k + 1 roundings), then up to k single-edge
-updates as vertices join and leave the set, after which ``add`` and
-``remove`` reseed it with the exact sum, then up to k cascade subtractions,
-against an exact sum of k + 1 roundings: 4k + 2 roundings of at most about
-2^-53 d(x) each, with a factor of two to spare.
+The band is the one bound on how far a kept degree may drift.  It covers an
+exact sum (k + 1 roundings), then up to k single-edge updates, from the seed
+or as vertices join and leave the set, after which ``add`` and ``remove``
+reseed it with the exact sum, then up to k cascade subtractions, against an
+exact sum of k + 1 roundings: 4k + 2 roundings of at most about 2^-53 d(x)
+each, with a factor of two to spare.
 
 Two more decisions of the hill-climb rest on the band.  The witness is the
 member of largest margin target(x) - deg(x), lowest index first.  A kept
@@ -164,25 +163,16 @@ class _KeptSet:
         self.graph, self.thresholds = graph, thresholds
         self.flags = flags
         self.size = flags.count(1)
-        # the seed: d[x] when no vertex left out is a neighbour of x, since
-        # the ascending sum is then d[x] bit for bit; on an exact row, d[x]
-        # less the weights to the neighbours left out
-        adjacency, band = graph.adjacency, graph.band
-        deg = list(graph.d)
-        reached = bytearray(n)
+        # the seed: d[x] less the weights to the neighbours left out, each
+        # subtraction counted as an update since the exact sum d[x]
+        deg, updates = list(graph.d), [0] * n
         for x in range(n):
             if not flags[x]:
-                for y, w in adjacency[x]:
-                    if band[y]:
-                        reached[y] = 1
-                    else:
-                        deg[y] -= w
-        for x in compress(range(n), reached):
-            if flags[x]:
-                deg[x] = _exact(graph, flags, x)
-        self.deg = deg
+                for y, w in graph.adjacency[x]:
+                    deg[y] -= w
+                    updates[y] += 1
+        self.deg, self.updates = deg, updates
         self.stop = bytearray(n)
-        self.updates = [0] * n
         self._core = None
 
     def exact(self, x: int) -> float:

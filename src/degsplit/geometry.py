@@ -102,24 +102,56 @@ def circle_square_area(dx: float, dy: float, r: float) -> float:
     return min(1.0, max(0.0, area))
 
 
-def _stencil(r: float, width: int, height: int) -> list[tuple[int, int, float]]:
-    # offsets (dx, dy) > (0, 0) in lexicographic order, |dx| < width and
-    # |dy| < height, whose squares overlap the disk around the origin, with
-    # their weights; only center distances < r + sqrt(1/2) can overlap.
-    # A float product overflows to inf where ** would raise.
+def _stencil_rows(cells: tuple[Cell, ...], r: float, width: int, height: int):
+    # the stencil: offsets (dx, dy) > (0, 0) in lexicographic order, |dx| <
+    # width and |dy| < height, whose squares overlap the disk around the
+    # origin, with their weights.  A float product overflows to inf where **
+    # would raise
     reach = r + math.sqrt(0.5)
     reach2 = reach * reach
     span = math.ceil(reach)
     span_x, span_y = min(span, width - 1), min(span, height - 1)
-    offsets = []
+    half = []
     for dx in range(span_x + 1):
         for dy in range(-span_y if dx else 1, span_y + 1):
             if dx * dx + dy * dy >= reach2:
                 continue
             w = circle_square_area(dx, dy, r)
             if w > MIN_EDGE_WEIGHT:
-                offsets.append((dx, dy, w))
-    return offsets
+                half.append((dx, dy, w))
+    # cell (i, j) has key i * stride + j.  The stencil keeps |dy| < height,
+    # so a probe's j differs from any cell's j by at most 2 (height - 1) <
+    # stride, and a probe's key equals a cell's key only at that very cell
+    stride = 2 * height + 1
+    stencil = sorted(half + [(-dx, -dy, w) for dx, dy, w in half])
+    probes = [(dx * stride + dy, w) for dx, dy, w in stencil]
+    index = {i * stride + j: x for x, (i, j) in enumerate(cells)}
+    find = index.get
+    return tuple(
+        tuple([(y, w) for delta, w in probes if (y := find(k + delta)) is not None])
+        for k in index
+    )
+
+
+def _pair_rows(cells: tuple[Cell, ...], r: float):
+    # every pair x < y within reach, with one weight per distinct offset;
+    # row y receives its lower neighbours before its higher ones, in order
+    reach = r + math.sqrt(0.5)
+    reach2 = reach * reach
+    weights = {}
+    rows = [[] for _ in cells]
+    for x, (i, j) in enumerate(cells):
+        for y in range(x + 1, len(cells)):
+            dx, dy = abs(cells[y][0] - i), abs(cells[y][1] - j)
+            if dx * dx + dy * dy >= reach2:
+                continue
+            w = weights.get((dx, dy))
+            if w is None:
+                w = weights[dx, dy] = circle_square_area(dx, dy, r)
+            if w > MIN_EDGE_WEIGHT:
+                rows[x].append((y, w))
+                rows[y].append((x, w))
+    return tuple(map(tuple, rows))
 
 
 def build_grid_graph(instance: GridInstance, loop_mode: LoopMode = LoopMode.DOUBLE) -> WeightedGraph:
@@ -127,43 +159,36 @@ def build_grid_graph(instance: GridInstance, loop_mode: LoopMode = LoopMode.DOUB
     pair, w_xy the overlap of x's disk with square y, loops the overlap with
     the cell's own square.
 
-    Built from an offset stencil: the weight depends only on the offset
-    between two cells, so it is computed once per offset within reach
-    (center distance < r + sqrt(1/2); beyond that the weight is exactly zero
-    and no edge is created) and inside the cells' bounding box, and each
-    cell looks its stencil neighbours up by integer key: cell (i, j) has key
-    i * stride + j with stride = 2 * height + 1, so an offset is one integer
-    to add, and no tuple is built or hashed per probe.  Cells and
-    offsets are both sorted, so every row comes out in ascending neighbour
-    order and goes to the graph as it is, with no edge list, validation or
-    sort: the weights exceed MIN_EDGE_WEIGHT, and cells are distinct.  The
-    probes cost O(n * |stencil|), where |stencil| is at most about
-    pi (r + 0.71)^2.  Making the stencil costs a walk over
-    (min(s, width - 1) + 1) * (2 min(s, height - 1) + 1) offsets, with
-    s = ceil(r + 0.71): about 2 min(s, width) min(s, height), whatever n is.
-    That walk is a known defect: for two cells at (0, 0) and (k, 0) at
-    r = 2k it visits and keeps k offsets to build one edge, so a few cells
-    far apart under a large radius can hang the build.
+    The weight depends only on the offset between two cells, and is exactly
+    zero at center distances of r + sqrt(1/2) or more, where no edge is
+    made.  Two builders give the same rows bit for bit.  ``_stencil_rows``
+    computes the weight once per offset within reach inside the cells'
+    bounding box, and each cell looks its stencil neighbours up by integer
+    key: cell (i, j) has key i * stride + j with stride = 2 * height + 1, so
+    an offset is one integer to add, and no tuple is built or hashed per
+    probe.  Its walk covers (min(s, width - 1) + 1) * (2 min(s, height - 1)
+    + 1) offsets, with s = ceil(r + 0.71), whatever n is, and its probes
+    cost O(n * |stencil|), where |stencil| is at most about
+    pi (r + 0.71)^2.  ``_pair_rows`` checks all n (n - 1) / 2 pairs of cells
+    and computes the weight once per offset that occurs.  The pairs are
+    used when the walk is longer than half the number of cells, as for a few
+    cells far apart under a large radius; a dense rectangle takes the
+    stencil.  Cells are sorted, so either way every row comes out in
+    ascending neighbour order and goes to the graph as it is, with no edge
+    list, validation or sort: the weights exceed MIN_EDGE_WEIGHT, and cells
+    are distinct.
     """
-    cells = instance.cells
+    cells, r = instance.cells, instance.r
     if len(cells) < 2:
         raise TooFewCellsError("a grid instance needs at least two cells")
-    loop_w = circle_square_area(0.0, 0.0, instance.r)
     width = cells[-1][0] - cells[0][0] + 1
     height = max(j for _, j in cells) - min(j for _, j in cells) + 1
-    half = _stencil(instance.r, width, height)
-    # cell (i, j) has key i * stride + j.  _stencil keeps |dy| < height, so
-    # a probe's j differs from any cell's j by at most 2 (height - 1) <
-    # stride, and a probe's key equals a cell's key only at that very cell
-    stride = 2 * height + 1
-    stencil = sorted(half + [(-dx, -dy, w) for dx, dy, w in half])
-    probes = [(dx * stride + dy, w) for dx, dy, w in stencil]
-    index = {i * stride + j: x for x, (i, j) in enumerate(cells)}
-    find = index.get
-    adjacency = tuple(
-        tuple([(y, w) for delta, w in probes if (y := find(k + delta)) is not None])
-        for k in index
-    )
+    span = math.ceil(r + math.sqrt(0.5))
+    if 2 * (min(span, width - 1) + 1) * (2 * min(span, height - 1) + 1) > len(cells):
+        adjacency = _pair_rows(cells, r)
+    else:
+        adjacency = _stencil_rows(cells, r, width, height)
+    loop_w = circle_square_area(0.0, 0.0, r)
     label_index = {cell: x for x, cell in enumerate(cells)}
     loops = (loop_w if loop_w > MIN_EDGE_WEIGHT else 0.0,) * len(cells)
     return _assemble(cells, adjacency, loops, loop_mode, label_index)

@@ -311,6 +311,21 @@ def test_squares_with_a_huge_radius(capsys, tmp_path):
     assert verify_partition(graph, demands, partition) == []
 
 
+def test_squares_on_far_cells_under_a_large_radius(tmp_path):
+    # the stencil's walk would cover 10^9 offsets to find no edge; the rows
+    # come from the one cell pair instead
+    cells = write(tmp_path, "far.cells", "0 0\n99999999999 0\n")
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "degsplit", "squares", "--cells", cells, "--radius", "1e9"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["margins"] == [[0, 0, 1.0], [99999999999, 0, 1.0]]
+
+
 def cli_commands(tmp_path, k9_files, grid_cells):
     """solve, verify, squares and gen argv lists that all exit 0."""
     graph, dem3, _ = k9_files
@@ -367,6 +382,92 @@ def test_dataclasses_and_inspect_stay_unloaded(tmp_path, k9_files, grid_cells):
         f"assert main({oracle!r}) == 0\n"
         "assert 'numpy' in sys.modules\n"
         "assert 'dataclasses' not in sys.modules, 'oracle'\n"
+    )
+
+
+# the package's public names as the eager import list had them, by module
+PUBLIC_NAMES = {
+    "errors": "CompletionAssertFailedError DegsplitError DuplicateEdgeError "
+    "GenerationFailedError MoveLimitExceededError NonImprovingMoveError "
+    "NonPositiveWeightError NoSatisfyingSetError PartitionCollapseError "
+    "SingleVertexGraphError SolverError TooFewCellsError TooLargeError "
+    "UnstablePartitionError VertexNotInSetError",
+    "graph": "Demands LoopMode WeightedGraph build_graph induced_degree without_loops",
+    "core": "minimal_satisfying_set peel",
+    "solver": "DEFAULT_MAX_MOVES FeasibilityReport Move Partition SolveCertificate "
+    "Violation check_feasibility find_stable_pair solve verify_partition",
+    "oracle": "OracleResult brute_force_solve random_feasible_instance",
+    "geometry": "DemandScheme GridInstance SquaresResult build_grid_graph "
+    "circle_square_area solve_squares squares_demands",
+}
+
+
+def test_import_degsplit_loads_no_submodule():
+    run_fresh_python(
+        "import sys\n"
+        "import degsplit\n"
+        "loaded = [m for m in sys.modules if m.startswith('degsplit.')]\n"
+        "assert not loaded, loaded\n"
+        "assert degsplit.__version__ == '0.1.0'\n"
+    )
+
+
+def test_star_import_binds_each_public_name_from_its_module():
+    run_fresh_python(
+        "import importlib\n"
+        "names = {}\n"
+        "exec('from degsplit import *', names)\n"
+        "del names['__builtins__']\n"
+        f"table = {PUBLIC_NAMES!r}\n"
+        "expected = {n: m for m, line in table.items() for n in line.split()}\n"
+        "assert len(expected) == 43 and set(names) == set(expected), set(names) ^ set(expected)\n"
+        "for name, module in expected.items():\n"
+        "    home = importlib.import_module('degsplit.' + module)\n"
+        "    assert names[name] is getattr(home, name), name\n"
+    )
+
+
+def test_submodules_resolve_after_a_bare_import():
+    run_fresh_python(
+        "import sys\n"
+        "import degsplit\n"
+        f"for module in {sorted(PUBLIC_NAMES)!r}:\n"
+        "    assert getattr(degsplit, module) is sys.modules['degsplit.' + module], module\n"
+        "g = degsplit.graph.build_graph([(0, 1, 1.0)])\n"
+        "assert degsplit.induced_degree(g, {0, 1}, 0) == 1.0\n"
+    )
+
+
+def test_unknown_names_fail_as_attributes_do():
+    with pytest.raises(AttributeError, match="'nope'"):
+        degsplit.nope
+    with pytest.raises(ImportError):
+        from degsplit import nope  # noqa: F401
+    assert set(degsplit.__all__) <= set(dir(degsplit))
+    assert "__version__" in dir(degsplit)
+
+
+@pytest.mark.parametrize(
+    "kinds,loaded",
+    [
+        (("solve", "verify"), {"cli", "core", "errors", "graph", "solver", "value"}),
+        (("squares",), {"cli", "core", "errors", "geometry", "graph", "solver", "value"}),
+        (("oracle",), {"cli", "core", "errors", "graph", "oracle", "solver", "value"}),
+    ],
+    ids=["solve-verify", "squares", "oracle"],
+)
+def test_a_subcommand_imports_only_its_modules(tmp_path, k9_files, grid_cells, kinds, loaded):
+    graph, dem3, _ = k9_files
+    commands = cli_commands(tmp_path, k9_files, grid_cells)
+    commands.append(["oracle", "--graph", graph, "--demands", dem3])
+    chosen = [argv for argv in commands if argv[0] in kinds]
+    run_fresh_python(
+        "import sys\n"
+        "from degsplit.cli import main\n"
+        f"for argv in {chosen!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "got = {m.split('.')[1] for m in sys.modules if m.startswith('degsplit.')}\n"
+        f"assert got == {loaded!r}, got\n"
     )
 
 

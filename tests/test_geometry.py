@@ -24,7 +24,7 @@ from degsplit import (
     verify_partition,
     without_loops,
 )
-from degsplit.geometry import MIN_EDGE_WEIGHT
+from degsplit.geometry import MIN_EDGE_WEIGHT, _pair_rows, _stencil_rows
 
 from conftest import reduce_loops
 
@@ -258,6 +258,28 @@ class TestGridGraphMatchesPairScan:
         rng.shuffle(edges)
         g = build_graph(edges, loop_mode, vertices=instance.cells)
         assert_same_graph(build_grid_graph(instance, loop_mode), g)
+
+
+class TestRowBuildersAgree:
+    """``build_grid_graph`` takes its rows from the stencil or from the cell
+    pairs, by the length of the stencil's walk; both give the same rows."""
+
+    def test_same_rows_bit_for_bit_on_ragged_sets(self):
+        rng = random.Random(5)
+        edges = 0
+        for _ in range(300):
+            spread = rng.choice((3, 8, 20))
+            cells, size = set(), rng.randint(2, 40)
+            while len(cells) < size:
+                cells.add((rng.randint(-spread, spread), rng.randint(-spread, 3)))
+            cells = GridInstance(cells, 1.0).cells
+            r = rng.uniform(0.2, 6.0)
+            width = cells[-1][0] - cells[0][0] + 1
+            height = max(j for _, j in cells) - min(j for _, j in cells) + 1
+            rows = _pair_rows(cells, r)
+            assert rows == _stencil_rows(cells, r, width, height)
+            edges += sum(map(len, rows))
+        assert edges > 10_000
 
 
 class TestSquaresDemands:
