@@ -40,13 +40,16 @@ does not test x's own flag, so on a vertex left out it gives the degree x
 would have on joining the set.
 
 A deletion queues only the neighbours that can fall: a vertex whose kept
-degree still exceeds its threshold by more than its band would be kept at its
-pop without an exact sum, and degrees only fall during a cascade, so the next
-decrement that brings it within reach queues it again.  Every kept degree
-starts from one seed: ``graph.d[x]`` less the weights to x's neighbours left
-out.  ``graph.d[x]`` is the exact sum of x's whole row, the terms ``_exact``
-adds when every neighbour is flagged, in the same order; each subtraction
-counts as one single-edge update since that exact sum.
+degree is at least its threshold plus its band would be kept at its pop.
+Above that it is kept without an exact sum.  Exactly there, the kept degree
+drifts by at most half the band (see below), so the exact sum still exceeds
+the threshold; on an exact row the kept degree is the exact sum and meets
+it.  Degrees only fall during a cascade, so the next decrement that brings
+the vertex below its threshold plus its band queues it again.  Every kept
+degree starts from one seed: ``graph.d[x]`` less the weights to x's
+neighbours left out.  ``graph.d[x]`` is the exact sum of x's whole row, the
+terms ``_exact`` adds when every neighbour is flagged, in the same order;
+each subtraction counts as one single-edge update since that exact sum.
 
 The band is the one bound on how far a kept degree may drift.  It covers an
 exact sum (k + 1 roundings), then up to k single-edge updates, from the seed
@@ -128,9 +131,9 @@ def _delete(adjacency, flags, deg, thresholds, band, stop, x, stack, removed, lo
                 log.append((y, deg[y]))
             deg[y] -= w
             gap = thresholds[y] - deg[y]
-            # further above its threshold than its band, y would be kept at
-            # its pop; a later decrement that brings it within reach queues it
-            if gap >= -band[y]:
+            # at or above its threshold plus its band, y would be kept at its
+            # pop; a later decrement that brings it below queues it
+            if gap > -band[y]:
                 if stop[y] and gap > band[y]:
                     return False
                 stack.append(y)

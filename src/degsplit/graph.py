@@ -106,7 +106,8 @@ def _assemble(
     label_index: dict[Label, int],
 ) -> WeightedGraph:
     # rows must already be symmetric, positive and in ascending neighbour order
-    terms = [loop_mode.factor * w for w in loops]
+    factor = loop_mode.factor
+    terms = [factor * w for w in loops]
     degrees = []
     maxima = []
     bands = []

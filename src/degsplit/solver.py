@@ -19,6 +19,9 @@ outside Abar is B itself and Bbar is its core, so no peel runs.  Completion
 checks nothing itself: the exact gate that ends ``solve`` sums every
 vertex's degree on its side, and raises CompletionAssertFailedError on the
 lowest vertex that completion added to A and that misses its a-demand there.
+The gate, like ``verify_partition``, marks side A once in a list of flags
+and sums each row's same-side weights in ascending order, loop term last:
+``induced_degree``'s sum, bit for bit, with no set lookup per edge.
 
 On h: the value counts each internal edge twice (once per endpoint) and the
 cross demand terms twice as well: both sides' induced degrees plus 2b over A
@@ -65,7 +68,7 @@ from .errors import (
     SingleVertexGraphError,
     UnstablePartitionError,
 )
-from .graph import Demands, WeightedGraph, induced_degree
+from .graph import Demands, WeightedGraph
 from .value import Value
 
 DEFAULT_MAX_MOVES = 1_000_000
@@ -299,11 +302,18 @@ def find_stable_pair(
 def _side_degrees(graph, demands, partition):
     """Each vertex in index order as (vertex, its side's name, its induced
     degree in that side, its demand there)."""
-    for x in range(graph.n):
-        if x in partition.a:
-            yield x, "A", induced_degree(graph, partition.a, x), demands.a[x]
+    in_a = [x in partition.a for x in range(graph.n)]
+    for x, row in enumerate(graph.adjacency):
+        side = in_a[x]
+        total = 0.0
+        for y, w in row:
+            if in_a[y] is side:
+                total += w
+        total += graph.loop_term[x]
+        if side:
+            yield x, "A", total, demands.a[x]
         else:
-            yield x, "B", induced_degree(graph, partition.b, x), demands.b[x]
+            yield x, "B", total, demands.b[x]
 
 
 def verify_partition(

@@ -602,3 +602,15 @@ class TestExactRows:
             assert side.deg[0] == induced_degree(g, members(side), 0)
             assert side.core == reference_peel(g, members(side), demand)
         assert calls == []
+
+    def test_a_deletion_queues_no_neighbour_that_lands_on_its_threshold(self):
+        # a unit triangle: deleting 0 leaves 1 and 2 at degree 1, exactly
+        # their thresholds, so their pops would keep them and none is queued
+        g = build_graph([(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+        thresholds = [0.0, 1.0, 1.0]
+        flags, deg, stack, removed = bytearray(b"\x01" * 3), list(g.d), [], []
+        assert core_module._delete(
+            g.adjacency, flags, deg, thresholds, g.band, bytearray(3), 0, stack, removed, None
+        )
+        assert deg[1:] == [1.0, 1.0] and stack == [] and removed == [0]
+        assert peel(g, range(3), thresholds) == reference_peel(g, range(3), thresholds)

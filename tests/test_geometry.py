@@ -281,6 +281,16 @@ class TestRowBuildersAgree:
             edges += sum(map(len, rows))
         assert edges > 10_000
 
+    def test_stencil_rows_share_one_pair_per_cell_and_weight(self):
+        # a weight depends only on the offset, so the rows need no more
+        # distinct (y, w) objects than cells times distinct weights
+        cells = GridInstance.rectangle(40, 38, 3.1).cells
+        rows = _stencil_rows(cells, 3.1, 40, 38)
+        pairs = [pair for row in rows for pair in row]
+        weights = {w for _, w in pairs}
+        assert len(pairs) == 61_372
+        assert len({id(pair) for pair in pairs}) <= len(cells) * len(weights) == 12_160
+
 
 class TestSquaresDemands:
     def test_half_degree_uses_loop_mode(self):

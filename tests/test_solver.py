@@ -930,6 +930,36 @@ class TestSolveNeverLies:
 
 
 class TestVerifyPartition:
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    def test_degrees_are_induced_degree_bit_for_bit(self, loop_mode):
+        # fractional weights (banded rows), loops, and isolated vertices;
+        # demands above every degree make every vertex a violation
+        rng = random.Random(29)
+        isolated = solved = 0
+        for _ in range(60):
+            n = rng.randint(2, 16)
+            g = conftest_random_graph(rng, n, rng.choice((0.1, 0.5)), loops=True,
+                                      loop_mode=loop_mode)
+            isolated += sum(not row for row in g.adjacency)
+            side_a = set(rng.sample(range(n), rng.randint(1, n - 1)))
+            part = Partition(side_a, set(range(n)) - side_a)
+            high = Demands([d + 1.0 for d in g.d], [d + 1.0 for d in g.d])
+            found = verify_partition(g, high, part)
+            assert [v.vertex for v in found] == list(range(n))
+            for v in found:
+                side = part.a if v.side == "A" else part.b
+                assert v.degree == induced_degree(g, side, v.vertex)
+            dem = Demands([0.1 * d for d in g.d], [0.1 * d for d in g.d])
+            try:
+                partition, cert = solve(g, dem)
+            except SolverError:
+                continue
+            solved += 1
+            for x in range(n):
+                side, own = (partition.a, dem.a) if x in partition.a else (partition.b, dem.b)
+                assert cert.verification[x] == induced_degree(g, side, x) - own[x]
+        assert isolated >= 10 and solved >= 30
+
     def test_k9_good_split_clean(self, k9):
         dem = Demands.constant(9, 3.0, 3.0)
         part = Partition(frozenset(range(4)), frozenset(range(4, 9)))
