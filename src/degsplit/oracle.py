@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
+from functools import reduce
+from operator import add, or_
 
 from .errors import GenerationFailedError, TooLargeError
 from .graph import Demands, LoopMode, WeightedGraph, build_graph
@@ -12,8 +15,9 @@ from .solver import Partition, _require_matching, check_feasibility
 from .value import Value
 
 MAX_BRUTE_VERTICES = 24
-# vertices below this index vary within a chunk of masks
-_LOW_BITS = 16
+# the oracle's low half has at most this many vertices: a vertex keeps up
+# to 2^low bitsets of 2^low bits
+_MAX_LOW_BITS = 10
 # draws random_feasible_instance makes before it gives up
 _MAX_RETRIES = 500
 
@@ -29,17 +33,26 @@ def brute_force_solve(graph: WeightedGraph, demands: Demands) -> OracleResult:
     set = vertex i on side A).  The witness is the smallest qualifying mask;
     count is over ordered pairs, so (A, B) and (B, A) count separately.
 
-    The masks go in chunks of 2^16, one chunk per pattern of the vertices
-    from index 16 up.  A table built by doubling holds each vertex's degree
-    into every subset of the lower vertices: entry m | 2^y is entry m plus
-    w_xy for m below 2^y, so each entry is summed in ascending neighbour
-    order.  Within a chunk the vertices are tested one at a time, and only
-    the masks that still pass go on to the next vertex.  A vertex's degree
-    on side A is its table entry at the mask, on side B the entry at the
-    complement, plus its higher neighbours on the same side in ascending
-    order, plus its loop term last: exactly the sums ``induced_degree``
-    makes, so the oracle accepts a split exactly when ``verify_partition``
-    does.
+    A mask is (h << low) | l: l places the low half of the vertices and h
+    the high half.  For each h the qualifying l form one Python-int bitset,
+    the AND over every vertex and side of the l at which the vertex meets
+    that side's demand or is on the other side.
+
+    A vertex's degree on its side is the sum ``verify_partition`` makes:
+    its same-side neighbours in ascending order, then its loop term.  The
+    low neighbours come first; their sum is the vertex's entry in a table
+    over every subset of the low vertices, built by doubling (entry m | 2^y
+    is entry m plus w_xy for m below 2^y), so each entry is itself an
+    ascending sum.  The high neighbours on its side, fixed by h, and the
+    loop term are then added in order.  IEEE addition is monotone, so the
+    degree never falls as the entry grows: the l that meet the demand are
+    those whose entry reaches a threshold, a suffix of the vertex's entries
+    sorted once, held as a bitset.  The threshold is found once per set of
+    same-side high neighbours, by bisection on the estimate demand - loop -
+    (their weights) and then by steps over distinct entries that test the
+    exact sum.  So the estimate needs no error bound, and every decision is
+    the float comparison ``verify_partition`` makes: the two agree on every
+    split, ties included.
     """
     n = graph.n
     if n > MAX_BRUTE_VERTICES:
@@ -48,56 +61,112 @@ def brute_force_solve(graph: WeightedGraph, demands: Demands) -> OracleResult:
     if n < 2:
         return OracleResult(False, None, 0)
 
-    # numpy is imported here only, so that the solver and the other CLI
-    # subcommands never pay for loading it
-    import numpy as np
-
-    low = min(n, _LOW_BITS)
+    # half the vertices balance the work per vertex over 2^low subsets
+    # against the loop over 2^(n - low) high halves
+    low = min((n + 1) // 2, _MAX_LOW_BITS)
     size = 1 << low
     full = size - 1
-    weights = np.zeros((n, low))
+    every = (1 << size) - 1
+    single = [1 << l for l in range(size)]
+    # single[l ^ full]: side B reads the entry of the complement of l
+    flipped = single[::-1]
+    # (the high bits read, the accepted l by their pattern), one per vertex
+    # and side
+    constraints = []
     for x in range(n):
-        for y, w in graph.adjacency[x]:
-            if y < low:
-                weights[x, y] = w
-    tables = np.zeros((n, size))
-    for y in range(low):
-        half = 1 << y
-        np.add(tables[:, :half], weights[:, y : y + 1], out=tables[:, half : 2 * half])
-    higher = [[(y, w) for y, w in graph.adjacency[x] if y >= low] for x in range(n)]
+        row = graph.adjacency[x]
+        weight = dict(row)
+        sums = [0.0]
+        for y in range(low):
+            w = weight.get(y)
+            sums += sums if w is None else list(map(w.__add__, sums))
+        if x < low:
+            # on side A where its own bit is set; the complements of those
+            # l put it on side B, with the same entries
+            order = sorted(filter((1 << x).__and__, range(size)), key=sums.__getitem__)
+            on_a = reduce(or_, map(single.__getitem__, order))
+            elsewhere = (every ^ on_a, on_a)
+            own = 0
+        else:
+            # h puts it on one side for every l
+            order = sorted(range(size), key=sums.__getitem__)
+            elsewhere = (0, 0)
+            own = 1 << (x - low)
+        entries = list(map(sums.__getitem__, order))
+
+        # each set of high neighbours as (its bits, its weights in order)
+        patterns = [(0, ())]
+        for y, w in row:
+            if y >= low:
+                bit = 1 << (y - low)
+                patterns += [(p | bit, ws + (w,)) for p, ws in patterns]
+        # the last pattern holds every high neighbour
+        neighbours = patterns[-1][0]
+        reads = neighbours | own
+        loop = graph.loop_term[x]
+        # a pattern left at None puts x on the other side: every l passes
+        cut_a = [None] * (reads + 1)
+        cut_b = [None] * (reads + 1)
+        for p, ws in patterns:
+            cut_a[p | own] = _threshold(entries, ws, loop, demands.a[x])
+            cut_b[neighbours ^ p] = _threshold(entries, ws, loop, demands.b[x])
+        # a vertex constrains no l that puts it on the other side
+        for cuts, singles, bits in zip((cut_a, cut_b), (single, flipped), elsewhere):
+            bitsets = _suffix_bitsets(order, cuts, singles, bits)
+            bitsets[None] = every
+            constraints.append((reads, list(map(bitsets.__getitem__, cuts))))
 
     count = 0
     witness_mask = None
-    chunks = 1 << (n - low)
-    for h in range(chunks):
+    last = (1 << (n - low)) - 1
+    for h in range(last + 1):
+        alive = every
         # the all-B and the all-A masks split nothing
-        alive = np.arange(1 if h == 0 else 0, full if h == chunks - 1 else size)
-        for x in range(n):
-            # x's side: per mask below index 16, fixed by the chunk above
-            if x < low:
-                in_a = (alive >> x) & 1 == 1
-            else:
-                in_a = (h >> (x - low)) & 1 == 1
-            deg = tables[x][np.where(in_a, alive, alive ^ full)]
-            for y, w in higher[x]:
-                # adding 0.0 where y is on the other side changes no sum
-                y_in_a = (h >> (y - low)) & 1
-                deg += np.where(in_a, w if y_in_a else 0.0, 0.0 if y_in_a else w)
-            demand = np.where(in_a, demands.a[x], demands.b[x])
-            if graph.loop_term[x]:
-                deg += graph.loop_term[x]
-            alive = alive[deg >= demand]
-            if not alive.size:
+        if h == 0:
+            alive ^= 1
+        if h == last:
+            alive ^= 1 << full
+        for reads, accepted in constraints:
+            alive &= accepted[h & reads]
+            if not alive:
                 break
-        count += alive.size
-        if witness_mask is None and alive.size:
-            witness_mask = (h << low) | int(alive[0])
+        else:
+            count += alive.bit_count()
+            if witness_mask is None:
+                witness_mask = (h << low) | ((alive & -alive).bit_length() - 1)
 
     if witness_mask is None:
         return OracleResult(False, None, 0)
     side_a = frozenset(x for x in range(n) if (witness_mask >> x) & 1)
     witness = Partition(side_a, frozenset(range(n)) - side_a)
     return OracleResult(True, witness, count)
+
+
+def _threshold(entries, highs, loop, demand):
+    """Index of the first of the ascending ``entries`` t with
+    (t + highs[0] + highs[1] + ...) + loop >= demand, summed left to right;
+    len(entries) if there is none."""
+    k = top = bisect_left(entries, demand - loop - sum(highs))
+    # the estimate ignores rounding: step over runs of equal entries, each
+    # tested by the exact sum, to the first one that passes
+    while k and reduce(add, highs, entries[k - 1]) + loop >= demand:
+        k = bisect_left(entries, entries[k - 1], 0, k - 1)
+    if k == top:
+        while k < len(entries) and not reduce(add, highs, entries[k]) + loop >= demand:
+            k = bisect_right(entries, entries[k], k + 1)
+    return k
+
+
+def _suffix_bitsets(order, cuts, single, bits):
+    """By each k in ``cuts`` other than None: ``bits`` with single[l] set
+    for every l in order[k:]."""
+    bitsets = {}
+    end = len(order)
+    for k in sorted(set(cuts) - {None}, reverse=True):
+        bits = reduce(or_, map(single.__getitem__, order[k:end]), bits)
+        bitsets[k] = bits
+        end = k
+    return bitsets
 
 
 def random_feasible_instance(

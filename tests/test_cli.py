@@ -123,6 +123,14 @@ def test_oracle_k9(capsys, k9_files):
     assert payload["count"] == 252
 
 
+def test_oracle_past_the_cap_exits_two(capsys, tmp_path):
+    edges = "".join(f"v{i} v{j} 1\n" for i in range(25) for j in range(i + 1, 25))
+    graph = write(tmp_path, "k25.edges", edges)
+    dem = write(tmp_path, "k25.dem", "")
+    code, out, err = run_cli(capsys, ["oracle", "--graph", graph, "--demands", dem])
+    assert assert_input_error(code, out, err)["error"] == "TooLargeError"
+
+
 def test_verify_accepts_solve_output(capsys, tmp_path, k9_files):
     graph, dem3, _ = k9_files
     code, out, _ = run_cli(capsys, ["solve", "--graph", graph, "--demands", dem3])
@@ -327,7 +335,7 @@ def test_squares_on_far_cells_under_a_large_radius(tmp_path):
 
 
 def cli_commands(tmp_path, k9_files, grid_cells):
-    """solve, verify, squares and gen argv lists that all exit 0."""
+    """solve, verify, squares, oracle and gen argv lists that all exit 0."""
     graph, dem3, _ = k9_files
     good = {"A": [f"v{i}" for i in range(4)], "B": [f"v{i}" for i in range(4, 9)]}
     files = ["--graph", graph, "--demands", dem3]
@@ -335,6 +343,7 @@ def cli_commands(tmp_path, k9_files, grid_cells):
         ["solve", *files],
         ["verify", *files, "--partition", write(tmp_path, "p.json", json.dumps(good))],
         ["squares", "--cells", grid_cells, "--radius", "2.1"],
+        ["oracle", *files],
         ["gen", "--n", "6", "--out-graph", str(tmp_path / "g.edges"),
          "--out-demands", str(tmp_path / "g.dem")],
     ]
@@ -352,36 +361,28 @@ def run_fresh_python(script):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_numpy_stays_unloaded_off_the_oracle_path(tmp_path, k9_files, grid_cells):
+def test_numpy_dataclasses_and_inspect_stay_unloaded(tmp_path, k9_files, grid_cells):
     commands = cli_commands(tmp_path, k9_files, grid_cells)
     run_fresh_python(
         "import sys\n"
         "import degsplit\n"
-        "assert 'numpy' not in sys.modules, 'import degsplit'\n"
         "from degsplit.cli import main\n"
-        f"for argv in {commands!r}:\n"
-        "    assert main(argv) == 0, argv\n"
-        "    assert 'numpy' not in sys.modules, argv\n"
-    )
-
-
-def test_dataclasses_and_inspect_stay_unloaded(tmp_path, k9_files, grid_cells):
-    # numpy loads inspect itself, so after the oracle only dataclasses is checked
-    graph, dem3, _ = k9_files
-    commands = cli_commands(tmp_path, k9_files, grid_cells)
-    oracle = ["oracle", "--graph", graph, "--demands", dem3]
-    run_fresh_python(
-        "import sys\n"
-        "import degsplit\n"
-        "from degsplit.cli import main\n"
-        "unloaded = ('dataclasses', 'inspect')\n"
+        "unloaded = ('numpy', 'dataclasses', 'inspect')\n"
         "assert not set(unloaded) & set(sys.modules), 'import degsplit'\n"
         f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0, argv\n"
         "    assert not set(unloaded) & set(sys.modules), argv\n"
-        f"assert main({oracle!r}) == 0\n"
-        "assert 'numpy' in sys.modules\n"
-        "assert 'dataclasses' not in sys.modules, 'oracle'\n"
+    )
+
+
+def test_every_subcommand_runs_where_numpy_cannot_be_imported(tmp_path, k9_files, grid_cells):
+    commands = cli_commands(tmp_path, k9_files, grid_cells)
+    run_fresh_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from degsplit.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
     )
 
 
@@ -457,9 +458,7 @@ def test_unknown_names_fail_as_attributes_do():
     ids=["solve-verify", "squares", "oracle"],
 )
 def test_a_subcommand_imports_only_its_modules(tmp_path, k9_files, grid_cells, kinds, loaded):
-    graph, dem3, _ = k9_files
     commands = cli_commands(tmp_path, k9_files, grid_cells)
-    commands.append(["oracle", "--graph", graph, "--demands", dem3])
     chosen = [argv for argv in commands if argv[0] in kinds]
     run_fresh_python(
         "import sys\n"

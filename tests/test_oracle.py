@@ -200,33 +200,73 @@ def mask_of(side):
     return sum(1 << x for x in side)
 
 
+def split_degrees(graph, side_a):
+    """Demands equal to each vertex's exact induced degree in its side of
+    the split (side_a, rest), and in the other side for the other demand:
+    that split and its neighbours sit exactly on their demands."""
+    side_b = set(range(graph.n)) - side_a
+    return Demands(
+        tuple(induced_degree(graph, side_a | {x}, x) for x in range(graph.n)),
+        tuple(induced_degree(graph, side_b | {x}, x) for x in range(graph.n)),
+    )
+
+
+def assert_agrees_with_verify_partition(graph, demands):
+    """The oracle's count, existence and smallest witness equal those of
+    ``verify_partition`` run on every mask; returns the accepted masks."""
+    n = graph.n
+    accepted = []
+    for mask in range(1, (1 << n) - 1):
+        a = frozenset(x for x in range(n) if (mask >> x) & 1)
+        if not verify_partition(graph, demands, Partition(a, frozenset(range(n)) - a)):
+            accepted.append(mask)
+    result = brute_force_solve(graph, demands)
+    assert result.count == len(accepted)
+    assert result.exists == bool(accepted)
+    if accepted:
+        assert mask_of(result.witness.a) == accepted[0]
+    return accepted
+
+
 class TestOracleExactness:
     @pytest.mark.parametrize("loop_mode", list(LoopMode), ids=lambda m: m.value)
     def test_ties_are_decided_as_verify_partition_decides_them(self, loop_mode):
-        # demands are a random split's exact induced degrees, so that split
-        # and its neighbours sit exactly on their demands
         rng = random.Random(5 if loop_mode is LoopMode.ONCE else 6)
         for _ in range(40):
             n = rng.randint(2, 9)
             g = random_graph(rng, n, rng.choice([0.5, 0.9]), loops=True, loop_mode=loop_mode)
             side_a = {x for x in range(n) if rng.random() < 0.5}
-            side_b = set(range(n)) - side_a
-            dem = Demands(
-                tuple(induced_degree(g, side_a | {x}, x) for x in range(n)),
-                tuple(induced_degree(g, side_b | {x}, x) for x in range(n)),
-            )
-            accepted = []
-            for mask in range(1, (1 << n) - 1):
-                a = frozenset(x for x in range(n) if (mask >> x) & 1)
-                if not verify_partition(g, dem, Partition(a, frozenset(range(n)) - a)):
-                    accepted.append(mask)
-            result = brute_force_solve(g, dem)
-            assert result.count == len(accepted)
-            assert result.exists == bool(accepted)
-            if accepted:
-                assert mask_of(result.witness.a) == accepted[0]
-            if side_a and side_b:
+            accepted = assert_agrees_with_verify_partition(g, split_degrees(g, side_a))
+            if 0 < len(side_a) < n:
                 assert mask_of(side_a) in accepted
+
+    @pytest.mark.parametrize("loop_mode", list(LoopMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_every_split_of_the_low_and_high_vertices(self, n, loop_mode):
+        # the high vertices, fixed per bitset of the low ones, are one (n = 2,
+        # 3) to six, at odd and even n; weights that are not dyadic round
+        rng = random.Random(n)
+        weights = (0.1, 0.3, 1 / 3)
+        edges = [
+            (i, j, rng.choice(weights))
+            for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7
+        ]
+        edges += [(i, i, rng.choice(weights)) for i in range(n) if rng.random() < 0.4]
+        g = build_graph(edges, loop_mode, vertices=range(n))
+        side_a = set(rng.sample(range(n), rng.randint(1, n - 1)))
+        accepted = assert_agrees_with_verify_partition(g, split_degrees(g, side_a))
+        assert mask_of(side_a) in accepted
+        zero = Demands.constant(n, 0.0, 0.0)
+        assert len(assert_agrees_with_verify_partition(g, zero)) == 2**n - 2
+
+    def test_a_demand_met_in_reals_and_missed_in_floats(self):
+        # (0.1 + 0.6) + 0.2 rounds to 0.8999999999999999, so vertex 0 misses
+        # a demand of 0.9 with all its neighbours on its side, though the
+        # estimate 0.9 - 0.2 - 0.6 lies below 0.1, its sum over vertex 1
+        g = build_graph([(0, 1, 0.1), (0, 2, 0.6), (0, 0, 0.2)], LoopMode.ONCE, vertices=range(4))
+        dem = Demands((0.9, 0.0, 0.0, 0.0), (0.0,) * 4)
+        accepted = assert_agrees_with_verify_partition(g, dem)
+        assert accepted == [m for m in range(1, 15) if not m & 1]
 
     @pytest.mark.parametrize("n", [17, 18])
     def test_integer_weights_match_the_matmul_enumeration(self, n):
