@@ -50,7 +50,7 @@ def _read_lines(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     out = []
     for lineno, line in enumerate(raw, start=1):
@@ -122,7 +122,7 @@ def parse_partition_file(path, graph: WeightedGraph) -> Partition:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from exc

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import repeat
+from operator import sub
 from typing import Iterable
 
 from .errors import TooFewCellsError
@@ -120,6 +121,8 @@ def _stencil_rows(cells: tuple[Cell, ...], r: float, width: int, height: int):
             w = circle_square_area(dx, dy, r)
             if w > MIN_EDGE_WEIGHT:
                 half.append((dx, dy, w))
+    if not half:  # every row is empty, and a segment would find no slices to zip
+        return ((),) * len(cells)
     # cell (i, j) has key i * stride + j.  The stencil keeps |dy| < height,
     # so a probe's j differs from any cell's j by at most 2 (height - 1) <
     # stride, and a probe's key equals a cell's key only at that very cell
@@ -132,10 +135,32 @@ def _stencil_rows(cells: tuple[Cell, ...], r: float, width: int, height: int):
     probes = [(dx * stride + dy, pairs[w]) for dx, dy, w in stencil]
     index = {i * stride + j: x for x, (i, j) in enumerate(cells)}
     find = index.get
-    return tuple(
-        tuple([shared[y] for delta, shared in probes if (y := find(k + delta)) is not None])
-        for k in index
-    )
+    # column segments (see build_grid_graph): the stencil's offsets have
+    # |dx| <= sx and |dy| <= sy, and runs must average `long` cells to be cut
+    sx, sy = half[-1][0], max(dy for _, dy, _ in half)
+    keys, long = list(index), 4 * (sy + 1)
+    steps = list(map(sub, keys[1:], keys)) if height >= long else []
+    if long * (len(keys) - steps.count(1)) > len(keys):
+        return tuple(
+            tuple([table[y] for d, table in probes if (y := find(k + d)) is not None])
+            for k in keys
+        )
+    # each run's first key and the key just past its last
+    firsts = [0] + [x for x, step in enumerate(steps, 1) if step != 1]
+    bounds = [keys[x] for x in firsts] + [keys[x - 1] + 1 for x in firsts[1:] + [len(keys)]]
+    near = {p + dx * stride for dx in range(-sx, sx + 1) for p in bounds}
+    cut = {q + dy for dy in range(-sy, sy + 1) for q in near}
+    starts = sorted(map(index.__getitem__, cut.intersection(index)))
+    rows = []
+    for x, end in zip(starts, starts[1:] + [len(keys)]):
+        k, size = keys[x], end - x
+        if size == 1:
+            rows.append(tuple([table[y] for d, table in probes if (y := find(k + d)) is not None]))
+        else:
+            rows.extend(zip(*[
+                table[y:y + size] for d, table in probes if (y := find(k + d)) is not None
+            ]))
+    return tuple(rows)
 
 
 def _pair_rows(cells: tuple[Cell, ...], r: float):
@@ -172,20 +197,39 @@ def build_grid_graph(instance: GridInstance, loop_mode: LoopMode = LoopMode.DOUB
     key: cell (i, j) has key i * stride + j with stride = 2 * height + 1, so
     an offset is one integer to add, and no tuple is built or hashed per
     probe.  Its walk covers (min(s, width - 1) + 1) * (2 min(s, height - 1)
-    + 1) offsets, with s = ceil(r + 0.71), whatever n is, and its probes
-    cost O(n * |stencil|), where |stencil| is at most about
-    pi (r + 0.71)^2.  ``_pair_rows`` checks all n (n - 1) / 2 pairs of cells
-    and computes the weight once per offset that occurs.  The pairs are
-    used when the walk is longer than half the number of cells, as for a few
-    cells far apart under a large radius; a dense rectangle takes the
-    stencil.  Cells are sorted, so either way every row comes out in
-    ascending neighbour order and goes to the graph as it is, with no edge
-    list, validation or sort: the weights exceed MIN_EDGE_WEIGHT, and cells
-    are distinct.  The stencil's rows share their pairs: it builds one
-    (y, w) tuple per cell y and distinct weight w, and every row that
-    reaches y at weight w holds that tuple.  On a 40 x 38 rectangle at
-    r = 3.1 that is 12,160 tuples for 61,372 row entries, and the graph
-    takes 1.5 MB instead of 4.2 MB (``tracemalloc``).
+    + 1) offsets, with s = ceil(r + 0.71), whatever n is; at most about
+    pi (r + 0.71)^2 of them join the stencil.  ``_pair_rows`` checks all
+    n (n - 1) / 2 pairs of cells and computes the weight once per offset
+    that occurs.  The pairs are used when the walk is longer than half the
+    number of cells, as for a few cells far apart under a large radius; a
+    dense rectangle takes the stencil.  Cells are sorted, so either way
+    every row comes out in ascending neighbour order and goes to the graph
+    as it is, with no edge list, validation or sort: the weights exceed
+    MIN_EDGE_WEIGHT, and cells are distinct.  The stencil's rows share
+    their pairs: it builds one (y, w) tuple per cell y and distinct weight
+    w, and every row that reaches y at weight w holds that tuple.  On a
+    40 x 38 rectangle at r = 3.1 that is 12,160 tuples for 61,372 row
+    entries, and the graph takes 1.5 MB instead of 4.2 MB (``tracemalloc``).
+
+    The stencil probes one cell per column segment, not one per cell.  A
+    bound is a key whose presence differs from the key below it: the first
+    cell of a run of consecutive keys, or the key just past a run.  Cell k
+    starts a segment when a bound lies in the stencil's bounding box around
+    it: at k + dx * stride + dy, with |dx| and |dy| at most the largest |dx|
+    and |dy| of the stencil; the first cell of every run is such a cell,
+    since it is a bound itself.  Inside a segment, then, each stencil offset
+    finds a cell for every cell of the segment or for none, and the cells it
+    finds have consecutive keys, so consecutive indices y, y + 1, ...  The
+    segment's first cell is probed; each hit (y, w) gives the slice of w's
+    pair table from y, as long as the segment, and zipping the slices gives
+    the segment's rows: the same pair objects, in the same ascending order,
+    that a probe per cell finds.  A one-cell segment is probed as before.  A
+    column of a rectangle probes its 2 h + 1 cells nearest its ends, with h
+    the stencil's largest |dy|, and slices the rest.  Cutting costs a pass
+    over the keys and a sum per bound and box offset, which short runs repay
+    with little or nothing, so every cell is probed when the runs average
+    fewer than 4 (h + 1) cells: in ragged, half-filled or sparse sets, and
+    in grids lower than that.
     """
     cells, r = instance.cells, instance.r
     if len(cells) < 2:

@@ -193,6 +193,23 @@ def assert_input_error(code, out, err):
     return payload
 
 
+@pytest.mark.parametrize("kind", ["graph", "demands", "cells", "partition"])
+def test_a_file_that_is_not_utf8_is_named(capsys, tmp_path, k9_files, kind):
+    graph, dem3, _ = k9_files
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(b"v0 v1 1.0\n\xff\xfe 2\n")
+    partition = write(tmp_path, "p.json", json.dumps({"A": ["v0"], "B": ["v1"]}))
+    files = {"graph": graph, "demands": dem3, "partition": partition, kind: str(bad)}
+    argv = {
+        "cells": ["squares", "--cells", str(bad), "--radius", "2.1"],
+        "partition": ["verify", "--graph", files["graph"], "--demands", files["demands"],
+                      "--partition", files["partition"]],
+    }.get(kind, ["solve", "--graph", files["graph"], "--demands", files["demands"]])
+    payload = assert_input_error(*run_cli(capsys, argv))
+    assert payload["error"] == "InputError"
+    assert payload["message"].startswith(f"cannot read {bad}: 'utf-8' codec can't decode")
+
+
 @pytest.fixture
 def grid_cells(tmp_path):
     return write(

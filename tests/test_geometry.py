@@ -219,6 +219,11 @@ GRID_SHAPES = {
     # lands up to 2 (height - 1) rows from a cell, and a key stride of
     # 2 (height - 1) would alias the probe from (0, 2) by (0, 4) with (1, -2)
     "tall-ragged": ((0, -2), (0, 1), (0, 2), (1, -2), (1, 0), (1, 2), (2, -1), (2, 2)),
+    # columns long enough to be cut into segments up to r = 3.1, around a
+    # hole and under a staircase top
+    "holed-stair-6x30": tuple(
+        (i, j) for i in range(6) for j in range(30 - 2 * i) if not (2 <= i <= 3 and 12 <= j <= 14)
+    ),
 }
 
 
@@ -281,15 +286,68 @@ class TestRowBuildersAgree:
             edges += sum(map(len, rows))
         assert edges > 10_000
 
-    def test_stencil_rows_share_one_pair_per_cell_and_weight(self):
+    def test_same_rows_bit_for_bit_on_sets_cut_into_segments(self):
+        # long columns are cut into segments around holes, notches, the ends
+        # of unequal neighbouring columns and half-filled stretches
+        rng = random.Random(24)
+        radii = [0.3, 0.5, 0.71, 1.0, 1.5, 2.1, 2.6, 3.1, 4.4, 6.0]
+        edges = 0
+        for case in range(60):
+            r = radii[case % len(radii)] if case < 40 else rng.uniform(0.3, 6.0)
+            tall = 4 * math.ceil(r + 1.71) + rng.randint(0, 12)
+            width = rng.randint(2, 7)
+            shape = case % 5
+            if shape == 0:  # punched holes and notched edges
+                cells = {(i, j) for i in range(width) for j in range(tall)}
+                for _ in range(rng.randint(1, 3)):
+                    i, j = rng.randrange(width), rng.randrange(tall)
+                    cells -= {(i + a, j + b) for a in range(2) for b in range(rng.randint(1, 4))}
+                for _ in range(rng.randint(1, 3)):
+                    i, depth = rng.randrange(width), rng.randint(1, 4)
+                    cells -= {(i, j) for j in range(depth)} if rng.random() < 0.5 else {
+                        (i, tall - 1 - j) for j in range(depth)
+                    }
+            elif shape == 1:  # staircase columns of unequal length
+                cells = {
+                    (i, j) for i in range(width)
+                    for j in range(rng.randint(0, 3) * i, rng.randint(0, 3) * i + tall - rng.randint(0, 9))
+                }
+            elif shape == 2:  # one long strip, vertical or horizontal
+                cells = {(0, j) for j in range(tall)}
+                if case % 2:
+                    cells = {(j, 0) for _, j in cells}
+            elif shape == 3:  # half-density box
+                cells = {(i, j) for i in range(width) for j in range(tall) if rng.random() < 0.5}
+            else:  # a rectangle far from the origin
+                cells = {(i - 10**6, j + 10**6) for i in range(width) for j in range(tall)}
+            cells = GridInstance(cells, r).cells
+            width = cells[-1][0] - cells[0][0] + 1
+            height = max(j for _, j in cells) - min(j for _, j in cells) + 1
+            rows = _pair_rows(cells, r)
+            assert rows == _stencil_rows(cells, r, width, height), (case, r)
+            edges += sum(map(len, rows))
+        assert edges > 50_000
+
+    @staticmethod
+    def shared_pairs(width, height, r):
         # a weight depends only on the offset, so the rows need no more
         # distinct (y, w) objects than cells times distinct weights
-        cells = GridInstance.rectangle(40, 38, 3.1).cells
-        rows = _stencil_rows(cells, 3.1, 40, 38)
-        pairs = [pair for row in rows for pair in row]
-        weights = {w for _, w in pairs}
-        assert len(pairs) == 61_372
-        assert len({id(pair) for pair in pairs}) <= len(cells) * len(weights) == 12_160
+        cells = GridInstance.rectangle(width, height, r).cells
+        rows = _stencil_rows(cells, r, width, height)
+        held = [pair for row in rows for pair in row]
+        weights = {w for _, w in held}
+        return len(held), len({id(pair) for pair in held}), len(cells) * len(weights)
+
+    def test_stencil_rows_share_one_pair_per_cell_and_weight(self):
+        entries, distinct, bound = self.shared_pairs(40, 38, 3.1)
+        assert entries == 61_372
+        assert distinct <= bound == 12_160
+
+    def test_rows_sliced_from_segments_share_the_same_pairs(self):
+        # 8 x 120 at r = 2.1: each column probes 5 cells and slices 115
+        entries, distinct, bound = self.shared_pairs(8, 120, 2.1)
+        assert entries == 16_404
+        assert distinct <= bound == 3_840
 
 
 class TestSquaresDemands:
