@@ -18,11 +18,9 @@ _EXPORTS = {
         "GenerationFailedError", "MoveLimitExceededError", "NonImprovingMoveError",
         "NonPositiveWeightError", "NoSatisfyingSetError", "PartitionCollapseError",
         "SingleVertexGraphError", "SolverError", "TooFewCellsError", "TooLargeError",
-        "UnstablePartitionError", "VertexNotInSetError",
+        "UnstablePartitionError",
     ),
-    "graph": (
-        "Demands", "LoopMode", "WeightedGraph", "build_graph", "induced_degree", "without_loops",
-    ),
+    "graph": ("Demands", "LoopMode", "WeightedGraph", "build_graph", "without_loops"),
     "core": ("minimal_satisfying_set", "peel"),
     "solver": (
         "DEFAULT_MAX_MOVES", "FeasibilityReport", "Move", "Partition", "SolveCertificate",

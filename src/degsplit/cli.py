@@ -124,7 +124,8 @@ def parse_partition_file(path, graph: WeightedGraph) -> Partition:
             payload = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
     if not (isinstance(payload, dict) and all(isinstance(payload.get(k), list) for k in "AB")):
         raise InputError(f"{path}: expected an object with 'A' and 'B' label lists")
@@ -133,6 +134,9 @@ def parse_partition_file(path, graph: WeightedGraph) -> Partition:
         side_b = [graph.label_index[str(u)] for u in payload["B"]]
     except KeyError as exc:
         raise InputError(f"{path}: unknown vertex {exc}") from exc
+    missing = set(range(graph.n)).difference(side_a, side_b)
+    if missing:
+        raise InputError(f"{path}: vertex {str(graph.labels[min(missing)])!r} is on neither side")
     try:
         return Partition(frozenset(side_a), frozenset(side_b))
     except ValueError as exc:

@@ -13,7 +13,7 @@ degrees, so a neighbour update costs two index operations and no hashing.
 Each member's entry holds its induced degree, and a deletion clears the
 member's flag and subtracts its edge weight from every neighbour still
 flagged; entries of vertices left out are never read.  Subtraction drifts a
-few ulps from the ascending sum ``induced_degree`` returns, so the exact-tie
+few ulps from the ascending sum ``verify_partition`` takes, so the exact-tie
 rule applies: when |deg(x) - threshold(x)| <= band(x) = 8 (k + 2) 2^-53 d(x),
 with k the number of x's neighbours, x is decided on the exact ascending sum
 instead.  Every decision is therefore the one exact recomputation makes.
@@ -31,8 +31,8 @@ exact degree.  A band of 0 means the same on any other row: it rounds to 0
 only when d(x) < 2^-1022, where every partial sum is a subnormal multiple
 of 2^-1074 and so exact too.
 
-The exact sum is ``_exact``, which tests a flag where ``induced_degree``
-tests set membership.  It adds the same weights (the flagged neighbours',
+The exact sum is ``_exact``, the sum ``verify_partition`` takes with the
+flagged set as x's side.  It adds the same weights (the flagged neighbours',
 in the ascending order of the row) and then the graph's cached loop term,
 ``graph.loop_term[x]``, last; floating-point addition in the same order on
 the same operands gives the same double, so the two agree bit for bit.  It
@@ -109,8 +109,8 @@ Thresholds = Sequence[float]
 
 
 def _exact(graph: WeightedGraph, flags, x: int) -> float:
-    # induced_degree of x in the flagged set plus x itself: the same terms
-    # in the same ascending order, loop last, so the same sum bit for bit
+    # verify_partition's sum for x in the flagged set plus x: the same terms
+    # in the same ascending order, loop last, so the same double
     total = 0.0
     for y, w in graph.adjacency[x]:
         if flags[y]:

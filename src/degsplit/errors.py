@@ -13,10 +13,6 @@ class NonPositiveWeightError(DegsplitError):
     """An edge weight was zero, negative, or not a number."""
 
 
-class VertexNotInSetError(DegsplitError):
-    """An induced-degree query named a vertex outside the subset."""
-
-
 class SolverError(DegsplitError):
     """Base class for failures of the decomposition solver."""
 

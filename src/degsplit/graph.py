@@ -26,7 +26,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Hashable, Iterable
 
-from .errors import DuplicateEdgeError, NonPositiveWeightError, VertexNotInSetError
+from .errors import DuplicateEdgeError, NonPositiveWeightError
 from .value import Value
 
 Label = Hashable
@@ -200,22 +200,6 @@ def build_graph(
     adjacency = tuple(tuple([(y, row[y]) for y in sorted(row)]) for row in rows)
     loops = tuple(loop_weights.get(x, 0.0) for x in range(len(rows)))
     return _assemble(tuple(label_index), adjacency, loops, loop_mode, label_index)
-
-
-def induced_degree(graph: WeightedGraph, subset, x: int) -> float:
-    """Degree of x inside the subgraph induced by ``subset``.
-
-    Sums the weights of edges from x to other members (in ascending-neighbor
-    order, so results are reproducible) plus x's loop term, last.  ``x`` must
-    be a member.
-    """
-    if x not in subset:
-        raise VertexNotInSetError(f"vertex {x} is not in the queried subset")
-    total = 0.0
-    for y, w in graph.adjacency[x]:
-        if y in subset:
-            total += w
-    return total + graph.loop_term[x]
 
 
 def without_loops(graph: WeightedGraph) -> WeightedGraph:

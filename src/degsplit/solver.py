@@ -20,8 +20,8 @@ checks nothing itself: the exact gate that ends ``solve`` sums every
 vertex's degree on its side, and raises CompletionAssertFailedError on the
 lowest vertex that completion added to A and that misses its a-demand there.
 The gate, like ``verify_partition``, marks side A once in a list of flags
-and sums each row's same-side weights in ascending order, loop term last:
-``induced_degree``'s sum, bit for bit, with no set lookup per edge.
+and sums each row's same-side weights in ascending order, loop term last,
+with no set lookup per edge: the package's one public side degree.
 
 On h: the value counts each internal edge twice (once per endpoint) and the
 cross demand terms twice as well: both sides' induced degrees plus 2b over A

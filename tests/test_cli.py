@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import degsplit
-from degsplit import Partition, verify_partition
-from degsplit.cli import main
+from degsplit import LoopMode, Partition, build_graph, verify_partition
+from degsplit.cli import format_graph_file, main, parse_graph_file
 from degsplit.geometry import DemandScheme, GridInstance, build_grid_graph, squares_demands
 
 K9_EDGES = "".join(
@@ -271,6 +271,79 @@ def test_malformed_partition_file_exits_two(capsys, tmp_path, k9_files, text):
     assert payload["error"] == "InputError"
 
 
+# (file kind, file text, the one message it exits 2 with); {path} is the file
+K9_HALVES = {"A": [f"v{i}" for i in range(4)], "B": [f"v{i}" for i in range(4, 9)]}
+BAD_INPUTS = {
+    "graph-two-fields": ("graph", "v0 v1\n", "{path}:1: expected 'u v w'"),
+    "graph-bad-weight": ("graph", "v0 v1 heavy\n", "{path}:1: bad weight 'heavy'"),
+    "graph-only-comments": ("graph", "# nothing\n\n  # here\n", "{path}: no edges"),
+    "graph-crlf-third-line": (
+        "graph", "v0 v1 1\r\nv1 v2 1\r\nv2 v0\r\n", "{path}:3: expected 'u v w'"
+    ),
+    "demands-two-fields": ("demands", "v0 1\n", "{path}:1: expected 'u a b'"),
+    "demands-bad-value": ("demands", "v0 1 lots\n", "{path}:1: bad demand value"),
+    "demands-negative": (
+        "demands", "v0 -1 0\n", "{path}: demands must be finite and non-negative, got -1.0"
+    ),
+    "demands-nan": (
+        "demands", "v0 0 nan\n", "{path}: demands must be finite and non-negative, got nan"
+    ),
+    "cells-three-fields": ("cells", "0 0 0\n", "{path}:1: expected 'i j'"),
+    "cells-fractional": ("cells", "0 0\n0 1.5\n", "{path}:2: cell coordinates must be integers"),
+    "cells-none": ("cells", "# no cells\n", "{path}: no cells"),
+    "partition-bad-json": (
+        "partition", "{",
+        "{path}: not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    ),
+    "partition-deep-json": (
+        "partition", "[" * 100000 + "]" * 100000,
+        "{path}: not valid JSON: maximum recursion depth exceeded while decoding a JSON "
+        "array from a unicode string",
+    ),
+    "partition-unknown-label": (
+        "partition", json.dumps({"A": ["v0", "zz"], "B": K9_HALVES["B"]}),
+        "{path}: unknown vertex 'zz'",
+    ),
+    "partition-label-on-both-sides": (
+        "partition", json.dumps({"A": K9_HALVES["A"] + ["v4"], "B": K9_HALVES["B"]}),
+        "{path}: sides overlap",
+    ),
+    # one message whether the vertices left out are the last ones or not
+    "partition-misses-the-last-vertices": (
+        "partition", json.dumps({"A": K9_HALVES["A"], "B": ["v4", "v5", "v6"]}),
+        "{path}: vertex 'v7' is on neither side",
+    ),
+    "partition-misses-an-inner-vertex": (
+        "partition", json.dumps({"A": ["v0", "v1", "v3"], "B": K9_HALVES["B"]}),
+        "{path}: vertex 'v2' is on neither side",
+    ),
+    "show-circle-with-svg": ("flag", "1;2", "--show-circle expects 'i,j'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_each_bad_input_exits_two_with_its_message(capsys, tmp_path, k9_files, grid_cells, case):
+    kind, text, message = BAD_INPUTS[case]
+    graph, dem3, _ = k9_files
+    path = write(tmp_path, f"bad.{kind}", text)
+    files = {
+        "graph": graph, "demands": dem3, "cells": grid_cells,
+        "partition": write(tmp_path, "good.json", json.dumps(K9_HALVES)),
+        kind: path,
+    }
+    if kind == "cells":
+        argv = ["squares", "--cells", path, "--radius", "2.1"]
+    elif kind == "flag":
+        argv = ["squares", "--cells", grid_cells, "--radius", "2.1",
+                "--svg", str(tmp_path / "out.svg"), "--show-circle", text]
+    else:
+        argv = ["verify", "--graph", files["graph"], "--demands", files["demands"],
+                "--partition", files["partition"]]
+    payload = assert_input_error(*run_cli(capsys, argv))
+    assert payload == {"error": "InputError", "message": message.format(path=path)}
+
+
 def test_duplicate_demand_line_exits_two(capsys, tmp_path, k9_files):
     graph, _, _ = k9_files
     dem = write(tmp_path, "dup.dem", "v0 1 1\nv1 1 1\nv0 2 2\n")
@@ -409,8 +482,8 @@ PUBLIC_NAMES = {
     "GenerationFailedError MoveLimitExceededError NonImprovingMoveError "
     "NonPositiveWeightError NoSatisfyingSetError PartitionCollapseError "
     "SingleVertexGraphError SolverError TooFewCellsError TooLargeError "
-    "UnstablePartitionError VertexNotInSetError",
-    "graph": "Demands LoopMode WeightedGraph build_graph induced_degree without_loops",
+    "UnstablePartitionError",
+    "graph": "Demands LoopMode WeightedGraph build_graph without_loops",
     "core": "minimal_satisfying_set peel",
     "solver": "DEFAULT_MAX_MOVES FeasibilityReport Move Partition SolveCertificate "
     "Violation check_feasibility find_stable_pair solve verify_partition",
@@ -438,7 +511,7 @@ def test_star_import_binds_each_public_name_from_its_module():
         "del names['__builtins__']\n"
         f"table = {PUBLIC_NAMES!r}\n"
         "expected = {n: m for m, line in table.items() for n in line.split()}\n"
-        "assert len(expected) == 43 and set(names) == set(expected), set(names) ^ set(expected)\n"
+        "assert len(expected) == 41 and set(names) == set(expected), set(names) ^ set(expected)\n"
         "for name, module in expected.items():\n"
         "    home = importlib.import_module('degsplit.' + module)\n"
         "    assert names[name] is getattr(home, name), name\n"
@@ -452,7 +525,7 @@ def test_submodules_resolve_after_a_bare_import():
         f"for module in {sorted(PUBLIC_NAMES)!r}:\n"
         "    assert getattr(degsplit, module) is sys.modules['degsplit.' + module], module\n"
         "g = degsplit.graph.build_graph([(0, 1, 1.0)])\n"
-        "assert degsplit.induced_degree(g, {0, 1}, 0) == 1.0\n"
+        "assert degsplit.without_loops(g) is g\n"
     )
 
 
@@ -531,7 +604,7 @@ def test_squares_with_svg(capsys, tmp_path):
     payload = json.loads(out)
     assert len(payload["A"]) + len(payload["B"]) == 16
     assert payload["precondition_ok"] is True
-    svg = open(svg_path, encoding="utf-8").read()
+    svg = Path(svg_path).read_text(encoding="utf-8")
     assert svg.count("<rect") == 16
     assert "#1f77b4" in svg and "#ff7f0e" in svg
     assert "<circle" in svg
@@ -583,13 +656,13 @@ def test_gen_roundtrip_and_determinism(capsys, tmp_path):
             "--out-graph", out_graph, "--out-demands", out_dem]
     code, _, _ = run_cli(capsys, argv)
     assert code == 0
-    first_graph = open(out_graph, encoding="utf-8").read()
-    first_dem = open(out_dem, encoding="utf-8").read()
+    first_graph = Path(out_graph).read_text(encoding="utf-8")
+    first_dem = Path(out_dem).read_text(encoding="utf-8")
 
     code, _, _ = run_cli(capsys, argv)
     assert code == 0
-    assert open(out_graph, encoding="utf-8").read() == first_graph
-    assert open(out_dem, encoding="utf-8").read() == first_dem
+    assert Path(out_graph).read_text(encoding="utf-8") == first_graph
+    assert Path(out_dem).read_text(encoding="utf-8") == first_dem
 
     # canonical emission round-trips byte-identically through parse + solve
     code, out, _ = run_cli(
@@ -597,11 +670,24 @@ def test_gen_roundtrip_and_determinism(capsys, tmp_path):
     )
     assert code == 0
 
-    from degsplit.cli import format_graph_file, parse_graph_file
-    from degsplit import LoopMode
-
     reparsed = parse_graph_file(out_graph, LoopMode.DOUBLE)
     assert format_graph_file(reparsed) == first_graph
+
+
+@pytest.mark.parametrize("loop_mode", list(LoopMode))
+def test_looped_graph_file_round_trips(tmp_path, loop_mode):
+    # gen never draws a loop, so build a looped graph here
+    rng = random.Random(3)
+    edges = [(f"v{i}", f"v{j}", rng.uniform(0.1, 2.0)) for i in range(6) for j in range(i)]
+    loops = [(f"v{i}", f"v{i}", rng.uniform(0.1, 2.0)) for i in (0, 2, 5)]
+    # labels in the order the sorted file names them, so the graphs compare
+    graph = build_graph(edges + loops, loop_mode, vertices=[f"v{i}" for i in range(6)])
+    text = format_graph_file(graph)
+    assert text.count("\n") == len(edges) + len(loops)
+    assert "v2 v2 " in text
+    reparsed = parse_graph_file(write(tmp_path, "looped.edges", text), loop_mode)
+    assert reparsed == graph
+    assert format_graph_file(reparsed) == text
 
 
 @pytest.mark.parametrize("command", ["gen", "squares"])
@@ -632,7 +718,7 @@ def test_gen_output_with_an_isolated_vertex_solves(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["n"] == 8
     assert not any(
-        line.split()[0] == "0" for line in open(out_dem, encoding="utf-8")
+        line.split()[0] == "0" for line in Path(out_dem).read_text(encoding="utf-8").splitlines()
     )
     code, out, _ = run_cli(capsys, ["solve", "--graph", out_graph, "--demands", out_dem])
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from degsplit import (
     NoSatisfyingSetError,
     build_graph,
     build_grid_graph,
-    induced_degree,
     minimal_satisfying_set,
     peel,
     squares_demands,
@@ -62,6 +62,19 @@ class TestPeel:
         with pytest.raises(ValueError):
             peel(triangle, range(3), const(2, 1.0))
 
+    @pytest.mark.parametrize("entry", ["peel", "minimal_satisfying_set"])
+    def test_nan_threshold_and_out_of_range_member_rejected(self, triangle, entry):
+        def call(members, thresholds):
+            if entry == "peel":
+                return peel(triangle, members, thresholds)
+            return minimal_satisfying_set(triangle, thresholds, within=members)
+
+        with pytest.raises(ValueError, match=r"^thresholds must not be NaN$"):
+            call(range(3), [1.0, math.nan, 1.0])
+        for x in (3, -1):
+            with pytest.raises(ValueError, match=rf"^vertex {x} is out of range$"):
+                call([0, 1, x], const(3, 1.0))
+
     def test_matches_union_of_qualifying_subsets(self):
         rng = random.Random(42)
         for _ in range(30):
@@ -78,7 +91,7 @@ class TestPeel:
             while True:
                 violators = [
                     x for x in members
-                    if induced_degree(graph, members, x) < thresholds[x]
+                    if branching_degree(graph, members, x) < thresholds[x]
                 ]
                 if not violators:
                     return frozenset(members)
@@ -96,11 +109,11 @@ class TestPeel:
 
 
 class TestExactSum:
-    """``core._exact`` is ``induced_degree`` over the flagged set plus x:
+    """``core._exact`` is the branching sum over the flagged set plus x:
     the same terms in the same order, so equal as floats, not just close."""
 
     @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
-    def test_equals_induced_degree_bit_for_bit(self, loop_mode):
+    def test_equals_the_ascending_sum_bit_for_bit(self, loop_mode):
         rng = random.Random(13)
         reordered = 0
         for _ in range(200):
@@ -111,7 +124,7 @@ class TestExactSum:
             flags = bytearray(x in subset for x in range(n))
             for x in range(n):
                 # outside the subset, the degree x would have on joining it
-                exact = induced_degree(g, subset | {x}, x)
+                exact = branching_degree(g, subset | {x}, x)
                 assert core_module._exact(g, flags, x) == exact
                 # the same terms summed in descending order often differ,
                 # so equality here rests on the order
@@ -188,7 +201,7 @@ class TestMinimalSatisfyingSet:
         result = minimal_satisfying_set(k9, const(9, 3.0))
         assert len(result) == 4
         for x in result:
-            assert induced_degree(k9, result, x) == 3.0
+            assert branching_degree(k9, result, x) == 3.0
 
     def test_raises_when_nothing_satisfies(self, triangle):
         with pytest.raises(NoSatisfyingSetError):
@@ -214,7 +227,7 @@ def reference_peel(graph, subset, thresholds):
     degree after every deletion and deletes the most violating vertex first
     (smallest degree-minus-threshold margin, ties by index)."""
     members = set(subset)
-    deg = {x: induced_degree(graph, members, x) for x in members}
+    deg = {x: branching_degree(graph, members, x) for x in members}
     while True:
         worst = None
         worst_key = None
@@ -228,7 +241,7 @@ def reference_peel(graph, subset, thresholds):
         members.remove(worst)
         for y, _ in graph.adjacency[worst]:
             if y in members:
-                deg[y] = induced_degree(graph, members, y)
+                deg[y] = branching_degree(graph, members, y)
 
 
 def restart_minimal_satisfying_set(graph, demands, within=None):
@@ -305,7 +318,7 @@ def planted_thresholds(rng, graph, tol=0.0):
     planted = {x for x in range(graph.n) if rng.random() < 0.6}
     thresholds = [1e9] * graph.n
     for x in planted:
-        thresholds[x] = induced_degree(graph, planted, x) + tol
+        thresholds[x] = branching_degree(graph, planted, x) + tol
     return thresholds
 
 
@@ -362,8 +375,8 @@ class TestEssentialDecrement:
         # succeed
         g = build_graph([(0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.2), (1, 2, 0.4)])
         planted = {0, 1, 2}
-        demands = [induced_degree(g, planted, x) for x in sorted(planted)] + [0.2]
-        assert induced_degree(g, range(4), 0) - 0.2 < demands[0]
+        demands = [branching_degree(g, planted, x) for x in sorted(planted)] + [0.2]
+        assert branching_degree(g, range(4), 0) - 0.2 < demands[0]
         assert TestMinimalSetMatchesRestartSearch.assert_same(g, demands)
         assert minimal_satisfying_set(g, demands) == planted
 
@@ -372,7 +385,7 @@ class TestEssentialDecrement:
         # 1 and 2 each take 0 below its demand by a whole edge, so they fail
         # at their first decrement and never cascade
         g = build_graph([(0, 1, 0.1), (0, 2, 0.2), (1, 2, 1.0 / 3.0)])
-        demands = [induced_degree(g, range(3), x) for x in range(3)]
+        demands = [branching_degree(g, range(3), x) for x in range(3)]
         cascades = []
         original = _KeptSet.cascade
 
@@ -402,7 +415,7 @@ class TestKeptSideDegrees:
         g = build_graph([(0, 2, 0.2), (0, 3, 0.1), (1, 2, 0.2)], vertices=range(4))
         side = _KeptSet(g, range(4), [0.8] * 4)
         side.remove(3)
-        assert side.deg[0] != induced_degree(g, members(side), 0)
+        assert side.deg[0] != branching_degree(g, members(side), 0)
         assert side.witness([0.8 + w for w in g.W]) == (0, 0.2)
 
     def test_degrees_and_cores_follow_many_moves(self):
@@ -414,7 +427,7 @@ class TestKeptSideDegrees:
         g = build_graph(
             [(0, leaf, w) for leaf, w in enumerate(weights, start=1)], vertices=range(6)
         )
-        demand = [induced_degree(g, {0, 1, 3, 4}, 0)] + [0.1] * 5
+        demand = [branching_degree(g, {0, 1, 3, 4}, 0)] + [0.1] * 5
         side = _KeptSet(g, range(6), demand)
         rng = random.Random(0)
         for _ in range(4000):
@@ -422,10 +435,10 @@ class TestKeptSideDegrees:
             if side.flags[v]:
                 side.remove(v)
             else:
-                side.add(v, induced_degree(g, members(side) | {v}, v))
+                side.add(v, branching_degree(g, members(side) | {v}, v))
             assert side.size == sum(side.flags)
             for x in members(side):
-                assert abs(side.deg[x] - induced_degree(g, members(side), x)) <= g.band[x]
+                assert abs(side.deg[x] - branching_degree(g, members(side), x)) <= g.band[x]
             assert side.core == peel(g, members(side), demand)
 
     @staticmethod
@@ -452,7 +465,7 @@ class TestKeptSideDegrees:
         g, demand = self.triangle_with_tails()
         side = _KeptSet(g, range(3), demand)
         core = side.core
-        side.add(3, induced_degree(g, {0, 1, 2, 3}, 3))
+        side.add(3, branching_degree(g, {0, 1, 2, 3}, 3))
         assert side.core is core
         assert side.core == peel(g, members(side), demand) == {0, 1, 2}
 
@@ -460,9 +473,9 @@ class TestKeptSideDegrees:
         g, demand = self.triangle_with_tails()
         side = _KeptSet(g, range(4), demand)
         # 4 joins the core by itself; 5 brings 3 in with it
-        side.add(4, induced_degree(g, {0, 1, 2, 3, 4}, 4))
+        side.add(4, branching_degree(g, {0, 1, 2, 3, 4}, 4))
         assert side.core == peel(g, members(side), demand) == {0, 1, 2, 4}
-        side.add(5, induced_degree(g, set(range(6)), 5))
+        side.add(5, branching_degree(g, set(range(6)), 5))
         assert side.core == peel(g, members(side), demand) == set(range(6))
 
     def test_random_moves_follow_peel(self):
@@ -483,7 +496,7 @@ class TestKeptSideDegrees:
                     side.remove(v)
                 else:
                     grown += bool(side.core)
-                    side.add(v, induced_degree(g, members(side) | {v}, v))
+                    side.add(v, branching_degree(g, members(side) | {v}, v))
                 assert side.core == peel(g, members(side), demand)
         assert grown >= 100
 
@@ -567,17 +580,17 @@ class TestExactRows:
                     side.remove(v)
                 else:
                     grown += bool(side.core)
-                    side.add(v, induced_degree(g, members(side) | {v}, v))
+                    side.add(v, branching_degree(g, members(side) | {v}, v))
                 kept = members(side)
                 assert side.core == reference_peel(g, kept, demand)
                 for x in kept:
                     if g.band[x] == 0.0:
-                        assert side.deg[x] == induced_degree(g, kept, x)
+                        assert side.deg[x] == branching_degree(g, kept, x)
                 best, found = 0.0, None
                 for x in sorted(kept):
-                    margin = target[x] - induced_degree(g, kept, x)
+                    margin = target[x] - branching_degree(g, kept, x)
                     if margin > best:
-                        best, found = margin, (x, induced_degree(g, kept, x))
+                        best, found = margin, (x, branching_degree(g, kept, x))
                 assert side.witness(target) == found
         assert grown >= 100
 
@@ -598,8 +611,8 @@ class TestExactRows:
             if side.flags[v]:
                 side.remove(v)
             else:
-                side.add(v, induced_degree(g, members(side) | {v}, v))
-            assert side.deg[0] == induced_degree(g, members(side), 0)
+                side.add(v, branching_degree(g, members(side) | {v}, v))
+            assert side.deg[0] == branching_degree(g, members(side), 0)
             assert side.core == reference_peel(g, members(side), demand)
         assert calls == []
 

@@ -64,6 +64,11 @@ class TestCircleSquareArea:
     def test_fully_outside(self):
         assert circle_square_area(10.0, 0.0, 2.1) == 0.0
 
+    @pytest.mark.parametrize("r", [0.0, -0.0, -1.0, -math.inf])
+    def test_no_radius_covers_nothing(self, r):
+        for dx, dy in ((0.0, 0.0), (0.3, -0.2), (2.0, 1.0)):
+            assert circle_square_area(dx, dy, r) == 0.0
+
     def test_inscribed_disk(self):
         assert abs(circle_square_area(0.0, 0.0, 0.5) - math.pi / 4.0) < 1e-7
 

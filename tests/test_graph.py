@@ -11,10 +11,8 @@ from degsplit import (
     GridInstance,
     LoopMode,
     NonPositiveWeightError,
-    VertexNotInSetError,
     build_graph,
     build_grid_graph,
-    induced_degree,
     without_loops,
 )
 
@@ -97,19 +95,6 @@ def test_edge_labels_follow_the_vertices_in_first_appearance_order():
     assert g.d == (1.0, 0.25, 1.5, 0.75)
 
 
-def test_induced_degree_examples(triangle, k4):
-    assert induced_degree(triangle, {0, 1}, 0) == 1.0
-    assert induced_degree(triangle, {0}, 0) == 0.0
-    for trio in [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}]:
-        for x in trio:
-            assert induced_degree(k4, trio, x) == 2.0
-
-
-def test_induced_degree_requires_membership(triangle):
-    with pytest.raises(VertexNotInSetError):
-        induced_degree(triangle, {0, 1}, 2)
-
-
 def test_degree_profile_path(path3):
     assert path3.d == (1.0, 2.0, 1.0)
     assert path3.W == (1.0, 1.0, 1.0)
@@ -182,12 +167,12 @@ def test_degree_sum_identity(data):
 
 @settings(max_examples=50, deadline=None)
 @given(edge_lists())
-def test_induced_degree_of_full_set_matches_cache(data):
+def test_full_set_branching_sum_matches_cache(data):
     n, edges = data
     g = build_graph(edges, vertices=range(n))
     full = set(range(n))
     for x in range(n):
-        assert induced_degree(g, full, x) == g.d[x]
+        assert branching_degree(g, full, x) == g.d[x]
 
 
 @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
@@ -206,7 +191,7 @@ def test_full_set_degree_is_the_cached_degree_bit_for_bit(loop_mode):
     ]
     for g in graphs:
         full = range(g.n)
-        assert [induced_degree(g, full, x) for x in full] == list(g.d)
+        assert [branching_degree(g, full, x) for x in full] == list(g.d)
 
 
 def test_loop_degree_sum_identity():
@@ -340,15 +325,3 @@ class TestLoopTerm:
         self.assert_terms(g)
         self.assert_terms(without_loops(g))
         assert without_loops(g).loop_term == (0.0,) * g.n
-
-    def test_induced_degree_equals_the_branching_sum(self, loop_mode):
-        rng = random.Random(37)
-        for _ in range(100):
-            n = rng.randint(1, 16)
-            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.9]), loops=True,
-                             loop_mode=loop_mode)
-            subset = {x for x in range(n) if rng.random() < 0.6}
-            for x in range(n):
-                members = subset | {x}
-                got = induced_degree(g, members, x)
-                assert got.hex() == branching_degree(g, members, x).hex()

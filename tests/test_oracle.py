@@ -13,13 +13,14 @@ from degsplit import (
     brute_force_solve,
     build_graph,
     check_feasibility,
-    induced_degree,
     random_feasible_instance,
     solve,
     verify_partition,
 )
 
-from conftest import complete_graph, plain_induced_degree, random_graph, weight_dict
+from conftest import (
+    branching_degree, complete_graph, plain_induced_degree, random_graph, weight_dict,
+)
 
 
 def enumerate_stable_splits(graph, demands):
@@ -91,6 +92,14 @@ class TestBruteForce:
         g = build_graph([], vertices=range(n)) if n == 1 else complete_graph(n)
         with pytest.raises(ValueError, match=rf"^expected demands for {n} vertices, got {m}$"):
             brute_force_solve(g, Demands.constant(m, 0.0, 0.0))
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_fewer_than_two_vertices_have_no_split(self, a):
+        # a split needs two non-empty sides, whatever the demands
+        graphs = (build_graph([]), build_graph([], vertices=["v"]), build_graph([("v", "v", 1.0)]))
+        for g in graphs:
+            result = brute_force_solve(g, Demands.constant(g.n, a, a))
+            assert (result.exists, result.witness, result.count) == (False, None, 0)
 
     def test_cap_enforced(self):
         g = complete_graph(25)
@@ -206,8 +215,8 @@ def split_degrees(graph, side_a):
     that split and its neighbours sit exactly on their demands."""
     side_b = set(range(graph.n)) - side_a
     return Demands(
-        tuple(induced_degree(graph, side_a | {x}, x) for x in range(graph.n)),
-        tuple(induced_degree(graph, side_b | {x}, x) for x in range(graph.n)),
+        tuple(branching_degree(graph, side_a | {x}, x) for x in range(graph.n)),
+        tuple(branching_degree(graph, side_b | {x}, x) for x in range(graph.n)),
     )
 
 

@@ -23,7 +23,6 @@ from degsplit import (
     build_graph,
     check_feasibility,
     find_stable_pair,
-    induced_degree,
     random_feasible_instance,
     solve,
     verify_partition,
@@ -34,7 +33,8 @@ from degsplit.core import minimal_satisfying_set, peel
 from degsplit.solver import PHASE_HILLCLIMB, Move
 
 from conftest import (
-    complete_graph, is_meager, mixed_graph, reduce_loops, weight_dict, zero_band,
+    branching_degree, complete_graph, is_meager, mixed_graph, reduce_loops, weight_dict,
+    zero_band,
 )
 from conftest import random_graph as conftest_random_graph
 
@@ -45,9 +45,9 @@ def ascending_h(graph, side_a, side_b, demands):
     over A, then 2a over B.  Equal to ``cert.h_start`` bit for bit."""
     total = 0.0
     for x in sorted(side_a):
-        total += induced_degree(graph, side_a, x)
+        total += branching_degree(graph, side_a, x)
     for x in sorted(side_b):
-        total += induced_degree(graph, side_b, x)
+        total += branching_degree(graph, side_b, x)
     for x in sorted(side_a):
         total += 2.0 * demands.b[x]
     for x in sorted(side_b):
@@ -77,9 +77,9 @@ def assert_stable_pair(graph, demands, side_a, side_b):
     assert side_a and side_b
     assert not (side_a & side_b)
     for x in side_a:
-        assert induced_degree(graph, side_a, x) >= demands.a[x]
+        assert branching_degree(graph, side_a, x) >= demands.a[x]
     for x in side_b:
-        assert induced_degree(graph, side_b, x) >= demands.b[x]
+        assert branching_degree(graph, side_b, x) >= demands.b[x]
 
 
 def reference_find_stable_pair(graph, demands, max_moves=10_000):
@@ -95,13 +95,13 @@ def reference_find_stable_pair(graph, demands, max_moves=10_000):
         dem = demands.b if src_name == "B" else demands.a
         witness, best_margin = None, 0.0
         for x in sorted(src_set):
-            margin = dem[x] + graph.W[x] - induced_degree(graph, src_set, x)
+            margin = dem[x] + graph.W[x] - branching_degree(graph, src_set, x)
             if margin > best_margin:
                 witness, best_margin = x, margin
         if witness is None:
             return None
-        d_old = induced_degree(graph, src_set, witness)
-        d_new = induced_degree(graph, dst_set | {witness}, witness)
+        d_old = branching_degree(graph, src_set, witness)
+        d_new = branching_degree(graph, dst_set | {witness}, witness)
         if src_name == "B":
             swap, dst_name = demands.b[witness] - demands.a[witness], "A"
         else:
@@ -422,11 +422,11 @@ def reference_complete_sets(graph, demands, pair, universe):
     while True:
         b_full = bbar | rest
         mover = next(
-            (x for x in sorted(rest) if induced_degree(graph, b_full, x) < demands.b[x]), None
+            (x for x in sorted(rest) if branching_degree(graph, b_full, x) < demands.b[x]), None
         )
         if mover is None:
             return frozenset(side_a), frozenset(b_full)
-        if induced_degree(graph, side_a | {mover}, mover) < demands.a[mover]:
+        if branching_degree(graph, side_a | {mover}, mover) < demands.a[mover]:
             raise CompletionAssertFailedError(f"vertex {mover} meets neither side's demand")
         side_a.add(mover)
         rest.remove(mover)
@@ -931,7 +931,7 @@ class TestSolveNeverLies:
 
 class TestVerifyPartition:
     @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
-    def test_degrees_are_induced_degree_bit_for_bit(self, loop_mode):
+    def test_degrees_are_the_branching_sum_bit_for_bit(self, loop_mode):
         # fractional weights (banded rows), loops, and isolated vertices;
         # demands above every degree make every vertex a violation
         rng = random.Random(29)
@@ -948,7 +948,7 @@ class TestVerifyPartition:
             assert [v.vertex for v in found] == list(range(n))
             for v in found:
                 side = part.a if v.side == "A" else part.b
-                assert v.degree == induced_degree(g, side, v.vertex)
+                assert v.degree == branching_degree(g, side, v.vertex)
             dem = Demands([0.1 * d for d in g.d], [0.1 * d for d in g.d])
             try:
                 partition, cert = solve(g, dem)
@@ -957,7 +957,7 @@ class TestVerifyPartition:
             solved += 1
             for x in range(n):
                 side, own = (partition.a, dem.a) if x in partition.a else (partition.b, dem.b)
-                assert cert.verification[x] == induced_degree(g, side, x) - own[x]
+                assert cert.verification[x] == branching_degree(g, side, x) - own[x]
         assert isolated >= 10 and solved >= 30
 
     def test_k9_good_split_clean(self, k9):
@@ -983,6 +983,13 @@ class TestVerifyPartition:
         part = Partition(frozenset(range(4)), frozenset(range(4, 9)))
         assert len(verify_partition(k9, dem, part)) == 4
         assert verify_partition(k9, dem, part, tol=0.2) == []
+
+    def test_partition_of_another_graph_rejected(self, triangle, k4):
+        part = Partition(frozenset({0, 1}), frozenset({2, 3}))
+        with pytest.raises(ValueError, match=r"^partition does not cover this graph$"):
+            verify_partition(triangle, Demands.constant(3, 0.0, 0.0), part)
+        with pytest.raises(ValueError, match=r"^partition does not cover this graph$"):
+            verify_partition(k4, Demands.constant(4, 0.0, 0.0), Partition({0}, {1, 2}))
 
     @pytest.mark.parametrize("tol", [-1.0, math.nan])
     def test_tolerance_must_be_non_negative(self, triangle, tol):
