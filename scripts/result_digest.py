@@ -17,9 +17,10 @@ The precondition digest (``preconditions=``) covers every ``solve``
 certificate's feasibility slacks, taken when ``solve`` returns, and the
 ``precondition_ok`` of every ``solve_squares`` result.
 Sets are hashed as sorted tuples, since the iteration order of equal sets
-can differ.  The graph digest covers the labels, adjacency, loops, ``d`` and
-``W`` of every graph that ``geometry.build_grid_graph`` and
-``graph.build_graph`` return, floats by their exact ``repr``.  The CLI
+can differ.  The graph digest covers the labels, adjacency, loops, ``d``,
+``W``, ``band`` and ``loop_term`` of every graph that
+``geometry.build_grid_graph`` and ``graph.build_graph`` return, floats by
+their exact ``repr``.  The CLI
 digest (``cli=``) covers the kind, exit code and standard output of every
 op of the benchmark's cli pool, run in pool order through ``cli.main`` in
 this process, after the other pools.
@@ -95,7 +96,10 @@ def digest(seed: int) -> tuple[str, str, int, str, str, int]:
         def recording_build(*args, **kwargs):
             nonlocal builds
             built = build(*args, **kwargs)
-            fields = (built.labels, built.adjacency, built.loops, built.d, built.W)
+            fields = (
+                built.labels, built.adjacency, built.loops, built.d, built.W, built.band,
+                built.loop_term,
+            )
             graphs.update(repr(fields).encode())
             graphs.update(b"\n")
             builds += 1

@@ -17,12 +17,18 @@ double holds exactly.
 
 Every graph is made by ``_assemble``, the one place that computes the caches;
 ``build_graph``, ``without_loops`` and ``geometry.build_grid_graph`` end in it.
+The grid build also flags each row that holds the previous row's weights in
+the same order.  Such a row's partial sum is the same additions of the same
+doubles in the same order, so it rounds to the same double; ``_assemble``
+takes it, the maximum and the integer test from the row before, and still
+adds the row's own loop term and forms its own band.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import repeat
 from operator import itemgetter
 from typing import Hashable, Iterable
 
@@ -104,37 +110,37 @@ def _assemble(
     loops: tuple[float, ...],
     loop_mode: LoopMode,
     label_index: dict[Label, int],
+    repeats: Iterable[bool] = (),
 ) -> WeightedGraph:
-    # rows must already be symmetric, positive and in ascending neighbour order
+    # rows must already be symmetric, positive and in ascending neighbour
+    # order; a true repeats[x] says that row x holds the weights of row
+    # x - 1 in the same order
     factor = loop_mode.factor
     terms = [factor * w for w in loops]
     degrees = []
     maxima = []
     bands = []
-    for x in range(len(adjacency)):
-        total = 0.0
-        best = 0.0
-        for _, w in adjacency[x]:
-            total += w
-            if w > best:
-                best = w
+    for row, term, same in zip(adjacency, terms, repeats or repeat(False)):
+        if not same:
+            partial = 0.0
+            best = 0.0
+            for _, w in row:
+                partial += w
+                if w > best:
+                    best = w
+            integral = all(map(float.is_integer, map(_weight, row)))
         # the loop term last; adding 0.0 where there is no loop changes nothing
-        total += terms[x]
+        total = partial + term
         if not math.isfinite(total):
-            raise ValueError(f"vertex {labels[x]!r} has degree {total}; degrees must be finite")
+            label = labels[len(degrees)]
+            raise ValueError(f"vertex {label!r} has degree {total}; degrees must be finite")
         degrees.append(total)
         maxima.append(best)
-        # a row with a non-integer weight almost always has a non-integer
-        # sum, so such a row (every grid row) stops at the first test
-        if (
-            total.is_integer()
-            and total < _EXACT_LIMIT
-            and terms[x].is_integer()
-            and all(map(float.is_integer, map(_weight, adjacency[x])))
-        ):
+        # a row with a non-integer weight (every grid row) stops at the first test
+        if integral and total.is_integer() and total < _EXACT_LIMIT and term.is_integer():
             bands.append(0.0)
         else:
-            bands.append(8 * (len(adjacency[x]) + 2) * _ROUNDOFF * total)
+            bands.append(8 * (len(row) + 2) * _ROUNDOFF * total)
     return WeightedGraph(
         n=len(labels),
         labels=labels,

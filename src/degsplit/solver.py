@@ -21,7 +21,11 @@ vertex's degree on its side, and raises CompletionAssertFailedError on the
 lowest vertex that completion added to A and that misses its a-demand there.
 The gate, like ``verify_partition``, marks side A once in a list of flags
 and sums each row's same-side weights in ascending order, loop term last,
-with no set lookup per edge: the package's one public side degree.
+with no set lookup per edge: the package's one public side degree.  When
+the smaller side and its neighbours are at most half the vertices, a vertex
+outside them would add its whole row in that order, then its loop term: the
+additions that made d(x), so its side degree is d(x), the same double, and
+is read, not summed.
 
 On h: the value counts each internal edge twice (once per endpoint) and the
 cross demand terms twice as well: both sides' induced degrees plus 2b over A
@@ -57,6 +61,7 @@ those of a climb that re-peels and re-sums everything.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 from .core import _KeptSet, minimal_satisfying_set, peel
@@ -301,15 +306,36 @@ def find_stable_pair(
 
 def _side_degrees(graph, demands, partition):
     """Each vertex in index order as (vertex, its side's name, its induced
-    degree in that side, its demand there)."""
+    degree in that side, its demand there).
+
+    The smaller side's members and their neighbours are marked first.  A
+    marked vertex's degree is summed.  An unmarked one has its whole row on
+    its own side, so the sum would add every weight of its row in ascending
+    order, then its loop term: the additions that made ``d[x]``, which is
+    that same double and is read instead.  Once more than half the vertices
+    are marked, as on dense graphs, marking stops and every degree is
+    summed: the rows still to mark would cost more than the few rows left
+    unmarked could save.  A side of one vertex with few neighbours, or a
+    small blob of grid cells, leaves most rows unmarked."""
     in_a = [x in partition.a for x in range(graph.n)]
-    for x, row in enumerate(graph.adjacency):
+    adjacency, d, loop_term = graph.adjacency, graph.d, graph.loop_term
+    smaller = min(partition.a, partition.b, key=len)
+    marked = set(smaller)
+    for x in smaller:
+        marked.update(map(itemgetter(0), adjacency[x]))
+        if 2 * len(marked) > graph.n:
+            marked = range(graph.n)
+            break
+    for x in range(graph.n):
         side = in_a[x]
-        total = 0.0
-        for y, w in row:
-            if in_a[y] is side:
-                total += w
-        total += graph.loop_term[x]
+        if x in marked:
+            total = 0.0
+            for y, w in adjacency[x]:
+                if in_a[y] is side:
+                    total += w
+            total += loop_term[x]
+        else:
+            total = d[x]
         if side:
             yield x, "A", total, demands.a[x]
         else:

@@ -25,6 +25,7 @@ from degsplit import (
     without_loops,
 )
 from degsplit.geometry import MIN_EDGE_WEIGHT, _pair_rows, _stencil_rows
+from degsplit.graph import _assemble
 
 from conftest import reduce_loops
 
@@ -274,29 +275,22 @@ class TestRowBuildersAgree:
     """``build_grid_graph`` takes its rows from the stencil or from the cell
     pairs, by the length of the stencil's walk; both give the same rows."""
 
-    def test_same_rows_bit_for_bit_on_ragged_sets(self):
+    @staticmethod
+    def ragged_sets():
         rng = random.Random(5)
-        edges = 0
         for _ in range(300):
             spread = rng.choice((3, 8, 20))
             cells, size = set(), rng.randint(2, 40)
             while len(cells) < size:
                 cells.add((rng.randint(-spread, spread), rng.randint(-spread, 3)))
-            cells = GridInstance(cells, 1.0).cells
-            r = rng.uniform(0.2, 6.0)
-            width = cells[-1][0] - cells[0][0] + 1
-            height = max(j for _, j in cells) - min(j for _, j in cells) + 1
-            rows = _pair_rows(cells, r)
-            assert rows == _stencil_rows(cells, r, width, height)
-            edges += sum(map(len, rows))
-        assert edges > 10_000
+            yield GridInstance(cells, 1.0).cells, rng.uniform(0.2, 6.0)
 
-    def test_same_rows_bit_for_bit_on_sets_cut_into_segments(self):
+    @staticmethod
+    def segmented_sets():
         # long columns are cut into segments around holes, notches, the ends
         # of unequal neighbouring columns and half-filled stretches
         rng = random.Random(24)
         radii = [0.3, 0.5, 0.71, 1.0, 1.5, 2.1, 2.6, 3.1, 4.4, 6.0]
-        edges = 0
         for case in range(60):
             r = radii[case % len(radii)] if case < 40 else rng.uniform(0.3, 6.0)
             tall = 4 * math.ceil(r + 1.71) + rng.randint(0, 12)
@@ -325,20 +319,62 @@ class TestRowBuildersAgree:
                 cells = {(i, j) for i in range(width) for j in range(tall) if rng.random() < 0.5}
             else:  # a rectangle far from the origin
                 cells = {(i - 10**6, j + 10**6) for i in range(width) for j in range(tall)}
-            cells = GridInstance(cells, r).cells
-            width = cells[-1][0] - cells[0][0] + 1
-            height = max(j for _, j in cells) - min(j for _, j in cells) + 1
+            yield GridInstance(cells, r).cells, r
+
+    @staticmethod
+    def stencil_rows(cells, r):
+        width = cells[-1][0] - cells[0][0] + 1
+        height = max(j for _, j in cells) - min(j for _, j in cells) + 1
+        return _stencil_rows(cells, r, width, height)
+
+    def test_same_rows_bit_for_bit_on_ragged_sets(self):
+        edges = 0
+        for cells, r in self.ragged_sets():
             rows = _pair_rows(cells, r)
-            assert rows == _stencil_rows(cells, r, width, height), (case, r)
+            assert rows == self.stencil_rows(cells, r)[0]
+            edges += sum(map(len, rows))
+        assert edges > 10_000
+
+    def test_same_rows_bit_for_bit_on_sets_cut_into_segments(self):
+        edges = 0
+        for case, (cells, r) in enumerate(self.segmented_sets()):
+            rows = _pair_rows(cells, r)
+            assert rows == self.stencil_rows(cells, r)[0], (case, r)
             edges += sum(map(len, rows))
         assert edges > 50_000
+
+    def test_repeated_rows_give_the_caches_of_rows_summed_one_by_one(self):
+        # a flagged row reuses the row before it's partial sum, maximum and
+        # integer test; d, W, band and loop_term must be those of the same
+        # rows assembled with no flags.  Loops vary per cell, so a degree
+        # reused whole, loop term included, shows
+        rng = random.Random(27)
+        flagged = 0
+        for cells, r in [*self.ragged_sets(), *self.segmented_sets()]:
+            rows, repeats = self.stencil_rows(cells, r)
+            assert len(repeats) in (0, len(rows))
+            for x in (x for x, same in enumerate(repeats) if same):
+                assert x > 0
+                assert [w for _, w in rows[x]] == [w for _, w in rows[x - 1]]
+                flagged += 1
+            loop_w = circle_square_area(0.0, 0.0, r)
+            loops = tuple(rng.choice((0.0, 1.0, loop_w)) for _ in cells)
+            label_index = {cell: x for x, cell in enumerate(cells)}
+            for mode in LoopMode:
+                reused = _assemble(cells, rows, loops, mode, label_index, repeats)
+                summed = _assemble(cells, rows, loops, mode, label_index)
+                for field in ("d", "W", "band", "loop_term"):
+                    assert list(map(float.hex, getattr(reused, field))) == list(
+                        map(float.hex, getattr(summed, field))
+                    ), (field, r)
+        assert flagged > 1_000
 
     @staticmethod
     def shared_pairs(width, height, r):
         # a weight depends only on the offset, so the rows need no more
         # distinct (y, w) objects than cells times distinct weights
         cells = GridInstance.rectangle(width, height, r).cells
-        rows = _stencil_rows(cells, r, width, height)
+        rows = _stencil_rows(cells, r, width, height)[0]
         held = [pair for row in rows for pair in row]
         weights = {w for _, w in held}
         return len(held), len({id(pair) for pair in held}), len(cells) * len(weights)

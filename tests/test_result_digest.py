@@ -17,7 +17,7 @@ SEED_1 = (
     "solve_calls=89 "
     "partitions=5950abcbddc59a409bc625dfce38fa253bf04c3f18fd8807badeda282c4177e3 "
     "preconditions=7de3d200d6a9ffdcecc64e4a9d330a28a67ed6550fbce0e6fe214a0789de47c9 "
-    "graphs=98 8edd19bce714172734adb2c0de27f586577cdb3dcb1b1858b9a5741125715b20 "
+    "graphs=98 03db25ba933c6f1fe66af0c9bc5d23c0d597f7213e4fff3376a1ee3ee09da1b7 "
     "cli=c8fba4bbf6c0248f593306af1308a92bcac4583dec47a66f3924d8d77571cc85"
 )
 

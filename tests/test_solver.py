@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from degsplit import (
     CompletionAssertFailedError,
+    DemandScheme,
     Demands,
+    GridInstance,
     LoopMode,
     MoveLimitExceededError,
     NonImprovingMoveError,
@@ -21,11 +23,15 @@ from degsplit import (
     UnstablePartitionError,
     brute_force_solve,
     build_graph,
+    build_grid_graph,
     check_feasibility,
     find_stable_pair,
     random_feasible_instance,
     solve,
+    solve_squares,
+    squares_demands,
     verify_partition,
+    without_loops,
 )
 from degsplit import core as core_module
 from degsplit import solver as solver_module
@@ -998,6 +1004,141 @@ class TestVerifyPartition:
         part = Partition(frozenset({0}), frozenset({1, 2}))
         with pytest.raises(ValueError):
             verify_partition(triangle, Demands.constant(3, 5.0, 5.0), part, tol=tol)
+
+
+def away_from(graph, partition):
+    """The vertices outside the smaller side with no neighbour in it: the
+    rows the side sums take whole from ``d`` when they are at least half of
+    all vertices."""
+    smaller = min(partition.a, partition.b, key=len)
+    return [
+        x for x in range(graph.n)
+        if x not in smaller and not any(y in smaller for y, _ in graph.adjacency[x])
+    ]
+
+
+def assert_side_degrees_are_branching_sums(graph, partition):
+    # demands above every degree make every vertex a violation, so
+    # verify_partition reports every vertex's degree
+    high = [d + 1.0 for d in graph.d]
+    found = verify_partition(graph, Demands(high, high), partition)
+    assert [v.vertex for v in found] == list(range(graph.n))
+    for v in found:
+        side = partition.a if v.side == "A" else partition.b
+        assert v.degree.hex() == branching_degree(graph, side, v.vertex).hex()
+
+
+def assert_verification_is_branching_sums(graph, demands, partition, cert):
+    for x in range(graph.n):
+        side, own = (partition.a, demands.a) if x in partition.a else (partition.b, demands.b)
+        assert cert.verification[x].hex() == (branching_degree(graph, side, x) - own[x]).hex()
+
+
+def one_vertex_a_side(graph, v):
+    """Demands whose only satisfying set is {v}, with zero b-demands, so
+    that ``solve`` returns ({v}, everything else)."""
+    return Demands(
+        [0.0 if x == v else d + 1.0 for x, d in enumerate(graph.d)], [0.0] * graph.n
+    )
+
+
+class TestLopsidedSplits:
+    """The side sums take a vertex's degree from ``d`` when its whole row is
+    on its own side; on splits with one small side, most rows are, and
+    every degree must still be the branching sum bit for bit."""
+
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    @pytest.mark.parametrize("cycle", [False, True])
+    def test_one_vertex_side_on_paths_and_cycles(self, loop_mode, cycle):
+        rng = random.Random(31)
+        away = 0
+        for n in range(2, 13):
+            edges = [(x, x + 1, rng.uniform(0.1, 2.0)) for x in range(n - 1)]
+            if cycle and n > 2:
+                edges.append((n - 1, 0, rng.uniform(0.1, 2.0)))
+            edges += [(x, x, rng.uniform(0.1, 2.0)) for x in range(n) if rng.random() < 0.4]
+            g = build_graph(edges, loop_mode, vertices=range(n))
+            for v in range(n):
+                rest = set(range(n)) - {v}
+                for part in (Partition({v}, rest), Partition(rest, {v})):
+                    assert_side_degrees_are_branching_sums(g, part)
+                    far = away_from(g, part)
+                    away += len(far) if 2 * len(far) >= n else 0
+                dem = one_vertex_a_side(g, v)
+                part, cert = solve(g, dem)
+                assert part.a == {v}
+                assert_verification_is_branching_sums(g, dem, part, cert)
+        assert away > 500
+
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    @pytest.mark.parametrize("scheme", list(DemandScheme))
+    def test_small_blobs_on_grid_graphs(self, loop_mode, scheme):
+        rng = random.Random(37)
+        lopsided = 0
+        for width, height, r in ((12, 9, 2.1), (16, 14, 2.6), (20, 11, 3.1)):
+            inst = GridInstance.rectangle(width, height, r)
+            g = build_grid_graph(inst, loop_mode)
+            target = g if scheme is DemandScheme.HALF_DEGREE else without_loops(g)
+            # the split solve_squares returns has a small side A
+            result = solve_squares(inst, scheme, loop_mode)
+            part = Partition(map(g.index_of, result.side_a), map(g.index_of, result.side_b))
+            assert 2 * len(away_from(target, part)) >= g.n
+            assert_side_degrees_are_branching_sums(target, part)
+            assert_verification_is_branching_sums(
+                target, squares_demands(g, scheme), part, result.certificate
+            )
+            for _ in range(5):
+                ci, cj = rng.randrange(width), rng.randrange(height)
+                size = rng.uniform(0.5, 2.5)
+                blob = {
+                    g.index_of((i, j)) for i, j in inst.cells
+                    if (i - ci) ** 2 + (j - cj) ** 2 <= size * size
+                }
+                rest = set(range(g.n)) - blob
+                for part in (Partition(blob, rest), Partition(rest, blob)):
+                    lopsided += 2 * len(away_from(target, part)) >= g.n
+                    assert_side_degrees_are_branching_sums(target, part)
+        assert lopsided >= 20
+
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    def test_isolated_and_loop_only_vertices(self, loop_mode):
+        # vertices 0-3 are a path, 4-5 isolated, 6-7 carry only a loop
+        edges = [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 1.1), (6, 6, 0.4), (7, 7, 1.0)]
+        g = build_graph(edges, loop_mode, vertices=range(8))
+        everything = set(range(8))
+        for v in range(8):
+            for part in (Partition({v}, everything - {v}), Partition(everything - {v}, {v})):
+                assert_side_degrees_are_branching_sums(g, part)
+        rng = random.Random(41)
+        for _ in range(40):
+            side = set(rng.sample(range(8), rng.randint(1, 3)))
+            assert_side_degrees_are_branching_sums(g, Partition(side, everything - side))
+        for v in range(4):
+            dem = one_vertex_a_side(g, v)
+            part, cert = solve(g, dem)
+            assert v in part.a and part.a <= {v, 4, 5, 6, 7}
+            assert_verification_is_branching_sums(g, dem, part, cert)
+
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    def test_dense_graph_where_marking_stops_early(self, loop_mode):
+        # every row of a complete graph reaches every other vertex, so the
+        # smaller side's first row marks more than half of them
+        rng = random.Random(43)
+        for n in (5, 12, 30):
+            edges = [
+                (x, y, rng.uniform(0.1, 2.0)) for x in range(n) for y in range(x + 1, n)
+            ]
+            edges += [(x, x, rng.uniform(0.1, 2.0)) for x in range(n) if rng.random() < 0.5]
+            g = build_graph(edges, loop_mode)
+            for _ in range(10):
+                side = set(rng.sample(range(n), rng.randint(1, n // 2)))
+                part = Partition(side, set(range(n)) - side)
+                assert not away_from(g, part)
+                assert_side_degrees_are_branching_sums(g, part)
+            dem = one_vertex_a_side(g, 0)
+            part, cert = solve(g, dem)
+            assert part.a == {0}
+            assert_verification_is_branching_sums(g, dem, part, cert)
 
 
 class TestReduceLoops:
