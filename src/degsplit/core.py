@@ -31,13 +31,10 @@ exact degree.  A band of 0 means the same on any other row: it rounds to 0
 only when d(x) < 2^-1022, where every partial sum is a subnormal multiple
 of 2^-1074 and so exact too.
 
-The exact sum is ``_exact``, the sum ``verify_partition`` takes with the
-flagged set as x's side.  It adds the same weights (the flagged neighbours',
-in the ascending order of the row) and then the graph's cached loop term,
-``graph.loop_term[x]``, last; floating-point addition in the same order on
-the same operands gives the same double, so the two agree bit for bit.  It
-does not test x's own flag, so on a vertex left out it gives the degree x
-would have on joining the set.
+The exact sum is ``graph._side_degree`` over the flags, the package's one
+side-degree sum, which ``verify_partition`` takes too.  It does not test x's
+own flag, so on a vertex left out it gives the degree x would have on joining
+the set.
 
 A deletion queues only the neighbours that can fall: a vertex whose kept
 degree is at least its threshold plus its band would be kept at its pop.
@@ -47,9 +44,9 @@ the threshold; on an exact row the kept degree is the exact sum and meets
 it.  Degrees only fall during a cascade, so the next decrement that brings
 the vertex below its threshold plus its band queues it again.  Every kept
 degree starts from one seed: ``graph.d[x]`` less the weights to x's
-neighbours left out.  ``graph.d[x]`` is the exact sum of x's whole row, the
-terms ``_exact`` adds when every neighbour is flagged, in the same order;
-each subtraction counts as one single-edge update since that exact sum.
+neighbours left out.  ``graph.d[x]`` is the exact sum with every neighbour
+flagged; each subtraction counts as one single-edge update since that exact
+sum.
 
 The band is the one bound on how far a kept degree may drift.  It covers an
 exact sum (k + 1 roundings), then up to k single-edge updates, from the seed
@@ -103,19 +100,9 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import NoSatisfyingSetError
-from .graph import _ROUNDOFF, WeightedGraph
+from .graph import _ROUNDOFF, WeightedGraph, _side_degree
 
 Thresholds = Sequence[float]
-
-
-def _exact(graph: WeightedGraph, flags, x: int) -> float:
-    # verify_partition's sum for x in the flagged set plus x: the same terms
-    # in the same ascending order, loop last, so the same double
-    total = 0.0
-    for y, w in graph.adjacency[x]:
-        if flags[y]:
-            total += w
-    return total + graph.loop_term[x]
 
 
 def _delete(adjacency, flags, deg, thresholds, band, stop, x, stack, removed, log) -> bool:
@@ -180,7 +167,7 @@ class _KeptSet:
 
     def exact(self, x: int) -> float:
         """x's induced degree in the set plus x, as the exact ascending sum."""
-        return _exact(self.graph, self.flags, x)
+        return _side_degree(self.graph, self.flags, x)
 
     def cascade(self, flags, deg, stack, removed, log=None) -> bool:
         # delete every queued vertex below its threshold, and in turn whatever
@@ -196,7 +183,7 @@ class _KeptSet:
             # outside the band the kept degree and the exact sum fall on the same
             # side of the floor; on an exact row (band 0) they are equal
             if band[x] and abs(deg[x] - floor) <= band[x]:
-                below = _exact(graph, flags, x) < floor
+                below = _side_degree(graph, flags, x) < floor
             else:
                 below = deg[x] < floor
             if below:
@@ -233,7 +220,7 @@ class _KeptSet:
                 if band[y]:
                     updates[y] += 1
                     if updates[y] >= len(adjacency[y]):
-                        deg[y] = _exact(graph, flags, y)
+                        deg[y] = _side_degree(graph, flags, y)
                         updates[y] = 0
 
     def add(self, v: int, degree: float) -> None:
@@ -271,7 +258,7 @@ class _KeptSet:
                 # a kept margin this far below the best cannot beat it exactly
                 continue
             else:
-                degree = _exact(graph, flags, x)
+                degree = _side_degree(graph, flags, x)
                 margin = target[x] - degree
             if margin > best:
                 best, found = margin, (x, degree)

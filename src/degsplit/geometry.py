@@ -319,6 +319,8 @@ def solve_squares(
     margins: dict[Cell, float] = {}
     strict = 0
     in_a = [x in partition.a for x in range(graph.n)]
+    # not graph._side_degree: a margin adds the own square first, the loop
+    # term last would change the last bits of about a third of the margins
     for x in range(graph.n):
         side = in_a[x]
         cov_same = graph.loops[x]

@@ -6,14 +6,14 @@ its degree under the declared convention: w_xx or 2 w_xx, 0.0 without a
 loop), the degree ``d`` (the incident weights in ascending-neighbor order,
 then the loop term) and ``W`` (largest non-loop incident weight), so that
 rebuilding the same graph from a shuffled edge list reproduces them bit for
-bit.  Every other degree sum ends in the cached loop term, so nothing else
-reads the convention.  A fourth cache, ``band``, bounds how far a degree
-kept by adding and subtracting the row's weights may drift from the
-ascending sum (see ``core``): 8 (k + 2) 2^-53 d for a row of k neighbours,
-since no partial sum exceeds d and so no rounding exceeds 2^-53 d.  An exact
-row gets 0: every edge weight and the loop term are integers and ``d`` is
-below 2^53, so every sum of the row's terms, in any order, is an integer a
-double holds exactly.
+bit.  Every side degree in the package is ``_side_degree``, which ends in
+the cached loop term, so nothing else reads the convention.  A fourth cache,
+``band``, bounds how far a degree kept by adding and subtracting the row's
+weights may drift from the ascending sum (see ``core``): 8 (k + 2) 2^-53 d
+for a row of k neighbours, since no partial sum exceeds d and so no rounding
+exceeds 2^-53 d.  An exact row gets 0: every edge weight and the loop term
+are integers and ``d`` is below 2^53, so every sum of the row's terms, in
+any order, is an integer a double holds exactly.
 
 Every graph is made by ``_assemble``, the one place that computes the caches;
 ``build_graph``, ``without_loops`` and ``geometry.build_grid_graph`` end in it.
@@ -153,6 +153,17 @@ def _assemble(
         band=tuple(bands),
         label_index=label_index,
     )
+
+
+def _side_degree(graph: WeightedGraph, flags, x: int) -> float:
+    # x's degree in the flagged set plus x: the weights to its flagged
+    # neighbours in ascending order, then its loop term, so with every
+    # neighbour flagged it makes _assemble's additions and gives d[x]
+    total = 0.0
+    for y, w in graph.adjacency[x]:
+        if flags[y]:
+            total += w
+    return total + graph.loop_term[x]
 
 
 def build_graph(

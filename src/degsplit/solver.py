@@ -19,13 +19,8 @@ outside Abar is B itself and Bbar is its core, so no peel runs.  Completion
 checks nothing itself: the exact gate that ends ``solve`` sums every
 vertex's degree on its side, and raises CompletionAssertFailedError on the
 lowest vertex that completion added to A and that misses its a-demand there.
-The gate, like ``verify_partition``, marks side A once in a list of flags
-and sums each row's same-side weights in ascending order, loop term last,
-with no set lookup per edge: the package's one public side degree.  When
-the smaller side and its neighbours are at most half the vertices, a vertex
-outside them would add its whole row in that order, then its loop term: the
-additions that made d(x), so its side degree is d(x), the same double, and
-is read, not summed.
+The gate, like ``verify_partition``, takes each side degree as
+``graph._side_degree``, the package's one side-degree sum.
 
 On h: the value counts each internal edge twice (once per endpoint) and the
 cross demand terms twice as well: both sides' induced degrees plus 2b over A
@@ -73,10 +68,12 @@ from .errors import (
     SingleVertexGraphError,
     UnstablePartitionError,
 )
-from .graph import Demands, WeightedGraph
+from .graph import Demands, WeightedGraph, _side_degree
 from .value import Value
 
 DEFAULT_MAX_MOVES = 1_000_000
+# swaps side A's membership flags for side B's
+_OTHER_SIDE = bytes.maketrans(b"\0\1", b"\1\0")
 
 PHASE_FEASIBILITY = "FEASIBILITY"
 PHASE_MINIMAL_SET = "MINIMAL_SET"
@@ -308,17 +305,19 @@ def _side_degrees(graph, demands, partition):
     """Each vertex in index order as (vertex, its side's name, its induced
     degree in that side, its demand there).
 
-    The smaller side's members and their neighbours are marked first.  A
-    marked vertex's degree is summed.  An unmarked one has its whole row on
-    its own side, so the sum would add every weight of its row in ascending
-    order, then its loop term: the additions that made ``d[x]``, which is
-    that same double and is read instead.  Once more than half the vertices
-    are marked, as on dense graphs, marking stops and every degree is
-    summed: the rows still to mark would cost more than the few rows left
-    unmarked could save.  A side of one vertex with few neighbours, or a
-    small blob of grid cells, leaves most rows unmarked."""
-    in_a = [x in partition.a for x in range(graph.n)]
-    adjacency, d, loop_term = graph.adjacency, graph.d, graph.loop_term
+    The smaller side's members and their neighbours are marked first, and
+    a marked vertex's degree is summed.  An unmarked one has its whole row
+    on its own side, so its side degree is ``d[x]``, read instead.  Once
+    more than half the vertices are marked, as on dense graphs, marking
+    stops and every degree is summed: the rows still to mark would cost more
+    than the few rows left unmarked could save.  A side of one vertex with
+    few neighbours, or a small blob of grid cells, leaves most rows
+    unmarked."""
+    in_a = bytearray(graph.n)
+    for x in partition.a:
+        in_a[x] = 1
+    in_b = in_a.translate(_OTHER_SIDE)
+    adjacency, d = graph.adjacency, graph.d
     smaller = min(partition.a, partition.b, key=len)
     marked = set(smaller)
     for x in smaller:
@@ -327,18 +326,11 @@ def _side_degrees(graph, demands, partition):
             marked = range(graph.n)
             break
     for x in range(graph.n):
-        side = in_a[x]
-        if x in marked:
-            total = 0.0
-            for y, w in adjacency[x]:
-                if in_a[y] is side:
-                    total += w
-            total += loop_term[x]
-        else:
-            total = d[x]
-        if side:
+        if in_a[x]:
+            total = _side_degree(graph, in_a, x) if x in marked else d[x]
             yield x, "A", total, demands.a[x]
         else:
+            total = _side_degree(graph, in_b, x) if x in marked else d[x]
             yield x, "B", total, demands.b[x]
 
 

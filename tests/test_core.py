@@ -109,8 +109,9 @@ class TestPeel:
 
 
 class TestExactSum:
-    """``core._exact`` is the branching sum over the flagged set plus x:
-    the same terms in the same order, so equal as floats, not just close."""
+    """``core._side_degree`` is the branching sum over the flagged set plus
+    x: the same terms in the same order, so equal as floats, not just
+    close."""
 
     @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
     def test_equals_the_ascending_sum_bit_for_bit(self, loop_mode):
@@ -125,7 +126,7 @@ class TestExactSum:
             for x in range(n):
                 # outside the subset, the degree x would have on joining it
                 exact = branching_degree(g, subset | {x}, x)
-                assert core_module._exact(g, flags, x) == exact
+                assert core_module._side_degree(g, flags, x) == exact
                 # the same terms summed in descending order often differ,
                 # so equality here rests on the order
                 descending = 0.0
@@ -148,7 +149,7 @@ class TestExactSum:
             subset = {x for x in range(n) if rng.random() < 0.6}
             flags = bytearray(x in subset for x in range(n))
             for x in range(n):
-                got = core_module._exact(g, flags, x)
+                got = core_module._side_degree(g, flags, x)
                 assert got.hex() == branching_degree(g, subset, x).hex()
 
 
@@ -601,9 +602,9 @@ class TestExactRows:
         demand = [2.0] + [1.0] * 5
         side = _KeptSet(g, range(6), demand)
         calls = []
-        original = core_module._exact
+        original = core_module._side_degree
         monkeypatch.setattr(
-            core_module, "_exact", lambda *args: calls.append(args) or original(*args)
+            core_module, "_side_degree", lambda *args: calls.append(args) or original(*args)
         )
         rng = random.Random(3)
         for _ in range(2000):

@@ -34,6 +34,7 @@ from degsplit import (
     without_loops,
 )
 from degsplit import core as core_module
+from degsplit import graph as graph_module
 from degsplit import solver as solver_module
 from degsplit.core import minimal_satisfying_set, peel
 from degsplit.solver import PHASE_HILLCLIMB, Move
@@ -625,7 +626,7 @@ class TestExactRowTies:
         # on unit weights at zero slack the one exact sum a climb still
         # makes is the moved vertex's degree on its new side
         sums, new_side = [], []
-        original_sum, original_exact = core_module._exact, core_module._KeptSet.exact
+        original_sum, original_exact = core_module._side_degree, core_module._KeptSet.exact
 
         def counting_sum(graph, flags, x):
             sums.append(x)
@@ -635,7 +636,7 @@ class TestExactRowTies:
             new_side.append(x)
             return original_exact(self, x)
 
-        monkeypatch.setattr(core_module, "_exact", counting_sum)
+        monkeypatch.setattr(core_module, "_side_degree", counting_sum)
         monkeypatch.setattr(core_module._KeptSet, "exact", counting_exact)
         moves = 0
         for seed in range(40):
@@ -1282,3 +1283,10 @@ def test_solver_imports_no_private_core_name_but_the_kept_set():
     ]
     assert "_KeptSet" in imported
     assert [name for name in imported if name.startswith("_") and name != "_KeptSet"] == []
+
+
+def test_core_and_solver_share_the_graph_side_degree_sum():
+    # one side-degree sum: the kept sets, the exact gate and verify_partition
+    # all call graph's, not a private copy
+    assert core_module._side_degree is graph_module._side_degree
+    assert solver_module._side_degree is graph_module._side_degree
