@@ -46,32 +46,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, _error_line("InputError", f"{self.prog}: {message}"))
 
 
-def _read_lines(path):
+def _read_text(path, read):
+    # read(handle) on the UTF-8 text file at path: list gives the lines as
+    # readlines() splits them (universal newlines only), json.load the value
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = handle.readlines()
+            return read(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    out = []
-    for lineno, line in enumerate(raw, start=1):
-        text = line.split("#", 1)[0].strip()
-        if text:
-            out.append((lineno, text))
-    return out
+
+
+def _records(path, usage: str):
+    # (line number, fields) of each line with text once its comment is cut;
+    # a record has one field per word of the usage
+    for lineno, line in enumerate(_read_text(path, list), start=1):
+        fields = line.split("#", 1)[0].split()
+        if fields:
+            if len(fields) != len(usage.split()):
+                raise InputError(f"{path}:{lineno}: expected '{usage}'")
+            yield lineno, fields
 
 
 def parse_graph_file(path, loop_mode: LoopMode) -> WeightedGraph:
     edges = []
-    for lineno, text in _read_lines(path):
-        parts = text.split()
-        if len(parts) != 3:
-            raise InputError(f"{path}:{lineno}: expected 'u v w'")
-        u, v, w_text = parts
+    for lineno, (u, v, w_text) in _records(path, "u v w"):
         try:
-            w = float(w_text)
+            edges.append((u, v, float(w_text)))
         except ValueError:
             raise InputError(f"{path}:{lineno}: bad weight {w_text!r}") from None
-        edges.append((u, v, w))
     if not edges:
         raise InputError(f"{path}: no edges")
     return build_graph(edges, loop_mode)
@@ -81,11 +83,7 @@ def parse_demands_file(path, graph: WeightedGraph) -> Demands:
     a = [0.0] * graph.n
     b = [0.0] * graph.n
     seen = set()
-    for lineno, text in _read_lines(path):
-        parts = text.split()
-        if len(parts) != 3:
-            raise InputError(f"{path}:{lineno}: expected 'u a b'")
-        label, a_text, b_text = parts
+    for lineno, (label, a_text, b_text) in _records(path, "u a b"):
         if label not in graph.label_index:
             raise InputError(f"{path}:{lineno}: unknown vertex {label!r}")
         if label in seen:
@@ -105,12 +103,9 @@ def parse_demands_file(path, graph: WeightedGraph) -> Demands:
 
 def parse_cells_file(path) -> list[tuple[int, int]]:
     cells = []
-    for lineno, text in _read_lines(path):
-        parts = text.split()
-        if len(parts) != 2:
-            raise InputError(f"{path}:{lineno}: expected 'i j'")
+    for lineno, (i, j) in _records(path, "i j"):
         try:
-            cells.append((int(parts[0]), int(parts[1])))
+            cells.append((int(i), int(j)))
         except ValueError:
             raise InputError(f"{path}:{lineno}: cell coordinates must be integers") from None
     if not cells:
@@ -120,10 +115,7 @@ def parse_cells_file(path) -> list[tuple[int, int]]:
 
 def parse_partition_file(path, graph: WeightedGraph) -> Partition:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        payload = _read_text(path, json.load)
     except (json.JSONDecodeError, RecursionError) as exc:
         # the decoder recurses once per nesting level
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
@@ -197,18 +189,6 @@ def _emit(payload: dict, fmt: str) -> None:
             sys.stdout.write(f"{key}: {value}\n")
 
 
-def _violation_payload(graph, violations):
-    return [
-        {
-            "vertex": str(graph.labels[v.vertex]),
-            "side": v.side,
-            "degree": v.degree,
-            "demand": v.demand,
-        }
-        for v in violations
-    ]
-
-
 def render_squares_svg(path, instance, side_a, show_circle=None):
     """One unit rect per cell, ``_SVG_SCALE`` pixels wide: side A
     ``#1f77b4``, side B ``#ff7f0e``, 1px grid stroke; optionally overlay the
@@ -248,12 +228,13 @@ def render_squares_svg(path, instance, side_a, show_circle=None):
     _write_text(path, "\n".join(parts) + "\n")
 
 
-def _cmd_solve(args) -> int:
-    graph = parse_graph_file(args.graph, args.loop_mode)
-    demands = parse_demands_file(args.demands, graph)
+# Each subcommand maps its parsed inputs to (payload, found); main emits the
+# payload and exits 0 if found, else 1.  solve, oracle and verify also take
+# the graph and demands that main parsed from --graph and --demands.
+def _cmd_solve(args, graph, demands):
     # solve returns only partitions that pass its exact gate
     partition, cert = solve(graph, demands, max_moves=args.max_moves)
-    payload = {
+    return {
         "A": _labels(graph, partition.a),
         "B": _labels(graph, partition.b),
         # JSON has no infinity: an h that overflowed is written as null
@@ -261,43 +242,42 @@ def _cmd_solve(args) -> int:
         "moves": len(cert.moves),
         "violations": [],
         "feasible": cert.feasibility.feasible,
-    }
-    _emit(payload, args.format)
-    return EXIT_OK
+    }, True
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, graph, demands):
     from .oracle import brute_force_solve
 
-    graph = parse_graph_file(args.graph, args.loop_mode)
-    demands = parse_demands_file(args.demands, graph)
     result = brute_force_solve(graph, demands)
-    payload = {"exists": result.exists, "count": result.count}
-    if result.witness is not None:
-        payload["witness"] = {
-            "A": _labels(graph, result.witness.a),
-            "B": _labels(graph, result.witness.b),
-        }
-    else:
-        payload["witness"] = None
-    _emit(payload, args.format)
-    return EXIT_OK if result.exists else EXIT_NO_PARTITION
+    witness = result.witness
+    return {
+        "exists": result.exists,
+        "count": result.count,
+        "witness": None if witness is None else {
+            "A": _labels(graph, witness.a),
+            "B": _labels(graph, witness.b),
+        },
+    }, result.exists
 
 
-def _cmd_verify(args) -> int:
-    graph = parse_graph_file(args.graph, args.loop_mode)
-    demands = parse_demands_file(args.demands, graph)
+def _cmd_verify(args, graph, demands):
     partition = parse_partition_file(args.partition, graph)
     violations = verify_partition(graph, demands, partition, tol=args.tolerance)
-    payload = {
+    return {
         "stable": not violations,
-        "violations": _violation_payload(graph, violations),
-    }
-    _emit(payload, args.format)
-    return EXIT_OK if not violations else EXIT_NO_PARTITION
+        "violations": [
+            {
+                "vertex": str(graph.labels[v.vertex]),
+                "side": v.side,
+                "degree": v.degree,
+                "demand": v.demand,
+            }
+            for v in violations
+        ],
+    }, not violations
 
 
-def _cmd_squares(args) -> int:
+def _cmd_squares(args):
     from .geometry import DemandScheme, GridInstance, solve_squares
 
     cells = parse_cells_file(args.cells)
@@ -325,14 +305,13 @@ def _cmd_squares(args) -> int:
     if args.svg:
         render_squares_svg(args.svg, instance, result.side_a, show)
         payload["svg"] = args.svg
-    _emit(payload, args.format)
-    return EXIT_OK
+    return payload, True
 
 
 _NO_EDGE = "no edge was drawn; raise --edge-probability or --n"
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     from .oracle import random_feasible_instance
 
     # no coin can come up at p = 0, so fail before drawing n^2 / 2 of them
@@ -350,16 +329,12 @@ def _cmd_gen(args) -> int:
         raise InputError(_NO_EDGE)
     _write_text(args.out_graph, format_graph_file(graph))
     _write_text(args.out_demands, format_demands_file(graph, demands))
-    _emit(
-        {
-            "graph": args.out_graph,
-            "demands": args.out_demands,
-            "n": graph.n,
-            "edges": edge_count,
-        },
-        args.format,
-    )
-    return EXIT_OK
+    return {
+        "graph": args.out_graph,
+        "demands": args.out_demands,
+        "n": graph.n,
+        "edges": edge_count,
+    }, True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,18 +402,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SolverError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)
-        return EXIT_NO_PARTITION
+        try:
+            inputs = ()
+            if "graph" in vars(args):  # subcommand(graph_files=True)
+                graph = parse_graph_file(args.graph, args.loop_mode)
+                inputs = (graph, parse_demands_file(args.demands, graph))
+            payload, found = args.func(args, *inputs)
+        except SolverError as exc:
+            payload, found = {"error": type(exc).__name__, "message": str(exc)}, False
+        _emit(payload, args.format)
     except (DegsplitError, ValueError) as exc:
         # library calls reject bad flag values with ValueError
         name = type(exc).__name__ if isinstance(exc, DegsplitError) else "InputError"
         sys.stderr.write(_error_line(name, str(exc)))
         return EXIT_INPUT
+    return EXIT_OK if found else EXIT_NO_PARTITION
+
 
 if __name__ == "__main__":
     raise SystemExit(main())

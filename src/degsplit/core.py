@@ -131,12 +131,11 @@ class _KeptSet:
     """A vertex set with each member's induced degree kept, under
     per-vertex thresholds (see the module docstring).
 
-    ``flags`` marks the members and ``size`` counts them; ``deg`` holds a
-    kept degree per vertex, whose entries for vertices left out are never
-    read.  ``stop`` flags the vertices whose deletion ends a cascade, and
-    ``updates`` counts the single-edge updates since each kept degree was
-    last an exact sum.  ``core`` is the members' core, kept across ``add``
-    and ``remove``.
+    ``flags`` marks the members; ``deg`` holds a kept degree per vertex,
+    whose entries for vertices left out are never read.  ``stop`` flags the
+    vertices whose deletion ends a cascade, and ``updates`` counts the
+    single-edge updates since each kept degree was last an exact sum.
+    ``core`` is the members' core, kept across ``add`` and ``remove``.
     """
 
     def __init__(self, graph: WeightedGraph, members: Iterable[int], thresholds: Thresholds):
@@ -152,7 +151,6 @@ class _KeptSet:
             flags[x] = 1
         self.graph, self.thresholds = graph, thresholds
         self.flags = flags
-        self.size = flags.count(1)
         # the seed: d[x] less the weights to the neighbours left out, each
         # subtraction counted as an update since the exact sum d[x]
         deg, updates = list(graph.d), [0] * n
@@ -228,7 +226,6 @@ class _KeptSet:
         ``degree``."""
         core = self.core
         self.flags[v] = 1
-        self.size += 1
         self._update(v, 1.0)
         self.deg[v] = degree
         self.updates[v] = 0
@@ -239,7 +236,6 @@ class _KeptSet:
     def remove(self, v: int) -> None:
         core = self.core
         self.flags[v] = 0
-        self.size -= 1
         self._update(v, -1.0)
         if v in core:
             self._peel(compress(range(self.graph.n), self.flags))
@@ -319,20 +315,17 @@ def minimal_satisfying_set(
     adjacency, band = graph.adjacency, graph.band
     removed = []
     kept.cascade(flags, deg, list(compress(range(n), flags)), removed)
-    kept.size -= len(removed)
-    if not kept.size:
+    if 1 not in flags:
         raise NoSatisfyingSetError("no non-empty subset meets the demands")
     for v in list(compress(range(n), flags)):
         if not flags[v]:
             continue
         stack, removed, log = [], [], []
-        if (
+        if not (
             _delete(adjacency, flags, deg, demands, band, essential, v, stack, removed, log)
             and kept.cascade(flags, deg, stack, removed, log)
-            and len(removed) < kept.size
+            and 1 in flags
         ):
-            kept.size -= len(removed)
-        else:
             for x in removed:
                 flags[x] = 1
             for y, old in reversed(log):

@@ -104,12 +104,11 @@ def circle_square_area(dx: float, dy: float, r: float) -> float:
     return min(1.0, max(0.0, area))
 
 
-def _stencil_rows(cells: tuple[Cell, ...], r: float, width: int, height: int):
+def _stencil_rows(cells: tuple[Cell, ...], r: float, reach: float, width: int, height: int):
     # the stencil: offsets (dx, dy) > (0, 0) in lexicographic order, |dx| <
     # width and |dy| < height, whose squares overlap the disk around the
     # origin, with their weights.  A float product overflows to inf where **
     # would raise
-    reach = r + math.sqrt(0.5)
     reach2 = reach * reach
     span = math.ceil(reach)
     span_x, span_y = min(span, width - 1), min(span, height - 1)
@@ -167,10 +166,9 @@ def _stencil_rows(cells: tuple[Cell, ...], r: float, width: int, height: int):
     return tuple(rows), repeats
 
 
-def _pair_rows(cells: tuple[Cell, ...], r: float):
+def _pair_rows(cells: tuple[Cell, ...], r: float, reach: float):
     # every pair x < y within reach, with one weight per distinct offset;
     # row y receives its lower neighbours before its higher ones, in order
-    reach = r + math.sqrt(0.5)
     reach2 = reach * reach
     weights = {}
     rows = [[] for _ in cells]
@@ -245,11 +243,13 @@ def build_grid_graph(instance: GridInstance, loop_mode: LoopMode = LoopMode.DOUB
         raise TooFewCellsError("a grid instance needs at least two cells")
     width = cells[-1][0] - cells[0][0] + 1
     height = max(j for _, j in cells) - min(j for _, j in cells) + 1
-    span = math.ceil(r + math.sqrt(0.5))
+    # a square whose center lies at reach or farther misses the disk
+    reach = r + math.sqrt(0.5)
+    span = math.ceil(reach)
     if 2 * (min(span, width - 1) + 1) * (2 * min(span, height - 1) + 1) > len(cells):
-        adjacency, repeats = _pair_rows(cells, r), ()
+        adjacency, repeats = _pair_rows(cells, r, reach), ()
     else:
-        adjacency, repeats = _stencil_rows(cells, r, width, height)
+        adjacency, repeats = _stencil_rows(cells, r, reach, width, height)
     loop_w = circle_square_area(0.0, 0.0, r)
     label_index = {cell: x for x, cell in enumerate(cells)}
     loops = (loop_w if loop_w > MIN_EDGE_WEIGHT else 0.0,) * len(cells)

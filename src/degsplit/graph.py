@@ -136,8 +136,12 @@ def _assemble(
             raise ValueError(f"vertex {label!r} has degree {total}; degrees must be finite")
         degrees.append(total)
         maxima.append(best)
-        # a row with a non-integer weight (every grid row) stops at the first test
-        if integral and total.is_integer() and total < _EXACT_LIMIT and term.is_integer():
+        # a row with a non-integer weight (every grid row) stops at the first
+        # test.  total needs no integer test: adding integers is exact while
+        # the sum stays at or below 2^53, a sum above it rounds to at least
+        # 2^53, and adding a non-negative term never lowers a sum, so a total
+        # below 2^53 is the exact integer sum
+        if integral and total < _EXACT_LIMIT and term.is_integer():
             bands.append(0.0)
         else:
             bands.append(8 * (len(row) + 2) * _ROUNDOFF * total)

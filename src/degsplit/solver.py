@@ -201,7 +201,7 @@ def _candidate(src, dst, target):
     """Best witness move out of ``src`` as (gain, vertex, its induced degree
     in ``dst``, src, dst), or None if no vertex violates the ``target``
     (demand + W) bound there, or the side would empty."""
-    if src.size < 2:
+    if src.flags.count(1) < 2:
         return None
     found = src.witness(target)
     if found is None:

@@ -325,12 +325,16 @@ class TestRowBuildersAgree:
     def stencil_rows(cells, r):
         width = cells[-1][0] - cells[0][0] + 1
         height = max(j for _, j in cells) - min(j for _, j in cells) + 1
-        return _stencil_rows(cells, r, width, height)
+        return _stencil_rows(cells, r, r + math.sqrt(0.5), width, height)
+
+    @staticmethod
+    def pair_rows(cells, r):
+        return _pair_rows(cells, r, r + math.sqrt(0.5))
 
     def test_same_rows_bit_for_bit_on_ragged_sets(self):
         edges = 0
         for cells, r in self.ragged_sets():
-            rows = _pair_rows(cells, r)
+            rows = self.pair_rows(cells, r)
             assert rows == self.stencil_rows(cells, r)[0]
             edges += sum(map(len, rows))
         assert edges > 10_000
@@ -338,7 +342,7 @@ class TestRowBuildersAgree:
     def test_same_rows_bit_for_bit_on_sets_cut_into_segments(self):
         edges = 0
         for case, (cells, r) in enumerate(self.segmented_sets()):
-            rows = _pair_rows(cells, r)
+            rows = self.pair_rows(cells, r)
             assert rows == self.stencil_rows(cells, r)[0], (case, r)
             edges += sum(map(len, rows))
         assert edges > 50_000
@@ -374,7 +378,7 @@ class TestRowBuildersAgree:
         # a weight depends only on the offset, so the rows need no more
         # distinct (y, w) objects than cells times distinct weights
         cells = GridInstance.rectangle(width, height, r).cells
-        rows = _stencil_rows(cells, r, width, height)[0]
+        rows = TestRowBuildersAgree.stencil_rows(cells, r)[0]
         held = [pair for row in rows for pair in row]
         weights = {w for _, w in held}
         return len(held), len({id(pair) for pair in held}), len(cells) * len(weights)

@@ -1,11 +1,14 @@
-"""The README's promises hold: it names only what the package exports, and
-the package parses as the oldest Python it names."""
+"""The README's promises hold: it names only what the package exports, its
+CLI usage is the parser's, and the package parses as the oldest Python it
+names."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import degsplit
+from degsplit.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -17,6 +20,35 @@ def test_main_entry_points_are_exported():
     names = re.findall(r"`([^`]+)`", paragraph)
     assert len(names) > 10
     assert [name for name in names if name not in degsplit.__all__] == []
+
+
+def test_cli_usage_names_the_parsers_flags():
+    """Each subcommand's usage in the README names exactly the flags the
+    parser gives it, other than ``--format`` and ``--help``, and brackets
+    exactly those that are not required."""
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index("## CLI"):].split("```")[1]
+    usage = {}
+    for line in block.strip().splitlines():
+        if line.startswith("degsplit "):
+            command = line.split()[1]
+            usage[command] = {}
+        for bracket, flag in re.findall(r"(\[?)(--[a-z-]+)", line):
+            usage[command][flag] = not bracket
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    parsed = {
+        command: {
+            flag: action.required
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag not in ("--format", "--help", "-h")
+        }
+        for command, parser in subparsers.choices.items()
+    }
+    assert usage == parsed
 
 
 def test_sources_parse_as_the_oldest_promised_python():
