@@ -46,20 +46,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, _error_line("InputError", f"{self.prog}: {message}"))
 
 
-def _read_text(path, read):
-    # read(handle) on the UTF-8 text file at path: list gives the lines as
-    # readlines() splits them (universal newlines only), json.load the value
+def _read_text(path) -> str:
+    # the UTF-8 text file at path, decoded whole so that a decode error gives
+    # the byte's offset in the file; universal newlines turn \r\n and \r to \n
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return read(handle)
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _records(path, usage: str):
     # (line number, fields) of each line with text once its comment is cut;
-    # a record has one field per word of the usage
-    for lineno, line in enumerate(_read_text(path, list), start=1):
+    # a record has one field per word of the usage.  Lines end at \n only:
+    # splitlines() would split on form feed and U+2028 too
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         fields = line.split("#", 1)[0].split()
         if fields:
             if len(fields) != len(usage.split()):
@@ -115,7 +116,7 @@ def parse_cells_file(path) -> list[tuple[int, int]]:
 
 def parse_partition_file(path, graph: WeightedGraph) -> Partition:
     try:
-        payload = _read_text(path, json.load)
+        payload = json.loads(_read_text(path))
     except (json.JSONDecodeError, RecursionError) as exc:
         # the decoder recurses once per nesting level
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
@@ -136,19 +137,17 @@ def parse_partition_file(path, graph: WeightedGraph) -> Partition:
 
 
 def format_graph_file(graph: WeightedGraph) -> str:
-    """Canonical graph text: loops then edges, each line ``u v w`` with the
-    endpoint labels sorted, lines sorted, weights in shortest repr."""
+    """Canonical graph text: one line ``u v w`` per loop (``u u w``) and per
+    edge, endpoint labels sorted, weights in shortest repr, and all lines
+    sorted together, so loops and edges interleave."""
     lines = []
     for x in range(graph.n):
+        label = str(graph.labels[x])
         if graph.loops[x] > 0.0:
-            label = str(graph.labels[x])
             lines.append((label, label, graph.loops[x]))
-    for x in range(graph.n):
         for y, w in graph.adjacency[x]:
             if x < y:
-                u, v = str(graph.labels[x]), str(graph.labels[y])
-                if v < u:
-                    u, v = v, u
+                u, v = sorted((label, str(graph.labels[y])))
                 lines.append((u, v, w))
     lines.sort()
     return "".join(f"{u} {v} {w!r}\n" for u, v, w in lines)

@@ -26,10 +26,10 @@ subtraction that leads from one such sum to another is exact, in whatever
 order: the kept degree is the exact sum at every step.  Such a vertex gets
 a band of 0 in ``graph.band``, which the kept set reads as "the kept degree
 is the exact sum": the cascade decides it on deg(x) < threshold(x) without
-an exact sum, it is never reseeded, and the witness takes deg(x) as its
-exact degree.  A band of 0 means the same on any other row: it rounds to 0
-only when d(x) < 2^-1022, where every partial sum is a subnormal multiple
-of 2^-1074 and so exact too.
+an exact sum, it is never reseeded, and the witness and ``exact`` take a
+member's deg(x) as its exact degree.  A band of 0 means the same on any
+other row: it rounds to 0 only when d(x) < 2^-1022, where every partial sum
+is a subnormal multiple of 2^-1074 and so exact too.
 
 The exact sum is ``graph._side_degree`` over the flags, the package's one
 side-degree sum, which ``verify_partition`` takes too.  It does not test x's
@@ -72,7 +72,7 @@ is 0 too; and since rounding is monotone, the computed gain is negative
 only when the real gain is.
 
 A set keeps its core in one of two ways.  ``minimal_satisfying_set``
-cascades in place and undoes a failed trial from a log of degree changes.
+cascades in place and undoes a failed trial from its degree log alone.
 A hill-climb side re-peels on copies of its flags and kept degrees, and only
 what a move can change.  A side that loses a vertex outside its core keeps
 its core: the core lies in the smaller side and meets its thresholds there,
@@ -105,13 +105,12 @@ from .graph import _ROUNDOFF, WeightedGraph, _side_degree
 Thresholds = Sequence[float]
 
 
-def _delete(adjacency, flags, deg, thresholds, band, stop, x, stack, removed, log) -> bool:
+def _delete(adjacency, flags, deg, thresholds, band, stop, x, stack, log) -> bool:
     # remove x, subtract its weights from the members left and queue those
     # that can fall; ``log`` (when kept) records each change as (vertex, old
     # degree).  False, cut short, once a vertex flagged in ``stop`` falls
     # below its threshold by more than its band: the cascade would delete it
     flags[x] = 0
-    removed.append(x)
     for y, w in adjacency[x]:
         if flags[y]:
             if log is not None:
@@ -165,9 +164,11 @@ class _KeptSet:
 
     def exact(self, x: int) -> float:
         """x's induced degree in the set plus x, as the exact ascending sum."""
+        if self.flags[x] and not self.graph.band[x]:
+            return self.deg[x]
         return _side_degree(self.graph, self.flags, x)
 
-    def cascade(self, flags, deg, stack, removed, log=None) -> bool:
+    def cascade(self, flags, deg, stack, log=None) -> bool:
         # delete every queued vertex below its threshold, and in turn whatever
         # those deletions push below theirs; False, with the cascade cut short,
         # as soon as it would delete a vertex flagged in ``stop``
@@ -186,7 +187,7 @@ class _KeptSet:
                 below = deg[x] < floor
             if below:
                 if stop[x] or not _delete(
-                    adjacency, flags, deg, thresholds, band, stop, x, stack, removed, log
+                    adjacency, flags, deg, thresholds, band, stop, x, stack, log
                 ):
                     return False
         return True
@@ -196,7 +197,7 @@ class _KeptSet:
         # degrees; the survivors become the core unless the cascade deletes
         # a vertex flagged in ``stop``
         flags = bytearray(self.flags)
-        if self.cascade(flags, list(self.deg), list(start), []):
+        if self.cascade(flags, list(self.deg), list(start)):
             self._core = frozenset(compress(range(self.graph.n), flags))
 
     @property
@@ -301,34 +302,34 @@ def minimal_satisfying_set(
 
     One kept set serves the whole pass, peeled in place.  A trial cascades
     only from the deleted vertex's neighbours; when it empties the set, the
-    deleted vertices are flagged again and the logged degree changes are
-    undone.  A member whose trial failed is essential, and a trial that
-    would delete an essential vertex fails at that point, or already when a
-    deletion takes the essential vertex's degree below its demand by more
-    than the exact-tie band: the core of the rest is empty because it lies
-    in the core of the larger set the essential vertex was tried in, minus
-    that vertex, which was empty.
+    deleted vertex and every vertex in its log of degree changes are flagged
+    again and the changes undone.  That restores every vertex it deleted:
+    a trial only deletes, so each logged vertex was a member, and each one
+    deleted after the first was queued by a logged decrement.  A member
+    whose trial failed is essential, and a trial that would delete an
+    essential vertex fails at that point, or already when a deletion takes
+    the essential vertex's degree below its demand by more than the
+    exact-tie band: the core of the rest is empty because it lies in the
+    core of the larger set the essential vertex was tried in, minus that
+    vertex, which was empty.
     """
     n = graph.n
     kept = _KeptSet(graph, range(n) if within is None else within, demands)
     flags, deg, essential = kept.flags, kept.deg, kept.stop
     adjacency, band = graph.adjacency, graph.band
-    removed = []
-    kept.cascade(flags, deg, list(compress(range(n), flags)), removed)
+    kept.cascade(flags, deg, list(compress(range(n), flags)))
     if 1 not in flags:
         raise NoSatisfyingSetError("no non-empty subset meets the demands")
     for v in list(compress(range(n), flags)):
         if not flags[v]:
             continue
-        stack, removed, log = [], [], []
+        stack, log = [], []
         if not (
-            _delete(adjacency, flags, deg, demands, band, essential, v, stack, removed, log)
-            and kept.cascade(flags, deg, stack, removed, log)
+            _delete(adjacency, flags, deg, demands, band, essential, v, stack, log)
+            and kept.cascade(flags, deg, stack, log)
             and 1 in flags
         ):
-            for x in removed:
-                flags[x] = 1
+            flags[v] = essential[v] = 1
             for y, old in reversed(log):
-                deg[y] = old
-            essential[v] = 1
+                flags[y], deg[y] = 1, old
     return frozenset(compress(range(n), flags))

@@ -104,14 +104,12 @@ def circle_square_area(dx: float, dy: float, r: float) -> float:
     return min(1.0, max(0.0, area))
 
 
-def _stencil_rows(cells: tuple[Cell, ...], r: float, reach: float, width: int, height: int):
-    # the stencil: offsets (dx, dy) > (0, 0) in lexicographic order, |dx| <
-    # width and |dy| < height, whose squares overlap the disk around the
-    # origin, with their weights.  A float product overflows to inf where **
-    # would raise
+def _stencil_rows(cells, r: float, reach: float, span_x: int, span_y: int, height: int):
+    # the stencil: offsets (dx, dy) > (0, 0) in lexicographic order, |dx| <=
+    # span_x < width and |dy| <= span_y < height, whose squares overlap the
+    # disk around the origin, with their weights.  A float product overflows
+    # to inf where ** would raise
     reach2 = reach * reach
-    span = math.ceil(reach)
-    span_x, span_y = min(span, width - 1), min(span, height - 1)
     half = []
     for dx in range(span_x + 1):
         for dy in range(-span_y if dx else 1, span_y + 1):
@@ -246,10 +244,11 @@ def build_grid_graph(instance: GridInstance, loop_mode: LoopMode = LoopMode.DOUB
     # a square whose center lies at reach or farther misses the disk
     reach = r + math.sqrt(0.5)
     span = math.ceil(reach)
-    if 2 * (min(span, width - 1) + 1) * (2 * min(span, height - 1) + 1) > len(cells):
+    span_x, span_y = min(span, width - 1), min(span, height - 1)
+    if 2 * (span_x + 1) * (2 * span_y + 1) > len(cells):
         adjacency, repeats = _pair_rows(cells, r, reach), ()
     else:
-        adjacency, repeats = _stencil_rows(cells, r, reach, width, height)
+        adjacency, repeats = _stencil_rows(cells, r, reach, span_x, span_y, height)
     loop_w = circle_square_area(0.0, 0.0, r)
     label_index = {cell: x for x, cell in enumerate(cells)}
     loops = (loop_w if loop_w > MIN_EDGE_WEIGHT else 0.0,) * len(cells)

@@ -251,13 +251,11 @@ def find_stable_pair(
     strong_a = [a + w for a, w in zip(a_dem, graph.W)]
     strong_b = [b + w for b, w in zip(b_dem, graph.W)]
     order_a, order_b = sorted(side_a), sorted(side_b)
-    # a banded row's seed is not the exact sum; an exact row's is
-    band = graph.band
     h = 0.0
     for x in order_a:
-        h += sa.exact(x) if band[x] else sa.deg[x]
+        h += sa.exact(x)
     for x in order_b:
-        h += sb.exact(x) if band[x] else sb.deg[x]
+        h += sb.exact(x)
     for x in order_a:
         h += 2.0 * b_dem[x]
     for x in order_b:

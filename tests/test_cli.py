@@ -197,7 +197,8 @@ def assert_input_error(code, out, err):
 def test_a_file_that_is_not_utf8_is_named(capsys, tmp_path, k9_files, kind):
     graph, dem3, _ = k9_files
     bad = tmp_path / f"bad.{kind}"
-    bad.write_bytes(b"v0 v1 1.0\n\xff\xfe 2\n")
+    # past the reader's 8 KB chunks: the position is the byte's offset in the file
+    bad.write_bytes(b"a b 1\n" * 3000 + b"\xff\n")
     partition = write(tmp_path, "p.json", json.dumps({"A": ["v0"], "B": ["v1"]}))
     files = {"graph": graph, "demands": dem3, "partition": partition, kind: str(bad)}
     argv = {
@@ -207,7 +208,10 @@ def test_a_file_that_is_not_utf8_is_named(capsys, tmp_path, k9_files, kind):
     }.get(kind, ["solve", "--graph", files["graph"], "--demands", files["demands"]])
     payload = assert_input_error(*run_cli(capsys, argv))
     assert payload["error"] == "InputError"
-    assert payload["message"].startswith(f"cannot read {bad}: 'utf-8' codec can't decode")
+    assert payload["message"] == (
+        f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 18000: "
+        "invalid start byte"
+    )
 
 
 @pytest.fixture
@@ -280,6 +284,11 @@ BAD_INPUTS = {
     "graph-crlf-third-line": (
         "graph", "v0 v1 1\r\nv1 v2 1\r\nv2 v0\r\n", "{path}:3: expected 'u v w'"
     ),
+    "graph-cr-third-line": (
+        "graph", "v0 v1 1\rv1 v2 1\rv2 v0\r", "{path}:3: expected 'u v w'"
+    ),
+    # a form feed ends no line, so line 1 holds four fields
+    "graph-form-feed-in-line-1": ("graph", "v0 v1 1\x0cv2\n", "{path}:1: expected 'u v w'"),
     "demands-two-fields": ("demands", "v0 1\n", "{path}:1: expected 'u a b'"),
     "demands-bad-value": ("demands", "v0 1 lots\n", "{path}:1: bad demand value"),
     "demands-negative": (

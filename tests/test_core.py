@@ -390,9 +390,9 @@ class TestEssentialDecrement:
         cascades = []
         original = _KeptSet.cascade
 
-        def counting(self, flags, deg, stack, removed, log=None):
-            cascades.append(tuple(removed))
-            return original(self, flags, deg, stack, removed, log)
+        def counting(self, flags, deg, stack, log=None):
+            cascades.append(tuple(x for x in range(len(flags)) if not flags[x]))
+            return original(self, flags, deg, stack, log)
 
         monkeypatch.setattr(_KeptSet, "cascade", counting)
         assert TestMinimalSetMatchesRestartSearch.assert_same(g, demands)
@@ -621,9 +621,9 @@ class TestExactRows:
         # their thresholds, so their pops would keep them and none is queued
         g = build_graph([(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
         thresholds = [0.0, 1.0, 1.0]
-        flags, deg, stack, removed = bytearray(b"\x01" * 3), list(g.d), [], []
+        flags, deg, stack = bytearray(b"\x01" * 3), list(g.d), []
         assert core_module._delete(
-            g.adjacency, flags, deg, thresholds, g.band, bytearray(3), 0, stack, removed, None
+            g.adjacency, flags, deg, thresholds, g.band, bytearray(3), 0, stack, None
         )
-        assert deg[1:] == [1.0, 1.0] and stack == [] and removed == [0]
+        assert deg[1:] == [1.0, 1.0] and stack == [] and flags == bytearray(b"\x00\x01\x01")
         assert peel(g, range(3), thresholds) == reference_peel(g, range(3), thresholds)

@@ -325,7 +325,11 @@ class TestRowBuildersAgree:
     def stencil_rows(cells, r):
         width = cells[-1][0] - cells[0][0] + 1
         height = max(j for _, j in cells) - min(j for _, j in cells) + 1
-        return _stencil_rows(cells, r, r + math.sqrt(0.5), width, height)
+        reach = r + math.sqrt(0.5)
+        span = math.ceil(reach)
+        return _stencil_rows(
+            cells, r, reach, min(span, width - 1), min(span, height - 1), height
+        )
 
     @staticmethod
     def pair_rows(cells, r):

@@ -646,7 +646,9 @@ class TestExactRowTies:
             return original_sum(graph, flags, x)
 
         def counting_exact(self, x):
-            new_side.append(x)
+            # a member's exact kept degree is read, not summed
+            if not self.flags[x]:
+                new_side.append(x)
             return original_exact(self, x)
 
         monkeypatch.setattr(core_module, "_side_degree", counting_sum)
