@@ -91,6 +91,36 @@ abandoned at the decrement already: when a deletion lowers u's kept degree
 below threshold(u) - band(u), the cascade would delete u without an exact
 sum, since degrees only fall during a cascade.  Inside the band the trial
 goes on, and u is decided on the exact sum when the cascade reaches it.
+
+And it skips trials that cannot fail.  Let C be the initial core, in
+ascending order, and C_u its members from u on.  Before its first failed
+trial the pass reaches member u in the state core(C_u).  A kept trial of v
+turns core(X) into core(core(X) - v), and that is core(X - v): core(X - v)
+lies in X - v and, by monotonicity, in core(X), so in core(X) - v; and
+core(core(X) - v) lies in core(X - v) by monotonicity.  A member v already
+deleted is not tried, and then core(C_v) = core(C_v - v) already.  When
+core(C_u) is non-empty, every trial below u succeeds as well, since the core
+it leaves contains core(C_u).  So the pass probes suffixes of C from its end,
+of 1, 2, 4, ... members, and where a suffix starting at u has a non-empty
+core it takes that core as its state and goes on trying from u: every later
+trial, essential vertex and early abort is the one the ascending pass makes.
+Probing ends at the first failed trial, of v say: core(C_v - v) is empty,
+and so is the core of every later suffix, which lies in it.  A probe of s
+members waits until 2s trials have been kept, so a pass whose first trial
+fails early probes little, and the probes that find an empty core cost at
+most about as much as the trials before them.
+
+A probe seeds its kept degrees once, adding the suffix's rows from its end:
+a member's kept degree starts at its loop term and takes one addition per
+neighbour in the suffix, as that neighbour's row or its own is added, and a
+larger probe adds only its new rows.  That is k roundings at most, fewer
+than a seed from d spends (an exact sum, then up to k single-edge updates),
+and the cascade's subtractions come after them, so the band covers a
+probe's kept degrees; an empty probe is undone from its log of degree
+changes, as a failed trial is.  A probe whose members all have kept degree
+below threshold - band cascades no further: each member's exact degree in
+the suffix is then below its threshold, so the suffix's core is empty, as
+the cascade would find.
 """
 
 from __future__ import annotations
@@ -124,6 +154,21 @@ def _delete(adjacency, flags, deg, thresholds, band, stop, x, stack, log) -> boo
                     return False
                 stack.append(y)
     return True
+
+
+def _seed(graph, flags, deg, members) -> None:
+    # flag each of ``members`` in turn, its kept degree its loop term plus
+    # the weights to the members flagged before it, and add its weight to
+    # theirs: one single-edge update per addition
+    adjacency, loop_term = graph.adjacency, graph.loop_term
+    for x in members:
+        flags[x] = 1
+        total = loop_term[x]
+        for y, w in adjacency[x]:
+            if flags[y]:
+                total += w
+                deg[y] += w
+        deg[x] = total
 
 
 class _KeptSet:
@@ -312,6 +357,17 @@ def minimal_satisfying_set(
     exact-tie band: the core of the rest is empty because it lies in the
     core of the larger set the essential vertex was tried in, minus that
     vertex, which was empty.
+
+    Until a trial fails, the pass stands at each member u in the state the
+    core of the initial core's members from u on, and every trial below u
+    succeeds when that core is non-empty.  So once 2s trials have been kept
+    it peels the last s members of the initial core on arrays of its own,
+    s = 1, 2, 4, ..., and when their core is non-empty takes it as its
+    state and goes on from the first of them.  Probing ends at the first
+    failed trial, after which every suffix left has an empty core, or once
+    no suffix left to probe starts past the pass.  The result, and every
+    trial from the jump on, are the ascending pass's (see the module
+    docstring).
     """
     n = graph.n
     kept = _KeptSet(graph, range(n) if within is None else within, demands)
@@ -320,7 +376,15 @@ def minimal_satisfying_set(
     kept.cascade(flags, deg, list(compress(range(n), flags)))
     if 1 not in flags:
         raise NoSatisfyingSetError("no non-empty subset meets the demands")
-    for v in list(compress(range(n), flags)):
+    order = list(compress(range(n), flags))
+    # the suffix probe: the next size, 0 once probing has stopped, and the
+    # flags and kept degrees of the suffix seeded so far, from ``seeded`` on
+    size, kept_trials, seeded = 1, 0, len(order)
+    probe_flags, probe_deg = bytearray(n), [0.0] * n
+    i = 0
+    while i < len(order):
+        v = order[i]
+        i += 1
         if not flags[v]:
             continue
         stack, log = [], []
@@ -332,4 +396,30 @@ def minimal_satisfying_set(
             flags[v] = essential[v] = 1
             for y, old in reversed(log):
                 flags[y], deg[y] = 1, old
+            size = 0
+            continue
+        kept_trials += 1
+        if not size or kept_trials < 2 * size:
+            continue
+        start = len(order) - size
+        if start <= i:
+            # the pass is past every suffix still untried
+            size = 0
+            continue
+        _seed(graph, probe_flags, probe_deg, reversed(order[start:seeded]))
+        seeded = start
+        suffix = order[start:]
+        if any(probe_deg[x] >= demands[x] - band[x] for x in suffix):
+            probe_log = []
+            kept.cascade(probe_flags, probe_deg, list(suffix), probe_log)
+            if 1 in probe_flags:
+                # the state the pass would reach at order[start]
+                flags, deg = probe_flags, probe_deg
+                i, size = start, 0
+                continue
+            for x in suffix:
+                probe_flags[x] = 1
+            for y, old in reversed(probe_log):
+                probe_deg[y] = old
+        size *= 2
     return frozenset(compress(range(n), flags))

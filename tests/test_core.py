@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import compress
 
 import pytest
 
@@ -399,6 +400,211 @@ class TestEssentialDecrement:
         # the full core, then the trial of 0 only
         assert cascades == [(), (0,)]
         assert minimal_satisfying_set(g, demands) == {0, 1, 2}
+
+
+def ascending_minimal_satisfying_set(graph, demands, within=None):
+    """Reference: the one-pass search before the suffix probe, verbatim,
+    which tries every member of the initial core in ascending order."""
+    n = graph.n
+    kept = _KeptSet(graph, range(n) if within is None else within, demands)
+    flags, deg, essential = kept.flags, kept.deg, kept.stop
+    adjacency, band = graph.adjacency, graph.band
+    kept.cascade(flags, deg, list(compress(range(n), flags)))
+    if 1 not in flags:
+        raise NoSatisfyingSetError("no non-empty subset meets the demands")
+    for v in list(compress(range(n), flags)):
+        if not flags[v]:
+            continue
+        stack, log = [], []
+        if not (
+            core_module._delete(adjacency, flags, deg, demands, band, essential, v, stack, log)
+            and kept.cascade(flags, deg, stack, log)
+            and 1 in flags
+        ):
+            flags[v] = essential[v] = 1
+            for y, old in reversed(log):
+                flags[y], deg[y] = 1, old
+    return frozenset(compress(range(n), flags))
+
+
+@pytest.fixture
+def deletions(monkeypatch):
+    """A running count of ``core._delete`` calls, from both passes."""
+    count = [0]
+    original = core_module._delete
+
+    def counting(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(core_module, "_delete", counting)
+    return count
+
+
+def ragged_cells(rng, width, height):
+    # a rectangle with random cells missing, and whole runs of some columns
+    return [
+        (i, j) for i in range(width) for j in range(height)
+        if rng.random() < 0.85 and not (i % 5 == 2 and 3 <= j < 3 + i % 4)
+    ]
+
+
+class TestSuffixProbe:
+    """Before its first failed trial the ascending pass reaches member u in
+    the state core(C ∩ {x >= u}), C the initial core; the pass jumps to a
+    suffix of C whose core is non-empty.  It returns exactly what the
+    ascending pass returns, and deletes fewer vertices where it jumps."""
+
+    @staticmethod
+    def compare(graph, demands, deletions, within=None):
+        """The result of both passes, which must agree (None when neither
+        finds a set), and whether the new pass deleted fewer vertices."""
+        start = deletions[0]
+        try:
+            expected = ascending_minimal_satisfying_set(graph, demands, within)
+        except NoSatisfyingSetError:
+            with pytest.raises(NoSatisfyingSetError):
+                minimal_satisfying_set(graph, demands, within)
+            return None, False
+        middle = deletions[0]
+        assert minimal_satisfying_set(graph, demands, within) == expected
+        return expected, deletions[0] - middle < middle - start
+
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    def test_grids_rectangular_and_ragged(self, loop_mode, deletions):
+        rng = random.Random(5)
+        solved = jumped = 0
+        for r in (0.6, 1.1, 1.7, 2.1, 2.6, 3.1, 3.7, 4.3):
+            for cells in (
+                [(i, j) for i in range(24) for j in range(18)],
+                ragged_cells(rng, 26, 20),
+            ):
+                graph = build_grid_graph(GridInstance(cells, r), loop_mode)
+                demands = squares_demands(graph, DemandScheme.HALF_DEGREE)
+                result, fewer = self.compare(graph, demands.a, deletions)
+                solved += result is not None
+                jumped += fewer
+        assert solved == 16 and jumped >= 12
+
+    def test_random_graphs_whose_first_failure_comes_early(self, deletions):
+        # dense graphs at high demands: the first failed trial comes within
+        # a few trials, before any probe or just after the first ones
+        rng = random.Random(13)
+        solved = 0
+        for _ in range(40):
+            n = rng.randint(6, 40)
+            g = random_graph(rng, n, rng.choice([0.5, 0.8, 1.0]))
+            demands = [rng.uniform(0.3, 0.5) * d for d in g.d]
+            solved += self.compare(g, demands, deletions)[0] is not None
+        assert solved >= 30
+
+    def test_zero_slack_climbing_instances(self, deletions):
+        # the climb's inputs: the first trial fails at about 40 of 100
+        rng = random.Random(8)
+        for _ in range(4):
+            g = random_graph(rng, 100, 0.3, weight_range=(1.0, 1.0))
+            demands = [max(0.0, (d - 2.0) / 2.0) for d in g.d]
+            assert self.compare(g, demands, deletions)[0]
+
+    def test_within_subsets(self, deletions):
+        rng = random.Random(29)
+        solved = jumped = 0
+        for _ in range(12):
+            graph = build_grid_graph(GridInstance.rectangle(18, 12, rng.choice((2.1, 3.1))))
+            demands = squares_demands(graph, DemandScheme.HALF_DEGREE)
+            within = [x for x in range(graph.n) if rng.random() < 0.9]
+            result, fewer = self.compare(graph, demands.a, deletions, within)
+            solved += result is not None
+            jumped += fewer
+        for _ in range(40):
+            n = rng.randint(6, 30)
+            g = random_graph(rng, n, 0.6)
+            within = rng.sample(range(n), rng.randint(0, n))
+            demands = [rng.uniform(0.0, 0.4) * d for d in g.d]
+            solved += self.compare(g, demands, deletions, within)[0] is not None
+        assert solved >= 35 and jumped >= 6
+
+    @pytest.mark.parametrize("weights", ["0.1", "1/3", "U(0.5, 1)"])
+    def test_non_dyadic_weights_planted_on_a_suffix(self, weights, deletions):
+        # every member of a planted suffix sits exactly on its threshold, the
+        # ascending sum of its weights into the suffix; the probe's degrees
+        # are summed in another order, so it decides them on the exact sum
+        draw = {
+            "0.1": lambda rng: 0.1,
+            "1/3": lambda rng: 1.0 / 3.0,
+            "U(0.5, 1)": lambda rng: rng.uniform(0.5, 1.0),
+        }[weights]
+        rng = random.Random(61)
+        jumped = 0
+        for _ in range(30):
+            n = rng.randint(30, 60)
+            edges = [
+                (i, j, draw(rng)) for i in range(n) for j in range(i + 1, n)
+                if rng.random() < 0.4
+            ]
+            g = build_graph(edges, vertices=range(n))
+            planted = set(range(n - rng.randint(3, 8), n))
+            demands = [rng.uniform(0.0, 0.2) * d for d in g.d]
+            for x in planted:
+                demands[x] = branching_degree(g, planted, x)
+            result, fewer = self.compare(g, demands, deletions)
+            assert result
+            jumped += fewer
+        assert jumped >= 20
+
+    def test_a_probe_degree_an_ulp_low_is_decided_on_the_exact_sum(self, deletions):
+        # 13 needs 0.1 + 0.2 + 0.3 = 0.6000000000000001 from 12, 14 and 15.
+        # The probe of size 4 adds 13's row after 14's and 15's: 0.2 + 0.3,
+        # then 0.1, which is 0.6, an ulp low.  The exact sum keeps 13, so the
+        # probe finds {12, ..., 15} and the pass jumps there after 8 trials
+        g = build_graph([(12, 13, 0.1), (13, 14, 0.2), (13, 15, 0.3)], vertices=range(16))
+        planted = {12, 13, 14, 15}
+        demands = [0.0] * 12 + [branching_degree(g, planted, x) for x in sorted(planted)]
+        assert (0.2 + 0.3) + 0.1 < demands[13]
+        result, fewer = self.compare(g, demands, deletions)
+        assert result == planted and fewer
+
+    def test_a_grid_skips_most_of_its_cells(self, deletions):
+        # 40x38 at r = 3.1: the first failed trial is at cell 1,444 of 1,520,
+        # and the ascending pass deletes about every cell before it
+        graph = build_grid_graph(GridInstance.rectangle(40, 38, 3.1))
+        demands = squares_demands(graph, DemandScheme.HALF_DEGREE).a
+        result = ascending_minimal_satisfying_set(graph, demands)
+        assert deletions[0] >= graph.n
+        deletions[0] = 0
+        assert minimal_satisfying_set(graph, demands) == result and len(result) == 76
+        assert deletions[0] < graph.n // 2
+
+
+class TestInputChecksComeFirst:
+    """A probe never looks at the low end of ``within``, yet every input is
+    still checked before the pass starts."""
+
+    @pytest.fixture
+    def grid(self):
+        graph = build_grid_graph(GridInstance.rectangle(20, 20, 3.1))
+        return graph, list(squares_demands(graph, DemandScheme.HALF_DEGREE).a)
+
+    def test_an_out_of_range_vertex_below_every_probe(self, grid):
+        graph, demands = grid
+        for x in (-1, -graph.n - 1):
+            with pytest.raises(ValueError, match=rf"^vertex {x} is out of range$"):
+                minimal_satisfying_set(graph, demands, within=[x, *range(graph.n)])
+
+    def test_a_nan_or_missing_threshold(self, grid):
+        graph, demands = grid
+        with pytest.raises(ValueError, match=r"^thresholds must not be NaN$"):
+            minimal_satisfying_set(graph, [math.nan] + demands[1:])
+        with pytest.raises(ValueError, match=rf"^expected {graph.n} thresholds, got"):
+            minimal_satisfying_set(graph, demands[:-1])
+
+    def test_an_empty_within_or_an_empty_core(self, grid):
+        graph, demands = grid
+        with pytest.raises(NoSatisfyingSetError):
+            minimal_satisfying_set(graph, demands, within=[])
+        # the first column alone: every cell misses half its degree there
+        with pytest.raises(NoSatisfyingSetError):
+            minimal_satisfying_set(graph, demands, within=range(20))
 
 
 def members(kept):

@@ -1,7 +1,8 @@
 """The scripts run from a plain checkout: each puts ``src`` on its own path,
 so neither an install nor PYTHONPATH is needed.  The climb ladder's
 half-weight twin rungs climb as their unit rungs do, and make the digests
-recorded for them."""
+recorded for them; the grid ladder's smallest rung makes its recorded
+digest."""
 
 import importlib.util
 import os
@@ -34,12 +35,16 @@ def test_script_runs_without_pythonpath(tmp_path, argv):
     assert done.stdout
 
 
-@pytest.fixture(scope="module")
-def ladder():
-    spec = importlib.util.spec_from_file_location("climb_ladder", SCRIPTS / "climb_ladder.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    return load_script("climb_ladder")
 
 
 def test_climb_ladder_twin_makes_the_unit_moves_at_half_the_h(ladder):
@@ -67,3 +72,10 @@ def test_climb_ladder_twin_digests_are_pinned(ladder, n, moves, digest):
     # rungs', recorded before the twins existed
     _, got_moves, got_digest = ladder.climb_rung(n, 0.3, 0.5, repeats=1)
     assert (got_moves, got_digest) == (moves, digest)
+
+
+def test_grid_ladder_smallest_rung_digest_is_pinned():
+    # the 100x100 half-degree grid at r = 3.1, whose side A is its last
+    # two columns of cells
+    _, size_a, digest = load_script("grid_ladder").grid_rung(100, 100, 3.1, repeats=1)
+    assert (size_a, digest) == (200, "04320471e5907216")
