@@ -15,7 +15,9 @@ slacks.  The partition digest (``partitions=``) covers the partition and the
 moves only, so a change that alters certificates but not results keeps it.
 The precondition digest (``preconditions=``) covers every ``solve``
 certificate's feasibility slacks, taken when ``solve`` returns, and the
-``precondition_ok`` of every ``solve_squares`` result.
+``precondition_ok`` of every ``solve_squares`` result.  The margin digest
+(``margins=``) covers every ``solve_squares`` result's margins, cell by
+cell in the cells' order, and its strict-majority count.
 Sets are hashed as sorted tuples, since the iteration order of equal sets
 can differ.  The graph digest covers the labels, adjacency, loops, ``d``,
 ``W``, ``band`` and ``loop_term`` of every graph that
@@ -64,12 +66,12 @@ def record(partition, cert) -> tuple:
     )
 
 
-def digest(seed: int) -> tuple[str, str, int, str, str, int]:
+def digest(seed: int) -> tuple[str, str, int, str, str, str, int]:
     """The result and partition digests of both pools and the number of
-    ``solve`` calls hashed, the precondition digest, then the digest of the
-    graphs built and their number."""
+    ``solve`` calls hashed, the precondition and margin digests, then the
+    digest of the graphs built and their number."""
     results, partitions, graphs = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    preconditions = hashlib.sha256()
+    preconditions, margins = hashlib.sha256(), hashlib.sha256()
     calls = builds = 0
     original, squares = solver.solve, geometry.solve_squares
     builders = graph.build_graph, geometry.build_grid_graph
@@ -90,6 +92,9 @@ def digest(seed: int) -> tuple[str, str, int, str, str, int]:
         result = squares(*args, **kwargs)
         preconditions.update(repr(result.precondition_ok).encode())
         preconditions.update(b"\n")
+        values = (tuple(result.margins.items()), result.strict_majority_cells)
+        margins.update(repr(values).encode())
+        margins.update(b"\n")
         return result
 
     def recording(build):
@@ -125,6 +130,7 @@ def digest(seed: int) -> tuple[str, str, int, str, str, int]:
         partitions.hexdigest(),
         calls,
         preconditions.hexdigest(),
+        margins.hexdigest(),
         graphs.hexdigest(),
         builds,
     )
@@ -154,11 +160,13 @@ def main() -> None:
     parser.add_argument("--seed", type=int, nargs="+", required=True)
     args = parser.parse_args()
     for seed in args.seed:
-        value, partition_value, calls, precondition_value, graph_value, builds = digest(seed)
+        value, partition_value, calls, precondition_value, margin_value, graph_value, builds = (
+            digest(seed)
+        )
         print(
             f"{value}  seed={seed} solve_calls={calls} partitions={partition_value} "
-            f"preconditions={precondition_value} graphs={builds} {graph_value} "
-            f"cli={cli_digest(seed)}"
+            f"preconditions={precondition_value} margins={margin_value} "
+            f"graphs={builds} {graph_value} cli={cli_digest(seed)}"
         )
 
 

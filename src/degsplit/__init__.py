@@ -20,7 +20,7 @@ _EXPORTS = {
         "SingleVertexGraphError", "SolverError", "TooFewCellsError", "TooLargeError",
         "UnstablePartitionError",
     ),
-    "graph": ("Demands", "LoopMode", "WeightedGraph", "build_graph", "without_loops"),
+    "graph": ("Demands", "LoopMode", "WeightedGraph", "build_graph"),
     "core": ("minimal_satisfying_set", "peel"),
     "solver": (
         "DEFAULT_MAX_MOVES", "FeasibilityReport", "Move", "Partition", "SolveCertificate",

@@ -381,7 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_squares.add_argument("--cells", required=True, help="cell list file")
     p_squares.add_argument("--radius", type=float, required=True)
-    p_squares.add_argument("--scheme", choices=("half-degree", "physical"), default="half-degree")
+    p_squares.add_argument(
+        "--scheme", choices=("half-degree", "physical"), default="half-degree",
+        help="demands of half the degree (default); physical is half-degree under once "
+        "loops, whatever --loop-mode says",
+    )
     p_squares.add_argument("--svg", help="write an SVG rendering here")
     p_squares.add_argument("--show-circle", dest="show_circle", help="overlay circle at cell 'i,j'")
 

@@ -5,7 +5,9 @@ A grid instance is a set of unit cells and a radius r.  Each cell becomes a
 vertex; the weight between x and y is the area of y's square lying within
 distance r of x's center, and the loop weight is the overlap with x's own
 square.  Demands of half the degree ask every cell's disk to cover at least
-as much weight on its own side as on the other.
+as much weight on its own side as on the other.  Under ONCE loops the degree
+is the area the disk covers, own square once, so the physical-majority
+scheme is the half-degree one on that graph.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from operator import sub
 from typing import Iterable
 
 from .errors import TooFewCellsError
-from .graph import Demands, LoopMode, WeightedGraph, _assemble, without_loops
+from .graph import Demands, LoopMode, WeightedGraph, _assemble
 from .solver import DEFAULT_MAX_MOVES, solve
 from .value import Value
 
@@ -260,26 +262,18 @@ class DemandScheme(Enum):
     PHYSICAL_MAJORITY = "physical"
 
 
-def _covered_area(graph: WeightedGraph, x: int) -> float:
-    # total area of the disk around x lying over existing cells, own square
-    # once: the loop term less the loop is 0 or w_xx, exactly
-    return graph.d[x] - (graph.loop_term[x] - graph.loops[x])
-
-
 def squares_demands(graph: WeightedGraph, scheme: DemandScheme) -> Demands:
-    """Demands for a grid graph.
+    """Demands a = b = d/2 for a grid graph, under either scheme.
 
-    HALF_DEGREE sets a = b = d/2 under the graph's loop convention.
-    PHYSICAL_MAJORITY encodes "at least half of the covered area is on my
-    side" directly on the loopless reduced graph: a = b =
-    max(0, T/2 - w_xx) with T the total covered area (own square once).
+    HALF_DEGREE takes d under the graph's loop convention.
+    PHYSICAL_MAJORITY asks that at least half of each cell's covered area
+    (own square once) lie on its own side.  Under ONCE loops d is that area
+    and a side degree is the covered area on that side, so the demand is
+    d/2 again; a graph with DOUBLE loops raises ValueError.
     """
-    if scheme is DemandScheme.HALF_DEGREE:
-        vals = tuple(d / 2.0 for d in graph.d)
-        return Demands(vals, vals)
-    vals = tuple(
-        max(0.0, 0.5 * _covered_area(graph, x) - graph.loops[x]) for x in range(graph.n)
-    )
+    if scheme is DemandScheme.PHYSICAL_MAJORITY and graph.loop_mode is not LoopMode.ONCE:
+        raise ValueError("physical-majority demands need a grid graph with ONCE loops")
+    vals = tuple(d / 2.0 for d in graph.d)
     return Demands(vals, vals)
 
 
@@ -289,10 +283,11 @@ class SquaresResult(Value):
     ``margins`` maps each cell to its physical margin: same-colored covered
     area minus other-colored covered area within its disk (own square counted
     once).  Graph-sense stability is gated exactly; physical margins are
-    reported, not gated.  The certificate's feasibility is the precondition
-    of the instance the scheme defines, as ``check_feasibility`` reports it:
-    half-degree demands on the grid graph with its loops, physical demands on
-    the loopless graph they are set for.  ``precondition_ok`` reads it.
+    reported, not gated.  Each margin is read from the certificate's
+    verification slack; under ONCE loops, and so for the physical scheme,
+    it is twice that slack exactly, hence at least 0.  The certificate's
+    feasibility is ``check_feasibility`` of the grid graph solved with its
+    d/2 demands; ``precondition_ok`` reads it.
     """
 
     __slots__ = (
@@ -306,30 +301,22 @@ def solve_squares(
     loop_mode: LoopMode = LoopMode.DOUBLE,
     max_moves: int = DEFAULT_MAX_MOVES,
 ) -> SquaresResult:
-    """Build the grid graph, derive demands, solve, and report per-cell
-    physical margins.  Half-degree demands are solved on the grid graph,
-    physical ones on the loopless copy they are set for."""
+    """Build the grid graph, solve it with demands d/2, and report per-cell
+    physical margins.  The physical scheme is the half-degree one on the
+    grid graph with ONCE loops, which it builds whatever ``loop_mode`` is
+    passed."""
+    if scheme is DemandScheme.PHYSICAL_MAJORITY:
+        loop_mode = LoopMode.ONCE
     graph = build_grid_graph(instance, loop_mode)
-    demands = squares_demands(graph, scheme)
-    target = graph if scheme is DemandScheme.HALF_DEGREE else without_loops(graph)
-    partition, cert = solve(target, demands, max_moves=max_moves)
+    partition, cert = solve(graph, squares_demands(graph, scheme), max_moves=max_moves)
 
     cells = instance.cells
-    margins: dict[Cell, float] = {}
-    strict = 0
-    in_a = [x in partition.a for x in range(graph.n)]
-    # not graph._side_degree: a margin adds the own square first, the loop
-    # term last would change the last bits of about a third of the margins
-    for x in range(graph.n):
-        side = in_a[x]
-        cov_same = graph.loops[x]
-        for y, w in graph.adjacency[x]:
-            if in_a[y] is side:
-                cov_same += w
-        margin = 2.0 * cov_same - _covered_area(graph, x)
-        margins[cells[x]] = margin
-        if margin > 0.0:
-            strict += 1
+    # the covered areas count the own square once: cov_same = side degree -
+    # (loop term - w_xx) and T = d - (loop term - w_xx), so with slack = side
+    # degree - d/2, 2 cov_same - T = 2 slack - (loop term - w_xx)
+    per_cell = zip(cells, cert.verification, graph.loop_term, graph.loops)
+    margins = {cell: 2.0 * slack - (term - loop) for cell, slack, term, loop in per_cell}
+    strict = sum(margin > 0.0 for margin in margins.values())
 
     side_a = tuple(cells[x] for x in sorted(partition.a))
     side_b = tuple(cells[x] for x in sorted(partition.b))

@@ -16,7 +16,7 @@ are integers and ``d`` is below 2^53, so every sum of the row's terms, in
 any order, is an integer a double holds exactly.
 
 Every graph is made by ``_assemble``, the one place that computes the caches;
-``build_graph``, ``without_loops`` and ``geometry.build_grid_graph`` end in it.
+``build_graph`` and ``geometry.build_grid_graph`` end in it.
 The grid build also flags each row that holds the previous row's weights in
 the same order.  Such a row's partial sum is the same additions of the same
 doubles in the same order, so it rounds to the same double; ``_assemble``
@@ -222,11 +222,3 @@ def build_graph(
     loops = tuple(loop_weights.get(x, 0.0) for x in range(len(rows)))
     return _assemble(tuple(label_index), adjacency, loops, loop_mode, label_index)
 
-
-def without_loops(graph: WeightedGraph) -> WeightedGraph:
-    """The same graph with every loop removed (degrees recomputed)."""
-    if not graph.has_loops():
-        return graph
-    return _assemble(
-        graph.labels, graph.adjacency, (0.0,) * graph.n, graph.loop_mode, graph.label_index
-    )

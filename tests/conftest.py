@@ -123,6 +123,18 @@ def reduce_loops(graph, demands):
     )
 
 
+def physical_majority_instance(graph):
+    """The loopless physical-majority instance of a grid graph: the graph
+    rebuilt from its edges without the loops, and demands
+    max(0, T/2 - w_xx), T the area x's disk covers (its row's weights plus
+    its own square once).  A partition stable for it keeps at least half of
+    every cell's covered area on the cell's own side."""
+    loopless, _ = reduce_loops(graph, Demands.constant(graph.n, 0.0, 0.0))
+    covered = [sum(w for _, w in row) + loop for row, loop in zip(graph.adjacency, graph.loops)]
+    demands = [max(0.0, t / 2.0 - loop) for t, loop in zip(covered, graph.loops)]
+    return loopless, Demands(demands, demands)
+
+
 def random_graph(rng: random.Random, n, p, weight_range=(0.1, 2.0), loops=False,
                  loop_mode=LoopMode.DOUBLE):
     """Plain random graph builder independent of the package generator."""

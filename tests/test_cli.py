@@ -14,6 +14,8 @@ from degsplit import LoopMode, Partition, build_graph, verify_partition
 from degsplit.cli import format_graph_file, main, parse_graph_file
 from degsplit.geometry import DemandScheme, GridInstance, build_grid_graph, squares_demands
 
+from test_geometry import GRID_SHAPES
+
 K9_EDGES = "".join(
     f"v{i} v{j} 1.0\n" for i in range(9) for j in range(i + 1, 9)
 )
@@ -492,7 +494,7 @@ PUBLIC_NAMES = {
     "NonPositiveWeightError NoSatisfyingSetError PartitionCollapseError "
     "SingleVertexGraphError SolverError TooFewCellsError TooLargeError "
     "UnstablePartitionError",
-    "graph": "Demands LoopMode WeightedGraph build_graph without_loops",
+    "graph": "Demands LoopMode WeightedGraph build_graph",
     "core": "minimal_satisfying_set peel",
     "solver": "DEFAULT_MAX_MOVES FeasibilityReport Move Partition SolveCertificate "
     "Violation check_feasibility find_stable_pair solve verify_partition",
@@ -520,7 +522,7 @@ def test_star_import_binds_each_public_name_from_its_module():
         "del names['__builtins__']\n"
         f"table = {PUBLIC_NAMES!r}\n"
         "expected = {n: m for m, line in table.items() for n in line.split()}\n"
-        "assert len(expected) == 41 and set(names) == set(expected), set(names) ^ set(expected)\n"
+        "assert len(expected) == 40 and set(names) == set(expected), set(names) ^ set(expected)\n"
         "for name, module in expected.items():\n"
         "    home = importlib.import_module('degsplit.' + module)\n"
         "    assert names[name] is getattr(home, name), name\n"
@@ -533,8 +535,7 @@ def test_submodules_resolve_after_a_bare_import():
         "import degsplit\n"
         f"for module in {sorted(PUBLIC_NAMES)!r}:\n"
         "    assert getattr(degsplit, module) is sys.modules['degsplit.' + module], module\n"
-        "g = degsplit.graph.build_graph([(0, 1, 1.0)])\n"
-        "assert degsplit.without_loops(g) is g\n"
+        "assert degsplit.build_graph is degsplit.graph.build_graph\n"
     )
 
 
@@ -656,6 +657,21 @@ def test_squares_physical_scheme(capsys, tmp_path):
     assert len(payload["A"]) + len(payload["B"]) == 25
     # strict-majority demands sit outside the guarantee zone
     assert payload["precondition_ok"] is False
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [tuple((i, j) for i in range(5) for j in range(5)), GRID_SHAPES["ragged-a"]],
+    ids=["rect-5x5", "ragged-a"],
+)
+def test_squares_physical_scheme_is_half_degree_under_once_loops(capsys, tmp_path, cells):
+    path = write(tmp_path, "grid.cells", "".join(f"{i} {j}\n" for i, j in cells))
+    base = ["squares", "--cells", path, "--radius", "2.1"]
+    once = run_cli(capsys, [*base, "--scheme", "half-degree", "--loop-mode", "once"])
+    assert once[0] == 0
+    # the physical scheme builds ONCE loops whatever --loop-mode says
+    for extra in ([], ["--loop-mode", "double"]):
+        assert run_cli(capsys, [*base, "--scheme", "physical", *extra]) == once
 
 
 def test_gen_roundtrip_and_determinism(capsys, tmp_path):

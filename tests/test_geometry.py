@@ -22,12 +22,11 @@ from degsplit import (
     solve_squares,
     squares_demands,
     verify_partition,
-    without_loops,
 )
 from degsplit.geometry import MIN_EDGE_WEIGHT, _pair_rows, _stencil_rows
 from degsplit.graph import _assemble
 
-from conftest import reduce_loops
+from conftest import physical_majority_instance, reduce_loops
 
 
 def quadrature_area(dx, dy, r):
@@ -415,20 +414,21 @@ class TestSquaresDemands:
         center = g.index_of((4, 4))
         assert abs(dem.a[center] - math.pi * 2.1 * 2.1 / 2.0) < 1e-6
 
-    def test_physical_majority_clamps_small_radius(self):
-        # r below sqrt(2/pi): own square already covers the majority
-        inst = GridInstance.rectangle(3, 3, 0.5)
-        g = build_grid_graph(inst)
-        dem = squares_demands(g, DemandScheme.PHYSICAL_MAJORITY)
-        assert dem.a == (0.0,) * 9
+    def test_physical_demands_are_half_degree_of_the_once_graph(self):
+        # at r = 0.5 a cell's own square is most of its covered area
+        for inst in (GridInstance.rectangle(5, 5, 2.1), GridInstance.rectangle(3, 3, 0.5)):
+            g = build_grid_graph(inst, LoopMode.ONCE)
+            dem = squares_demands(g, DemandScheme.PHYSICAL_MAJORITY)
+            assert dem == squares_demands(g, DemandScheme.HALF_DEGREE)
+            for x in range(g.n):
+                # the covered area, own square once, is the ONCE degree
+                covered = sum(w for _, w in g.adjacency[x]) + g.loops[x]
+                assert dem.a[x] == covered / 2.0
 
-    def test_physical_majority_formula(self):
-        inst = GridInstance.rectangle(5, 5, 2.1)
-        g = build_grid_graph(inst, LoopMode.DOUBLE)
-        dem = squares_demands(g, DemandScheme.PHYSICAL_MAJORITY)
-        x = g.index_of((2, 2))
-        covered = sum(w for _, w in g.adjacency[x]) + g.loops[x]
-        assert math.isclose(dem.a[x], covered / 2.0 - g.loops[x], rel_tol=1e-12)
+    def test_physical_majority_on_a_double_graph_raises(self):
+        g = build_grid_graph(GridInstance.rectangle(3, 3, 2.1), LoopMode.DOUBLE)
+        with pytest.raises(ValueError, match="ONCE loops"):
+            squares_demands(g, DemandScheme.PHYSICAL_MAJORITY)
 
 
 class TestSolveSquares:
@@ -470,10 +470,17 @@ class TestSolveSquares:
             result = solve_squares(GridInstance.rectangle(10, 10, 2.1), scheme)
             assert result.certificate.feasibility.feasible == result.precondition_ok
 
-    def test_margin_reference(self):
-        inst = GridInstance.rectangle(4, 4, 1.3)
-        result = solve_squares(inst)
-        g = build_grid_graph(inst)
+    @pytest.mark.parametrize("scheme", list(DemandScheme))
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    @pytest.mark.parametrize(
+        "cells", [GridInstance.rectangle(4, 4, 1.3).cells, GRID_SHAPES["ragged-a"]],
+        ids=["rect-4x4", "ragged-a"],
+    )
+    def test_margin_reference(self, cells, loop_mode, scheme):
+        inst = GridInstance(cells, 1.3)
+        result = solve_squares(inst, scheme, loop_mode)
+        mode = LoopMode.ONCE if scheme is DemandScheme.PHYSICAL_MAJORITY else loop_mode
+        g = build_grid_graph(inst, mode)
         in_a = set(result.side_a)
         for x in range(g.n):
             cell = inst.cells[x]
@@ -487,6 +494,8 @@ class TestSolveSquares:
             assert math.isclose(
                 result.margins[cell], cov_same - cov_other, rel_tol=1e-9, abs_tol=1e-9
             )
+            if mode is LoopMode.ONCE:
+                assert result.margins[cell] == 2 * result.certificate.verification[x]
 
     def test_reduction_report_matches_half_degree_theory(self):
         # demands d/2 under DOUBLE leave slack 2*(w_xx - W) on the reduced
@@ -576,14 +585,11 @@ PHYSICAL_RECTANGLES = [
 
 def physical_margins(instance):
     """Solve with physical-majority demands, re-verify the partition on the
-    loopless graph those demands are meant for, and return the margins."""
+    loopless majority instance of the reference, and return the margins."""
     result = solve_squares(instance, DemandScheme.PHYSICAL_MAJORITY)
     graph = build_grid_graph(instance)
-    partition = Partition(
-        {graph.index_of(c) for c in result.side_a}, {graph.index_of(c) for c in result.side_b}
-    )
-    demands = squares_demands(graph, DemandScheme.PHYSICAL_MAJORITY)
-    assert verify_partition(without_loops(graph), demands, partition) == []
+    partition = squares_partition(graph, result)
+    assert verify_partition(*physical_majority_instance(graph), partition) == []
     return list(result.margins.values())
 
 

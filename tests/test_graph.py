@@ -13,7 +13,6 @@ from degsplit import (
     NonPositiveWeightError,
     build_graph,
     build_grid_graph,
-    without_loops,
 )
 
 from conftest import branching_degree, complete_graph, mixed_graph, random_graph, zero_band
@@ -107,16 +106,6 @@ def test_degree_profile_single_vertex():
 
 def test_degree_profile_k9(k9):
     assert k9.d == (8.0,) * 9
-
-
-def test_without_loops():
-    g = build_graph([("x", "y", 1.0), ("x", "x", 3.0)], LoopMode.DOUBLE)
-    bare = without_loops(g)
-    assert bare.d == (1.0, 1.0)
-    assert bare.loops == (0.0, 0.0)
-    assert bare.W == g.W
-    # loopless input comes back unchanged
-    assert without_loops(bare) is bare
 
 
 def test_demands_validation():
@@ -240,11 +229,6 @@ class TestExactRows:
         assert g.d[0] == 2.0 ** 52 + 2.0
         assert zero_band(g) == (exact, True, True)
 
-    def test_without_loops_recomputes_the_bands(self):
-        g = build_graph([(0, 1, 1.0), (0, 0, 0.25)])
-        assert zero_band(g) == (False, True)
-        assert without_loops(g).band == (0.0, 0.0)
-
 
 def reference_band(graph):
     """8 (k + 2) 2^-53 d per row of k neighbours, or 0 when the row's edge
@@ -267,19 +251,18 @@ class TestBandFormula:
     def assert_formula(graph):
         assert [b.hex() for b in graph.band] == [b.hex() for b in reference_band(graph)]
 
-    def test_build_graph_and_without_loops(self, loop_mode):
+    def test_build_graph(self, loop_mode):
         rng = random.Random(29)
         exact_rows = banded_rows = 0
         for _ in range(40):
             g = mixed_graph(rng, rng.randint(4, 20), 0.4, rng.randint(1, 3), (1.0, 2.0, 3.0),
                             loop_mode, True)
-            for graph in (g, without_loops(g)):
-                self.assert_formula(graph)
-                exact_rows += sum(zero_band(graph))
-                banded_rows += graph.n - sum(zero_band(graph))
-        assert exact_rows >= 200 and banded_rows >= 200
+            self.assert_formula(g)
+            exact_rows += sum(zero_band(g))
+            banded_rows += g.n - sum(zero_band(g))
+        assert exact_rows >= 100 and banded_rows >= 300
 
-    def test_build_grid_graph_and_without_loops(self, loop_mode):
+    def test_build_grid_graph(self, loop_mode):
         # overlap areas are fractions but for whole squares: a cell far from
         # the rest has only its own square, a loop of 1, and at r = 10 every
         # square of a 3x3 block lies inside every disk
@@ -288,9 +271,8 @@ class TestBandFormula:
                                 (GridInstance.rectangle(3, 3, 10.0), (True,) * 9)):
             g = build_grid_graph(instance, loop_mode)
             assert g.has_loops()
-            assert zero_band(g) == zero_band(without_loops(g)) == exact
+            assert zero_band(g) == exact
             self.assert_formula(g)
-            self.assert_formula(without_loops(g))
 
 
 @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
@@ -306,22 +288,18 @@ class TestLoopTerm:
             (factor * w if w else 0.0).hex() for w in graph.loops
         ]
 
-    def test_build_graph_and_without_loops(self, loop_mode):
+    def test_build_graph(self, loop_mode):
         rng = random.Random(31)
         looped = loopless = 0
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 16), rng.uniform(0.2, 0.9), loops=True,
                              loop_mode=loop_mode)
-            for graph in (g, without_loops(g)):
-                self.assert_terms(graph)
-                looped += sum(1 for w in graph.loops if w)
-                loopless += sum(1 for w in graph.loops if not w)
-            assert without_loops(g).loop_term == (0.0,) * g.n
-        assert looped >= 100 and loopless >= 200
+            self.assert_terms(g)
+            looped += sum(1 for w in g.loops if w)
+            loopless += sum(1 for w in g.loops if not w)
+        assert looped >= 100 and loopless >= 150
 
-    def test_build_grid_graph_and_without_loops(self, loop_mode):
+    def test_build_grid_graph(self, loop_mode):
         g = build_grid_graph(GridInstance.rectangle(6, 5, 2.6), loop_mode)
         assert all(g.loops)
         self.assert_terms(g)
-        self.assert_terms(without_loops(g))
-        assert without_loops(g).loop_term == (0.0,) * g.n
