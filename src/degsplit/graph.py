@@ -76,9 +76,6 @@ class WeightedGraph(Value):
     def index_of(self, label: Label) -> int:
         return self.label_index[label]
 
-    def has_loops(self) -> bool:
-        return any(w > 0.0 for w in self.loops)
-
 
 class Demands(Value):
     """Per-vertex non-negative degree targets for the two sides."""

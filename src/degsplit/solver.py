@@ -358,19 +358,6 @@ def verify_partition(
     ]
 
 
-def _attach_isolated(side_a, side_b, isolated, demands):
-    # zero-degree vertices change no induced degree; side A by default,
-    # side B when only the b-demand is zero, A again when neither demand is
-    # satisfiable (the verification gate reports those)
-    for x in isolated:
-        if demands.a[x] == 0.0:
-            side_a.add(x)
-        elif demands.b[x] == 0.0:
-            side_b.add(x)
-        else:
-            side_a.add(x)
-
-
 def solve(
     graph: WeightedGraph,
     demands: Demands,
@@ -379,12 +366,17 @@ def solve(
     """Find a stable partition: stable pair, completion, then an exact
     post-hoc verification of both demand families.
 
-    Zero-degree vertices change no induced degree; they are removed up front
-    and re-attached afterwards (to side A, or to B when only their b-demand
-    is zero).  Never returns an unstable partition: if verification fails,
-    which requires an input violating the degree precondition, the solver
-    raises CompletionAssertFailedError when a vertex that completion added
-    to A misses its a-demand, and UnstablePartitionError otherwise.
+    Only a graph with an edge is searched.  A vertex the search leaves out
+    (of zero degree, or in a graph without edges) has side degree ``d[x]``
+    on either side, so it goes to A if that meets its a-demand, else to B if
+    it meets its b-demand, else to A, where the gate reports it.  If a side
+    is left empty, which needs a graph without edges, the lowest vertex
+    meeting that side's demand moves there, or the lowest vertex if none
+    does; so a graph without edges is solved whenever it can be.  Never
+    returns an unstable partition: if verification fails, which requires an
+    input violating the degree precondition, the solver raises
+    CompletionAssertFailedError when a vertex that completion added to A
+    misses its a-demand, and UnstablePartitionError otherwise.
 
     ``certificate.feasibility`` is ``check_feasibility`` of the instance
     given: the slack of the instance with every loop dropped and demands
@@ -395,12 +387,12 @@ def solve(
     if graph.n < 2:
         raise SingleVertexGraphError("no partition exists with fewer than two vertices")
     active = _active(graph, demands, max_moves)
-    isolated = sorted(set(range(graph.n)) - active)
 
     cert = SolveCertificate()
+    side_a, side_b = set(), set()
     # the vertices completion adds to A
     grown = frozenset()
-    if len(active) >= 2:
+    if any(graph.adjacency):
         abar, bbar, cert = find_stable_pair(graph, demands, max_moves)
         cert.phase_log.append(PHASE_COMPLETION)
         # B is the b-core of everything outside Abar, which holds Bbar; a
@@ -412,18 +404,16 @@ def solve(
             side_b = set(peel(graph, active - abar, demands.b))
         side_a = set(active - side_b)
         grown = side_a - abar
-        _attach_isolated(side_a, side_b, isolated, demands)
-    elif len(active) == 1:
-        side_a, side_b = set(active), set()
-        _attach_isolated(side_a, side_b, isolated, demands)
-        if not side_b:
-            # keep both sides non-empty: move whichever vertex can meet its
-            # b-demand alone; no vertex here has an edge, so that degree is d
-            mover = min(side_a, key=lambda x: (graph.d[x] < demands.b[x], x))
-            side_a.discard(mover)
-            side_b.add(mover)
-    else:
-        side_a, side_b = {0}, set(range(1, graph.n))
+
+    d = graph.d
+    # A if d[x] meets the a-demand, else B if it meets the b-demand, else A
+    for x in set(range(graph.n)) - side_a - side_b:
+        (side_a if d[x] >= demands.a[x] or d[x] < demands.b[x] else side_b).add(x)
+    for side, other, dem in ((side_a, side_b, demands.a), (side_b, side_a, demands.b)):
+        if not side:
+            mover = min(other, key=lambda x: (d[x] < dem[x], x))
+            other.discard(mover)
+            side.add(mover)
 
     cert.phase_log.insert(0, PHASE_FEASIBILITY)
     cert.feasibility = check_feasibility(graph, demands)

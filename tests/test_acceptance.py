@@ -312,7 +312,7 @@ def test_criterion_8_loop_reduction_consistency():
                 tuple(dem.b[x] + factor * loops[x] for x in range(n)),
             )
             loopless, demands = reduce_loops(graph, lifted)
-            assert not loopless.has_loops()
+            assert not any(loopless.loops)
 
             partition, _ = solve(loopless, demands)
             assert verify_partition(loopless, demands, partition) == []

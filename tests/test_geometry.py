@@ -561,15 +561,18 @@ class TestSolveSquaresMatchesTheReducedPath:
 
     @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
     def test_cells_without_edges_split_stably(self, loop_mode):
-        # at r = 0.4 no disk reaches a neighbour's square: the loopless copy
-        # has no active vertex and splits {first cell} | rest, while the
-        # grid graph's loops make every cell active, so the search picks the
-        # split; both verify on the grid graph
+        # at r = 0.4 no disk reaches a neighbour's square, so neither graph
+        # has an edge and neither is searched: every cell meets its a-demand
+        # (0 on the loopless copy, half its loop's degree share on the grid
+        # graph), so all go to A and the first cell moves to B, which it
+        # meets too; both splits are rest | {first cell} and verify on the
+        # grid graph
         for width, height in LOOPED_RECTANGLES:
             instance = GridInstance.rectangle(width, height, 0.4)
             graph, partition, _ = reduced_half_degree(instance, loop_mode)
-            assert partition.a == {0}
+            assert partition.b == {0}
             result = solve_squares(instance, loop_mode=loop_mode)
+            assert result.side_b == instance.cells[:1]
             demands = squares_demands(graph, DemandScheme.HALF_DEGREE)
             assert verify_partition(graph, demands, squares_partition(graph, result)) == []
 

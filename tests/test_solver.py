@@ -399,11 +399,9 @@ class TestKeptDegreeClimbMatchesReference:
     the reseeds run against each other."""
 
     @staticmethod
-    def long_climbs(seeds, weight):
-        # climbs of 5 or more moves; weight(rng) gives each edge's weight
-        long_climbs = 0
-        for seed in range(seeds):
-            rng = random.Random(seed)
+    def zero_slack(weight):
+        # G(n, 0.3), n from 30 to 60, weight(rng) per edge, a = b = (d - 2W) / 2
+        def instance(rng):
             n = rng.randint(30, 60)
             edges = [
                 (i, j, weight(rng))
@@ -413,7 +411,16 @@ class TestKeptDegreeClimbMatchesReference:
             ]
             g = build_graph(edges, vertices=range(n))
             dem = [max(0.0, (g.d[x] - 2.0 * g.W[x]) / 2.0) for x in range(n)]
-            demands = Demands(tuple(dem), tuple(dem))
+            return g, Demands(tuple(dem), tuple(dem))
+
+        return instance
+
+    @staticmethod
+    def long_climbs(seeds, instance):
+        # climbs of 5 or more moves; instance(rng) gives (graph, demands)
+        long_climbs = 0
+        for seed in range(seeds):
+            g, demands = instance(random.Random(seed))
             got = climb_outcome(kept_degree_climb, g, demands)
             assert got == climb_outcome(reference_find_stable_pair, g, demands), seed
             if isinstance(got, tuple) and len(got[1]) >= 5:
@@ -422,13 +429,39 @@ class TestKeptDegreeClimbMatchesReference:
 
     @pytest.mark.parametrize("weight", [1.0, 0.1, 0.2, 0.3, 0.7, 1 / 3])
     def test_same_climb(self, weight):
-        assert self.long_climbs(40, lambda rng: weight) >= 10
+        assert self.long_climbs(40, self.zero_slack(lambda rng: weight)) >= 10
 
     def test_same_climb_with_mixed_weights(self):
         # U(0.5, 1) per edge, as ``degsplit gen`` draws weights.  Such
         # instances climb less often: 7 of seeds 0-39 and 11 of seeds 0-79
         # make 5 or more moves
-        assert self.long_climbs(80, lambda rng: rng.uniform(0.5, 1.0)) >= 10
+        assert self.long_climbs(80, self.zero_slack(lambda rng: rng.uniform(0.5, 1.0))) >= 10
+
+    def test_same_climb_when_the_side_with_a_core_has_no_witness(self, monkeypatch):
+        # outside the guarantee the side holding a core can have every
+        # member at demand + W or above, so it has no witness and the other
+        # side moves instead.  Integer demands up to the degree on dense
+        # unit-weight graphs make those ties exact: seeds 0-399 reach it on
+        # 7 instances, and each of them raises
+        def instance(rng):
+            n = rng.randint(4, 8)
+            edges = [(i, j, 1.0) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.9]
+            g = build_graph(edges, vertices=range(n))
+            a, b = ([float(rng.randint(0, int(g.d[x]))) for x in range(n)] for _ in "ab")
+            return g, Demands(a, b)
+
+        reached = []
+        original = core_module._KeptSet.witness
+
+        def witness(kept, target):
+            found = original(kept, target)
+            if found is None:
+                reached.append(kept.graph)
+            return found
+
+        monkeypatch.setattr(core_module._KeptSet, "witness", witness)
+        self.long_climbs(400, instance)
+        assert len({id(g) for g in reached}) >= 3
 
 
 def reference_complete_sets(graph, demands, pair, universe):
@@ -875,10 +908,12 @@ class TestSolve:
             solve(g, dem)
 
     def test_all_isolated(self):
+        # every vertex meets a = 0 and goes to A, then the lowest vertex
+        # meeting b = 0 moves to the empty side B
         g = build_graph([], vertices=["p", "q", "r"])
         part, _ = solve(g, Demands.constant(3, 0.0, 0.0))
-        assert part.a == {0}
-        assert part.b == {1, 2}
+        assert part.a == {1, 2}
+        assert part.b == {0}
 
     def test_single_loop_vertex_with_demanding_isolated_neighbor(self):
         # u (a=0, b=5) can only sit on A, so v (b=0) must fill side B
@@ -888,6 +923,42 @@ class TestSolve:
         assert g.index_of("u") in part.a
         assert g.index_of("v") in part.b
         assert not verify_partition(g, dem, part)
+
+    def test_isolated_vertex_missing_its_a_demand_goes_to_b(self):
+        g = build_graph([], vertices=range(3))
+        dem = Demands((1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+        part, _ = solve(g, dem)
+        assert part.b == {0}
+        assert not verify_partition(g, dem, part)
+
+    def test_loop_vertex_fills_b_when_its_isolated_neighbour_cannot(self):
+        # v's loop degree 2 misses a = 5 and meets b = 1; u meets a = 0
+        g = build_graph([("v", "v", 1.0)], vertices=["u", "v"])
+        dem = Demands((0.0, 5.0), (0.0, 1.0))
+        part, _ = solve(g, dem)
+        assert part.a == {g.index_of("u")}
+        assert not verify_partition(g, dem, part)
+
+    def test_graphs_without_edges_are_solved_whenever_they_can_be(self):
+        # every split of such a graph gives each vertex its own loop term,
+        # so solve must find a stable partition exactly when the oracle does
+        rng = random.Random(7)
+        solvable = 0
+        for _ in range(4000):
+            n = rng.randint(2, 5)
+            mode = rng.choice([LoopMode.ONCE, LoopMode.DOUBLE])
+            loops = [rng.choice([0.0, 0.0, 0.5, 1.0, 2.0]) for _ in range(n)]
+            a, b = ([rng.choice([0.0, 0.5, 1.0, 2.0, 3.0]) for _ in range(n)] for _ in "ab")
+            g = build_graph([(x, x, w) for x, w in enumerate(loops) if w], mode, vertices=range(n))
+            dem = Demands(a, b)
+            if brute_force_solve(g, dem).exists:
+                solvable += 1
+                part, _ = solve(g, dem)
+                assert not verify_partition(g, dem, part)
+            else:
+                with pytest.raises(UnstablePartitionError):
+                    solve(g, dem)
+        assert solvable == 1022
 
     def test_vertex_meeting_neither_demand_fails_completion(self, path3):
         # the stable pair ({x}, {z}) leaves y, which has degree 2 against
