@@ -5,11 +5,12 @@ falls below its threshold until none remains.  The surviving set is the
 unique maximal subset in which every vertex meets its threshold, and it does
 not depend on the deletion order.
 
-``peel``, ``minimal_satisfying_set`` and both sides of the solver's
-hill-climb build on one kept set, ``_KeptSet``: a cascade engine in the
-manner of Batagelj and Zaversnik's O(m) cores algorithm.  Its state is two flat arrays indexed
-by vertex: a ``bytearray`` of membership flags and a ``list`` of kept
-degrees, so a neighbour update costs two index operations and no hashing.
+``peel`` and both sides of the solver's hill-climb keep a ``_KeptSet``,
+and ``minimal_satisfying_set`` keeps one set of its own; all of them peel
+with ``_cascade``, in the manner of Batagelj and Zaversnik's O(m) cores
+algorithm.  A set is two flat arrays indexed by vertex: a ``bytearray`` of
+membership flags and a ``list`` of kept degrees, so a neighbour update
+costs two index operations and no hashing.
 Each member's entry holds its induced degree, and a deletion clears the
 member's flag and subtracts its edge weight from every neighbour still
 flagged; entries of vertices left out are never read.  Subtraction drifts a
@@ -24,8 +25,8 @@ loop term are integers and d(x) < 2^53.  Every sum of some of its terms is
 then an integer below 2^53, which a double holds, so each addition or
 subtraction that leads from one such sum to another is exact, in whatever
 order: the kept degree is the exact sum at every step.  Such a vertex gets
-a band of 0 in ``graph.band``, which the kept set reads as "the kept degree
-is the exact sum": the cascade decides it on deg(x) < threshold(x) without
+a band of 0 in ``graph.band``, which reads as "the kept degree is the
+exact sum": the cascade decides it on deg(x) < threshold(x) without
 an exact sum, it is never reseeded, and the witness and ``exact`` take a
 member's deg(x) as its exact degree.  A band of 0 means the same on any
 other row: it rounds to 0 only when d(x) < 2^-1022, where every partial sum
@@ -42,11 +43,11 @@ Above that it is kept without an exact sum.  Exactly there, the kept degree
 drifts by at most half the band (see below), so the exact sum still exceeds
 the threshold; on an exact row the kept degree is the exact sum and meets
 it.  Degrees only fall during a cascade, so the next decrement that brings
-the vertex below its threshold plus its band queues it again.  Every kept
-degree starts from one seed: ``graph.d[x]`` less the weights to x's
+the vertex below its threshold plus its band queues it again.  A kept
+set's degrees start from one seed: ``graph.d[x]`` less the weights to x's
 neighbours left out.  ``graph.d[x]`` is the exact sum with every neighbour
 flagged; each subtraction counts as one single-edge update since that exact
-sum.
+sum.  ``minimal_satisfying_set`` seeds by adding rows instead (see below).
 
 The band is the one bound on how far a kept degree may drift.  It covers an
 exact sum (k + 1 roundings), then up to k single-edge updates, from the seed
@@ -85,42 +86,42 @@ old core.
 ``minimal_satisfying_set`` also stops failing trials early.  Call a member
 essential once its own trial has failed, that is, left the rest's core empty.
 A later trial of v that would delete an essential vertex u is abandoned and
-fails too: core(S - v) lies in S - u and so in core(S - u), which lies in
-core(S_u - u) = {} for the larger set S_u that u was tried in.  The trial is
+fails too: core(X - v) lies in X - u and so in core(X - u), which lies in
+core(Y - u) = {} for the larger set Y that u was tried in.  The trial is
 abandoned at the decrement already: when a deletion lowers u's kept degree
 below threshold(u) - band(u), the cascade would delete u without an exact
 sum, since degrees only fall during a cascade.  Inside the band the trial
 goes on, and u is decided on the exact sum when the cascade reaches it.
 
-And it skips trials that cannot fail.  Let C be the initial core, in
-ascending order, and C_u its members from u on.  Before its first failed
-trial the pass reaches member u in the state core(C_u).  A kept trial of v
-turns core(X) into core(core(X) - v), and that is core(X - v): core(X - v)
-lies in X - v and, by monotonicity, in core(X), so in core(X) - v; and
-core(core(X) - v) lies in core(X - v) by monotonicity.  A member v already
-deleted is not tried, and then core(C_v) = core(C_v - v) already.  When
-core(C_u) is non-empty, every trial below u succeeds as well, since the core
-it leaves contains core(C_u).  So the pass probes suffixes of C from its end,
-of 1, 2, 4, ... members, and where a suffix starting at u has a non-empty
-core it takes that core as its state and goes on trying from u: every later
-trial, essential vertex and early abort is the one the ascending pass makes.
-Probing ends at the first failed trial, of v say: core(C_v - v) is empty,
-and so is the core of every later suffix, which lies in it.  A probe of s
-members waits until 2s trials have been kept, so a pass whose first trial
-fails early probes little, and the probes that find an empty core cost at
-most about as much as the trials before them.
+And it skips trials that cannot fail.  Let S be the set searched, in
+ascending order, C = core(S) the initial core, and S_u and C_u their
+members from u on.  Before its first failed trial the ascending pass
+reaches member u in the state core(C_u).  A kept trial of v turns core(X)
+into core(core(X) - v), and that is core(X - v): core(X - v) lies in X - v
+and, by monotonicity, in core(X), so in core(X) - v; and core(core(X) - v)
+lies in core(X - v) by monotonicity.  A member v already deleted is not
+tried, and then core(C_v) = core(C_v - v) already.  When core(C_u) is
+non-empty, every trial below u succeeds as well, since the core it leaves
+contains core(C_u).  And core(S_u) = core(C_u): core(S_u) lies in S_u and
+in core(S) = C, so in C_u, and meets its thresholds there; the converse is
+monotonicity.  So the pass first probes suffixes of S from its end, of 1,
+2, 4, ... members and last all of S.  The first whose core is non-empty,
+S_u say, gives the state the ascending pass reaches at u, and the pass
+goes on trying from u: every later trial, essential vertex and early abort
+is the one the ascending pass makes.  If even core(S) is empty, no set
+meets the demands.
 
-A probe seeds its kept degrees once, adding the suffix's rows from its end:
-a member's kept degree starts at its loop term and takes one addition per
-neighbour in the suffix, as that neighbour's row or its own is added, and a
-larger probe adds only its new rows.  That is k roundings at most, fewer
-than a seed from d spends (an exact sum, then up to k single-edge updates),
-and the cascade's subtractions come after them, so the band covers a
-probe's kept degrees; an empty probe is undone from its log of degree
-changes, as a failed trial is.  A probe whose members all have kept degree
-below threshold - band cascades no further: each member's exact degree in
-the suffix is then below its threshold, so the suffix's core is empty, as
-the cascade would find.
+The probes seed their kept degrees once, adding the rows of S from its
+end: a member's kept degree starts at its loop term and takes one addition
+per neighbour in the suffix, as that neighbour's row or its own is added,
+and a larger probe adds only its new rows.  That is k roundings at most,
+fewer than a seed from d spends (an exact sum, then up to k single-edge
+updates), and the cascade's subtractions come after them, so the band
+covers them; an empty probe is undone from its log of degree changes, as a
+failed trial is.  A probe whose members all have kept degree below
+threshold - band cascades no further: each member's exact degree in the
+suffix is then below its threshold, so the suffix's core is empty, as the
+cascade would find.
 """
 
 from __future__ import annotations
@@ -156,6 +157,30 @@ def _delete(adjacency, flags, deg, thresholds, band, stop, x, stack, log) -> boo
     return True
 
 
+def _cascade(graph, flags, deg, thresholds, stop, stack, log=None) -> bool:
+    # delete every queued vertex below its threshold, and in turn whatever
+    # those deletions push below theirs; False, with the cascade cut short,
+    # as soon as it would delete a vertex flagged in ``stop``
+    adjacency, band = graph.adjacency, graph.band
+    while stack:
+        x = stack.pop()
+        if not flags[x]:
+            continue
+        floor = thresholds[x]
+        # outside the band the kept degree and the exact sum fall on the same
+        # side of the floor; on an exact row (band 0) they are equal
+        if band[x] and abs(deg[x] - floor) <= band[x]:
+            below = _side_degree(graph, flags, x) < floor
+        else:
+            below = deg[x] < floor
+        if below:
+            if stop[x] or not _delete(
+                adjacency, flags, deg, thresholds, band, stop, x, stack, log
+            ):
+                return False
+    return True
+
+
 def _seed(graph, flags, deg, members) -> None:
     # flag each of ``members`` in turn, its kept degree its loop term plus
     # the weights to the members flagged before it, and add its weight to
@@ -171,6 +196,22 @@ def _seed(graph, flags, deg, members) -> None:
         deg[x] = total
 
 
+def _members(graph, members, thresholds) -> bytearray:
+    # the membership flags of ``members``, once they and the thresholds
+    # are checked
+    n = graph.n
+    if len(thresholds) != n:
+        raise ValueError(f"expected {n} thresholds, got {len(thresholds)}")
+    if any(map(math.isnan, thresholds)):
+        raise ValueError("thresholds must not be NaN")
+    flags = bytearray(n)
+    for x in members:
+        if not 0 <= x < n:
+            raise ValueError(f"vertex {x} is out of range")
+        flags[x] = 1
+    return flags
+
+
 class _KeptSet:
     """A vertex set with each member's induced degree kept, under
     per-vertex thresholds (see the module docstring).
@@ -184,17 +225,8 @@ class _KeptSet:
 
     def __init__(self, graph: WeightedGraph, members: Iterable[int], thresholds: Thresholds):
         n = graph.n
-        if len(thresholds) != n:
-            raise ValueError(f"expected {n} thresholds, got {len(thresholds)}")
-        if any(map(math.isnan, thresholds)):
-            raise ValueError("thresholds must not be NaN")
-        flags = bytearray(n)
-        for x in members:
-            if not 0 <= x < n:
-                raise ValueError(f"vertex {x} is out of range")
-            flags[x] = 1
+        self.flags = flags = _members(graph, members, thresholds)
         self.graph, self.thresholds = graph, thresholds
-        self.flags = flags
         # the seed: d[x] less the weights to the neighbours left out, each
         # subtraction counted as an update since the exact sum d[x]
         deg, updates = list(graph.d), [0] * n
@@ -213,36 +245,12 @@ class _KeptSet:
             return self.deg[x]
         return _side_degree(self.graph, self.flags, x)
 
-    def cascade(self, flags, deg, stack, log=None) -> bool:
-        # delete every queued vertex below its threshold, and in turn whatever
-        # those deletions push below theirs; False, with the cascade cut short,
-        # as soon as it would delete a vertex flagged in ``stop``
-        graph, thresholds, stop = self.graph, self.thresholds, self.stop
-        adjacency, band = graph.adjacency, graph.band
-        while stack:
-            x = stack.pop()
-            if not flags[x]:
-                continue
-            floor = thresholds[x]
-            # outside the band the kept degree and the exact sum fall on the same
-            # side of the floor; on an exact row (band 0) they are equal
-            if band[x] and abs(deg[x] - floor) <= band[x]:
-                below = _side_degree(graph, flags, x) < floor
-            else:
-                below = deg[x] < floor
-            if below:
-                if stop[x] or not _delete(
-                    adjacency, flags, deg, thresholds, band, stop, x, stack, log
-                ):
-                    return False
-        return True
-
     def _peel(self, start) -> None:
         # cascade from the members in ``start`` on copies of the flags and
         # degrees; the survivors become the core unless the cascade deletes
         # a vertex flagged in ``stop``
         flags = bytearray(self.flags)
-        if self.cascade(flags, list(self.deg), list(start)):
+        if _cascade(self.graph, flags, list(self.deg), self.thresholds, self.stop, list(start)):
             self._core = frozenset(compress(range(self.graph.n), flags))
 
     @property
@@ -345,81 +353,62 @@ def minimal_satisfying_set(
     every subset too.  So no proper non-empty subset of the result has the
     all-members property.
 
-    One kept set serves the whole pass, peeled in place.  A trial cascades
-    only from the deleted vertex's neighbours; when it empties the set, the
-    deleted vertex and every vertex in its log of degree changes are flagged
-    again and the changes undone.  That restores every vertex it deleted:
-    a trial only deletes, so each logged vertex was a member, and each one
-    deleted after the first was queued by a logged decrement.  A member
-    whose trial failed is essential, and a trial that would delete an
-    essential vertex fails at that point, or already when a deletion takes
-    the essential vertex's degree below its demand by more than the
-    exact-tie band: the core of the rest is empty because it lies in the
-    core of the larger set the essential vertex was tried in, minus that
-    vertex, which was empty.
+    One set of flags and kept degrees serves the whole pass, peeled in
+    place.  A trial cascades only from the deleted vertex's neighbours; when
+    it empties the set, the deleted vertex and every vertex in its log of
+    degree changes are flagged again and the changes undone.  That restores
+    every vertex it deleted: a trial only deletes, so each logged vertex was
+    a member, and each one deleted after the first was queued by a logged
+    decrement.  A member whose trial failed is essential, and a trial that
+    would delete an essential vertex fails at that point, or already when a
+    deletion takes the essential vertex's degree below its demand by more
+    than the exact-tie band: the core of the rest is empty because it lies
+    in the core of the larger set the essential vertex was tried in, minus
+    that vertex, which was empty.
 
-    Until a trial fails, the pass stands at each member u in the state the
-    core of the initial core's members from u on, and every trial below u
-    succeeds when that core is non-empty.  So once 2s trials have been kept
-    it peels the last s members of the initial core on arrays of its own,
-    s = 1, 2, 4, ..., and when their core is non-empty takes it as its
-    state and goes on from the first of them.  Probing ends at the first
-    failed trial, after which every suffix left has an empty core, or once
-    no suffix left to probe starts past the pass.  The result, and every
-    trial from the jump on, are the ascending pass's (see the module
+    The pass starts where the ascending one stands before its first failed
+    trial.  It peels suffixes of ``within`` from its end, of 1, 2, 4, ...
+    members and last all of it, takes the first with a non-empty core as
+    its state and tries the members from that suffix's first on.  The
+    result, and every trial made, are the ascending pass's (see the module
     docstring).
     """
     n = graph.n
-    kept = _KeptSet(graph, range(n) if within is None else within, demands)
-    flags, deg, essential = kept.flags, kept.deg, kept.stop
+    members = _members(graph, range(n) if within is None else within, demands)
+    order = list(compress(range(n), members))
+    flags, deg, essential = bytearray(n), [0.0] * n, bytearray(n)
     adjacency, band = graph.adjacency, graph.band
-    kept.cascade(flags, deg, list(compress(range(n), flags)))
-    if 1 not in flags:
-        raise NoSatisfyingSetError("no non-empty subset meets the demands")
-    order = list(compress(range(n), flags))
-    # the suffix probe: the next size, 0 once probing has stopped, and the
-    # flags and kept degrees of the suffix seeded so far, from ``seeded`` on
-    size, kept_trials, seeded = 1, 0, len(order)
-    probe_flags, probe_deg = bytearray(n), [0.0] * n
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
+    # the probe: suffixes of ``order`` of 1, 2, 4, ... members, and last all
+    # of it, each seeding only the rows the one before left out
+    size, seeded = 1, len(order)
+    while True:
+        start = max(len(order) - size, 0)
+        _seed(graph, flags, deg, reversed(order[start:seeded]))
+        seeded = start
+        suffix = order[start:]
+        if any(deg[x] >= demands[x] - band[x] for x in suffix):
+            log = []
+            _cascade(graph, flags, deg, demands, essential, list(suffix), log)
+            if 1 in flags:
+                break
+            for x in suffix:
+                flags[x] = 1
+            for y, old in reversed(log):
+                deg[y] = old
+        if not start:
+            raise NoSatisfyingSetError("no non-empty subset meets the demands")
+        size *= 2
+    # the ascending pass, on from the suffix's first member
+    for v in suffix:
         if not flags[v]:
             continue
         stack, log = [], []
         if not (
             _delete(adjacency, flags, deg, demands, band, essential, v, stack, log)
-            and kept.cascade(flags, deg, stack, log)
+            and _cascade(graph, flags, deg, demands, essential, stack, log)
             and 1 in flags
         ):
             flags[v] = essential[v] = 1
             for y, old in reversed(log):
                 flags[y], deg[y] = 1, old
-            size = 0
-            continue
-        kept_trials += 1
-        if not size or kept_trials < 2 * size:
-            continue
-        start = len(order) - size
-        if start <= i:
-            # the pass is past every suffix still untried
-            size = 0
-            continue
-        _seed(graph, probe_flags, probe_deg, reversed(order[start:seeded]))
-        seeded = start
-        suffix = order[start:]
-        if any(probe_deg[x] >= demands[x] - band[x] for x in suffix):
-            probe_log = []
-            kept.cascade(probe_flags, probe_deg, list(suffix), probe_log)
-            if 1 in probe_flags:
-                # the state the pass would reach at order[start]
-                flags, deg = probe_flags, probe_deg
-                i, size = start, 0
-                continue
-            for x in suffix:
-                probe_flags[x] = 1
-            for y, old in reversed(probe_log):
-                probe_deg[y] = old
-        size *= 2
     return frozenset(compress(range(n), flags))

@@ -389,15 +389,16 @@ class TestEssentialDecrement:
         g = build_graph([(0, 1, 0.1), (0, 2, 0.2), (1, 2, 1.0 / 3.0)])
         demands = [branching_degree(g, range(3), x) for x in range(3)]
         cascades = []
-        original = _KeptSet.cascade
+        original = core_module._cascade
 
-        def counting(self, flags, deg, stack, log=None):
+        def counting(graph, flags, deg, thresholds, stop, stack, log=None):
             cascades.append(tuple(x for x in range(len(flags)) if not flags[x]))
-            return original(self, flags, deg, stack, log)
+            return original(graph, flags, deg, thresholds, stop, stack, log)
 
-        monkeypatch.setattr(_KeptSet, "cascade", counting)
+        monkeypatch.setattr(core_module, "_cascade", counting)
         assert TestMinimalSetMatchesRestartSearch.assert_same(g, demands)
-        # the full core, then the trial of 0 only
+        # the last probe's, of all of ``within`` (the smaller suffixes are
+        # below their demands and never cascade), then the trial of 0 only
         assert cascades == [(), (0,)]
         assert minimal_satisfying_set(g, demands) == {0, 1, 2}
 
@@ -409,7 +410,7 @@ def ascending_minimal_satisfying_set(graph, demands, within=None):
     kept = _KeptSet(graph, range(n) if within is None else within, demands)
     flags, deg, essential = kept.flags, kept.deg, kept.stop
     adjacency, band = graph.adjacency, graph.band
-    kept.cascade(flags, deg, list(compress(range(n), flags)))
+    core_module._cascade(graph, flags, deg, demands, essential, list(compress(range(n), flags)))
     if 1 not in flags:
         raise NoSatisfyingSetError("no non-empty subset meets the demands")
     for v in list(compress(range(n), flags)):
@@ -418,7 +419,7 @@ def ascending_minimal_satisfying_set(graph, demands, within=None):
         stack, log = [], []
         if not (
             core_module._delete(adjacency, flags, deg, demands, band, essential, v, stack, log)
-            and kept.cascade(flags, deg, stack, log)
+            and core_module._cascade(graph, flags, deg, demands, essential, stack, log)
             and 1 in flags
         ):
             flags[v] = essential[v] = 1
@@ -484,7 +485,7 @@ class TestSuffixProbe:
                 result, fewer = self.compare(graph, demands.a, deletions)
                 solved += result is not None
                 jumped += fewer
-        assert solved == 16 and jumped >= 12
+        assert solved == 16 and jumped == 16
 
     def test_random_graphs_whose_first_failure_comes_early(self, deletions):
         # dense graphs at high demands: the first failed trial comes within
@@ -556,7 +557,7 @@ class TestSuffixProbe:
         # 13 needs 0.1 + 0.2 + 0.3 = 0.6000000000000001 from 12, 14 and 15.
         # The probe of size 4 adds 13's row after 14's and 15's: 0.2 + 0.3,
         # then 0.1, which is 0.6, an ulp low.  The exact sum keeps 13, so the
-        # probe finds {12, ..., 15} and the pass jumps there after 8 trials
+        # probe finds {12, ..., 15} and the trials start there
         g = build_graph([(12, 13, 0.1), (13, 14, 0.2), (13, 15, 0.3)], vertices=range(16))
         planted = {12, 13, 14, 15}
         demands = [0.0] * 12 + [branching_degree(g, planted, x) for x in sorted(planted)]
@@ -573,7 +574,7 @@ class TestSuffixProbe:
         assert deletions[0] >= graph.n
         deletions[0] = 0
         assert minimal_satisfying_set(graph, demands) == result and len(result) == 76
-        assert deletions[0] < graph.n // 2
+        assert deletions[0] < graph.n // 5
 
 
 class TestInputChecksComeFirst:

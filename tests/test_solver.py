@@ -2,6 +2,7 @@ import ast
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -1355,6 +1356,71 @@ class TestLoopedSearch:
             assert [(m.vertex, m.from_side) for m in cert.moves] == [
                 (m.vertex, m.from_side) for m in reduced_cert.moves
             ], seed
+
+
+# one weight family per draw: exact rows (1, 0.5, integers), repeating
+# non-dyadic weights, and spreads of continuous and wildly scaled ones
+SLACK_WEIGHTS = (
+    lambda rng: 1.0,
+    lambda rng: 0.5,
+    lambda rng: rng.uniform(0.5, 1.0),
+    lambda rng: rng.choice((0.1, 0.3, 0.7)),
+    lambda rng: rng.choice((1.0 / 3.0, 2.0 / 3.0, 1.0)),
+    lambda rng: 10.0 ** rng.uniform(-6.0, 6.0),
+    lambda rng: float(rng.randint(1, 5)),
+)
+
+
+def split_slack_instance(seed):
+    """A random graph, looped on 30% of the draws, whose demands split the
+    float loopless slack s of every vertex at zero slack: a = u s and
+    b = s - a.  None when s < 0 somewhere."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 40)
+    p = rng.choice((0.2, 0.4, 0.7, 1.0))
+    weight = rng.choice(SLACK_WEIGHTS)
+    mode = rng.choice((LoopMode.ONCE, LoopMode.DOUBLE))
+    edges = [(i, j, weight(rng)) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    if rng.random() < 0.3:
+        edges += [(x, x, weight(rng)) for x in range(n) if rng.random() < 0.5]
+    g = build_graph(edges, mode, vertices=range(n))
+    s = check_feasibility(g, Demands.constant(n, 0.0, 0.0)).slack
+    if min(s) < 0.0:
+        return None
+    a = [rng.random() * x for x in s]
+    return g, Demands(a, [x - y for x, y in zip(s, a)])
+
+
+def exact_slack(g, dem, x):
+    # the loop-reduced slack in rational arithmetic: the loopless weights,
+    # less both demands lowered by the loop share, less 2W
+    share = Fraction(g.loop_term[x])
+    return (
+        sum(map(Fraction, (w for _, w in g.adjacency[x])))
+        - max(0, Fraction(dem.a[x]) - share)
+        - max(0, Fraction(dem.b[x]) - share)
+        - 2 * Fraction(g.W[x])
+    )
+
+
+class TestExactSlackGuarantee:
+    """The guarantee: where the exact slack is non-negative at every vertex,
+    ``solve`` returns a stable partition, whatever the float slack says."""
+
+    def test_exactly_feasible_draws_solve(self):
+        kept = climbed = 0
+        for seed in range(2000):
+            drawn = split_slack_instance(seed)
+            if drawn is None:
+                continue
+            g, dem = drawn
+            if not all(exact_slack(g, dem, x) >= 0 for x in range(g.n)):
+                continue
+            kept += 1
+            partition, cert = solve(g, dem)
+            assert verify_partition(g, dem, partition) == [], seed
+            climbed += bool(cert.moves)
+        assert kept >= 150 and climbed >= 10
 
 
 def test_solver_imports_no_private_core_name_but_the_kept_set():
