@@ -5,15 +5,17 @@ Each rung is a w×h rectangle of unit cells at disk radius r, solved with
 half-degree demands.  For each rung the script prints the best-of-three
 ``solve_squares`` time (the graph build included), the size of side A and
 the first 16 hex digits of a SHA-256 over both sides' cells, so that two
-checkouts can be shown to split the grids the same way.  ``grid_rung`` runs
-one rung and returns what the script prints for it:
+checkouts can be shown to split the grids the same way, and then the
+process's peak resident set size so far.  ``grid_rung`` runs one rung and
+returns what the script prints for it, the peak aside:
 
     python scripts/grid_ladder.py
 
-A run takes about 3 s on a 2-core x86 host.
+A run takes about 2 s on a 2-core x86 host.
 """
 
 import hashlib
+import resource
 import sys
 import time
 from pathlib import Path
@@ -23,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from degsplit import DemandScheme, GridInstance, solve_squares  # noqa: E402
 
 # (width, height, radius)
-RUNGS = ((100, 100, 3.1), (200, 200, 3.1))
+RUNGS = ((100, 100, 3.1), (200, 200, 3.1), (300, 300, 3.1))
 REPEATS = 3
 
 
@@ -43,9 +45,11 @@ def grid_rung(width, height, radius, repeats=REPEATS):
 def main() -> None:
     for width, height, radius in RUNGS:
         best, size_a, digest = grid_rung(width, height, radius)
+        # ru_maxrss is in kilobytes on Linux
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(
             f"{width}x{height} r={radius} best of {REPEATS}: {best:.4f}s"
-            f"  |A|: {size_a}  digest: {digest}",
+            f"  |A|: {size_a}  digest: {digest}  peak RSS: {peak:.0f} MB",
             flush=True,
         )
 

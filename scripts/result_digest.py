@@ -22,7 +22,8 @@ Sets are hashed as sorted tuples, since the iteration order of equal sets
 can differ.  The graph digest covers the labels, adjacency, loops, ``d``,
 ``W``, ``band`` and ``loop_term`` of every graph that
 ``geometry.build_grid_graph`` and ``graph.build_graph`` return, floats by
-their exact ``repr``.  The CLI
+their exact ``repr``; the adjacency is hashed as the tuple of its rows,
+whatever sequence holds them.  The CLI
 digest (``cli=``) covers the kind, exit code and standard output of every
 op of the benchmark's cli pool, run in pool order through ``cli.main`` in
 this process, after the other pools.
@@ -102,7 +103,7 @@ def digest(seed: int) -> tuple[str, str, int, str, str, str, int]:
             nonlocal builds
             built = build(*args, **kwargs)
             fields = (
-                built.labels, built.adjacency, built.loops, built.d, built.W, built.band,
+                built.labels, tuple(built.adjacency), built.loops, built.d, built.W, built.band,
                 built.loop_term,
             )
             graphs.update(repr(fields).encode())

@@ -106,6 +106,45 @@ def circle_square_area(dx: float, dy: float, r: float) -> float:
     return min(1.0, max(0.0, area))
 
 
+class _StencilRows:
+    # the rows of a stencil-built grid graph: row x is made on its first
+    # read, by probing the stencil around its cell's key, and kept.  An int
+    # index, len, iteration, ==, hash and pickling answer as the tuple of
+    # the same rows does, and a copy or pickle holds that tuple.  Two
+    # threads reading one row may both make it; the rows are equal
+    __slots__ = ("_rows", "_keys", "_probes", "_find")
+
+    def __init__(self, keys, probes, find):
+        self._rows = [None] * len(keys)
+        self._keys = keys
+        self._probes = probes
+        self._find = find
+
+    def __getitem__(self, x):
+        row = self._rows[x]
+        if row is None:
+            k, find = self._keys[x], self._find
+            row = self._rows[x] = tuple(
+                [(y, w) for d, w in self._probes if (y := find(k + d)) is not None]
+            )
+        return row
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._rows)))
+
+    def __eq__(self, other):
+        return tuple(self) == other
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
 def _stencil_rows(cells, r: float, reach: float, span_x: int, span_y: int, height: int):
     # the stencil: offsets (dx, dy) > (0, 0) in lexicographic order, |dx| <=
     # span_x < width and |dy| <= span_y < height, whose squares overlap the
@@ -120,50 +159,38 @@ def _stencil_rows(cells, r: float, reach: float, span_x: int, span_y: int, heigh
             w = circle_square_area(dx, dy, r)
             if w > MIN_EDGE_WEIGHT:
                 half.append((dx, dy, w))
-    if not half:  # every row is empty, and a segment would find no slices to zip
-        return ((),) * len(cells), ()
+    if not half:  # every row is empty, and so is its pattern
+        rows = ((),) * len(cells)
+        return rows, rows
     # cell (i, j) has key i * stride + j.  The stencil keeps |dy| < height,
     # so a probe's j differs from any cell's j by at most 2 (height - 1) <
     # stride, and a probe's key equals a cell's key only at that very cell
     stride = 2 * height + 1
     stencil = sorted(half + [(-dx, -dy, w) for dx, dy, w in half])
-    # one (y, w) pair per cell and distinct weight, which every row that
-    # reaches y at weight w shares: a weight depends only on the offset
-    ys = list(range(len(cells)))
-    pairs = {w: tuple(zip(ys, repeat(w))) for w in {w for _, _, w in half}}
-    probes = [(dx * stride + dy, pairs[w]) for dx, dy, w in stencil]
+    probes = [(dx * stride + dy, w) for dx, dy, w in stencil]
     index = {i * stride + j: x for x, (i, j) in enumerate(cells)}
-    find = index.get
+    keys = list(index)
     # column segments (see build_grid_graph): the stencil's offsets have
     # |dx| <= sx and |dy| <= sy, and runs must average `long` cells to be cut
     sx, sy = half[-1][0], max(dy for _, dy, _ in half)
-    keys, long = list(index), 4 * (sy + 1)
+    long = 4 * (sy + 1)
     steps = list(map(sub, keys[1:], keys)) if height >= long else []
     if long * (len(keys) - steps.count(1)) > len(keys):
-        return tuple(
-            tuple([table[y] for d, table in probes if (y := find(k + d)) is not None])
-            for k in keys
-        ), ()
-    # each run's first key and the key just past its last
-    firsts = [0] + [x for x, step in enumerate(steps, 1) if step != 1]
-    bounds = [keys[x] for x in firsts] + [keys[x - 1] + 1 for x in firsts[1:] + [len(keys)]]
-    near = {p + dx * stride for dx in range(-sx, sx + 1) for p in bounds}
-    cut = {q + dy for dy in range(-sy, sy + 1) for q in near}
-    starts = sorted(map(index.__getitem__, cut.intersection(index)))
-    # repeats[x]: row x holds the weights of row x - 1 in the same order, as
-    # every zipped row after its segment's first does
-    rows, repeats = [], []
-    for x, end in zip(starts, starts[1:] + [len(keys)]):
-        k, size = keys[x], end - x
-        if size == 1:
-            rows.append(tuple([table[y] for d, table in probes if (y := find(k + d)) is not None]))
-        else:
-            rows.extend(zip(*[
-                table[y:y + size] for d, table in probes if (y := find(k + d)) is not None
-            ]))
-        repeats.append(False)
-        repeats.extend(repeat(True, size - 1))
-    return tuple(rows), repeats
+        starts = range(len(keys))
+    else:
+        # each run's first key and the key just past its last
+        firsts = [0] + [x for x, step in enumerate(steps, 1) if step != 1]
+        bounds = [keys[x] for x in firsts] + [keys[x - 1] + 1 for x in firsts[1:] + [len(keys)]]
+        near = {p + dx * stride for dx in range(-sx, sx + 1) for p in bounds}
+        cut = {q + dy for dy in range(-sy, sy + 1) for q in near}
+        starts = sorted(map(index.__getitem__, cut.intersection(index)))
+    # a row's pattern: the probes that hit a cell, whose weights are the
+    # row's in the same order; every row of a segment holds its first's
+    patterns = []
+    for x, end in zip(starts, [*starts[1:], len(keys)]):
+        k = keys[x]
+        patterns += repeat(tuple([p for p in probes if k + p[0] in index]), end - x)
+    return _StencilRows(keys, probes, index.get), patterns
 
 
 def _pair_rows(cells: tuple[Cell, ...], r: float, reach: float):
@@ -207,36 +234,36 @@ def build_grid_graph(instance: GridInstance, loop_mode: LoopMode = LoopMode.DOUB
     dense rectangle takes the stencil.  Cells are sorted, so either way
     every row comes out in ascending neighbour order and goes to the graph
     as it is, with no edge list, validation or sort: the weights exceed
-    MIN_EDGE_WEIGHT, and cells are distinct.  The stencil's rows share
-    their pairs: it builds one (y, w) tuple per cell y and distinct weight
-    w, and every row that reaches y at weight w holds that tuple.  On a
-    40 x 38 rectangle at r = 3.1 that is 12,160 tuples for 61,372 row
-    entries, and the graph takes 1.5 MB instead of 4.2 MB (``tracemalloc``).
+    MIN_EDGE_WEIGHT, and cells are distinct.
 
-    The stencil probes one cell per column segment, not one per cell.  A
-    bound is a key whose presence differs from the key below it: the first
-    cell of a run of consecutive keys, or the key just past a run.  Cell k
-    starts a segment when a bound lies in the stencil's bounding box around
-    it: at k + dx * stride + dy, with |dx| and |dy| at most the largest |dx|
-    and |dy| of the stencil; the first cell of every run is such a cell,
-    since it is a bound itself.  Inside a segment, then, each stencil offset
-    finds a cell for every cell of the segment or for none, and the cells it
-    finds have consecutive keys, so consecutive indices y, y + 1, ...  The
-    segment's first cell is probed; each hit (y, w) gives the slice of w's
-    pair table from y, as long as the segment, and zipping the slices gives
-    the segment's rows: the same pair objects, in the same ascending order,
-    that a probe per cell finds.  A one-cell segment is probed as before.  A
-    column of a rectangle probes its 2 h + 1 cells nearest its ends, with h
-    the stencil's largest |dy|, and slices the rest.  Cutting costs a pass
-    over the keys and a sum per bound and box offset, which short runs repay
-    with little or nothing, so every cell is probed when the runs average
-    fewer than 4 (h + 1) cells: in ragged, half-filled or sparse sets, and
-    in grids lower than that.  Every zipped row after its segment's first
-    holds the weights of the row before it in the same order, and is
-    flagged; ``_assemble`` sums such a run's weights once, since the same
-    additions in the same order give the same double, and adds each row's
-    loop term to that sum.  On a 40 x 38 rectangle at r = 3.1, 1,240 of the
-    1,520 rows are flagged.
+    The stencil's rows are made on read: row x is made by probing the
+    stencil around x's key the first time it is read, and kept.  A solve
+    reads few rows (the minimal-set probes, side A and A's neighbours: 191
+    of the 1,520 on a 40 x 38 rectangle at r = 3.1), so the build makes
+    none; the caches need each row's weights only, and take them from its
+    pattern: the stencil's (offset, weight) probes that hit a cell, in
+    order.  A row once read holds pairs of its own, so reading every row
+    costs more time and memory than a build that made them all.
+
+    The stencil probes one cell per column segment for its pattern, not one
+    per cell.  A bound is a key whose presence differs from the key below
+    it: the first cell of a run of consecutive keys, or the key just past a
+    run.  Cell k starts a segment when a bound lies in the stencil's
+    bounding box around it: at k + dx * stride + dy, with |dx| and |dy| at
+    most the largest |dx| and |dy| of the stencil; the first cell of every
+    run is such a cell, since it is a bound itself.  Inside a segment, then,
+    each stencil offset finds a cell for every cell of the segment or for
+    none, so every row of the segment has the pattern of its first cell,
+    and shares that one tuple.  A column of a rectangle probes its 2 h + 1
+    cells nearest its ends, with h the stencil's largest |dy|.  Cutting
+    costs a pass over the keys and a sum per bound and box offset, which
+    short runs repay with little or nothing, so every cell is probed when
+    the runs average fewer than 4 (h + 1) cells: in ragged, half-filled or
+    sparse sets, and in grids lower than that.  ``_assemble`` sums a run of
+    rows sharing one pattern once, since the same additions in the same
+    order give the same double, and adds each row's loop term to that sum.
+    On a 40 x 38 rectangle at r = 3.1, 1,240 of the 1,520 rows share the
+    pattern of the row before them.
     """
     cells, r = instance.cells, instance.r
     if len(cells) < 2:
@@ -248,13 +275,13 @@ def build_grid_graph(instance: GridInstance, loop_mode: LoopMode = LoopMode.DOUB
     span = math.ceil(reach)
     span_x, span_y = min(span, width - 1), min(span, height - 1)
     if 2 * (span_x + 1) * (2 * span_y + 1) > len(cells):
-        adjacency, repeats = _pair_rows(cells, r, reach), ()
+        adjacency, patterns = _pair_rows(cells, r, reach), ()
     else:
-        adjacency, repeats = _stencil_rows(cells, r, reach, span_x, span_y, height)
+        adjacency, patterns = _stencil_rows(cells, r, reach, span_x, span_y, height)
     loop_w = circle_square_area(0.0, 0.0, r)
     label_index = {cell: x for x, cell in enumerate(cells)}
     loops = (loop_w if loop_w > MIN_EDGE_WEIGHT else 0.0,) * len(cells)
-    return _assemble(cells, adjacency, loops, loop_mode, label_index, repeats)
+    return _assemble(cells, adjacency, loops, loop_mode, label_index, patterns)
 
 
 class DemandScheme(Enum):

@@ -16,21 +16,22 @@ are integers and ``d`` is below 2^53, so every sum of the row's terms, in
 any order, is an integer a double holds exactly.
 
 Every graph is made by ``_assemble``, the one place that computes the caches;
-``build_graph`` and ``geometry.build_grid_graph`` end in it.
-The grid build also flags each row that holds the previous row's weights in
-the same order.  Such a row's partial sum is the same additions of the same
-doubles in the same order, so it rounds to the same double; ``_assemble``
-takes it, the maximum and the integer test from the row before, and still
-adds the row's own loop term and forms its own band.
+``build_graph`` and ``geometry.build_grid_graph`` end in it.  Their caches
+are made up front, whereas a stencil-built grid graph makes each row on its
+first read (see ``geometry.build_grid_graph``) and hands ``_assemble`` each
+row's weights in order, as a pattern that the rows of a column segment
+share.  Rows sharing one pattern have a partial sum of the same additions
+of the same doubles in the same order, so it rounds to the same double;
+``_assemble`` sums such a run once, and still adds each row's own loop term
+and forms its own band.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import repeat
 from operator import itemgetter
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 from .errors import DuplicateEdgeError, NonPositiveWeightError
 from .value import Value
@@ -63,7 +64,14 @@ class WeightedGraph(Value):
     ``adjacency[x]`` lists ``(neighbor, weight)`` pairs sorted by neighbor
     index and never contains x itself; loops live in ``loops[x]`` (0 means no
     loop).  Equality leaves out ``label_index`` and the repr shows ``n`` and
-    ``loop_mode`` only.  Safe to share between threads once built.
+    ``loop_mode`` only.  ``adjacency`` is a tuple of rows, except on a
+    stencil-built grid graph, where it is a sequence that makes each row on
+    its first read and keeps it; it indexes, iterates, compares, hashes and
+    pickles as the tuple of its rows.  Fields are never reassigned and rows
+    are tuples; a row made on read depends only on the cells and the
+    radius, and its slot holds nothing or that row.  So the graph is safe to
+    share between threads once built: two threads reading one row first may
+    both make it, get equal rows, and either row is kept.
     """
 
     __slots__ = (
@@ -103,29 +111,32 @@ class Demands(Value):
 
 def _assemble(
     labels: tuple[Label, ...],
-    adjacency: tuple[tuple[tuple[int, float], ...], ...],
+    adjacency: Sequence[tuple[tuple[int, float], ...]],
     loops: tuple[float, ...],
     loop_mode: LoopMode,
     label_index: dict[Label, int],
-    repeats: Iterable[bool] = (),
+    patterns: Sequence[tuple[tuple[int, float], ...]] = (),
 ) -> WeightedGraph:
     # rows must already be symmetric, positive and in ascending neighbour
-    # order; a true repeats[x] says that row x holds the weights of row
-    # x - 1 in the same order
+    # order.  patterns[x] holds row x's weights in that order, as (int,
+    # weight) pairs (stencil offsets on a grid); without patterns each row
+    # is its own
     factor = loop_mode.factor
     terms = [factor * w for w in loops]
     degrees = []
     maxima = []
     bands = []
-    for row, term, same in zip(adjacency, terms, repeats or repeat(False)):
-        if not same:
+    previous = None
+    for pattern, term in zip(patterns or adjacency, terms):
+        if pattern is not previous:
+            previous = pattern
             partial = 0.0
             best = 0.0
-            for _, w in row:
+            for _, w in pattern:
                 partial += w
                 if w > best:
                     best = w
-            integral = all(map(float.is_integer, map(_weight, row)))
+            integral = all(map(float.is_integer, map(_weight, pattern)))
         # the loop term last; adding 0.0 where there is no loop changes nothing
         total = partial + term
         if not math.isfinite(total):
@@ -141,7 +152,7 @@ def _assemble(
         if integral and total < _EXACT_LIMIT and term.is_integer():
             bands.append(0.0)
         else:
-            bands.append(8 * (len(row) + 2) * _ROUNDOFF * total)
+            bands.append(8 * (len(pattern) + 2) * _ROUNDOFF * total)
     return WeightedGraph(
         n=len(labels),
         labels=labels,

@@ -1,5 +1,9 @@
+import copy
 import math
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -350,52 +354,127 @@ class TestRowBuildersAgree:
             edges += sum(map(len, rows))
         assert edges > 50_000
 
-    def test_repeated_rows_give_the_caches_of_rows_summed_one_by_one(self):
-        # a flagged row reuses the row before it's partial sum, maximum and
-        # integer test; d, W, band and loop_term must be those of the same
-        # rows assembled with no flags.  Loops vary per cell, so a degree
+    def test_shared_patterns_give_the_caches_of_rows_summed_one_by_one(self):
+        # rows holding one pattern object are summed once; d, W, band and
+        # loop_term must be those of the same rows read one by one and
+        # assembled with no patterns.  Loops vary per cell, so a degree
         # reused whole, loop term included, shows
         rng = random.Random(27)
-        flagged = 0
+        shared = 0
         for cells, r in [*self.ragged_sets(), *self.segmented_sets()]:
-            rows, repeats = self.stencil_rows(cells, r)
-            assert len(repeats) in (0, len(rows))
-            for x in (x for x, same in enumerate(repeats) if same):
-                assert x > 0
-                assert [w for _, w in rows[x]] == [w for _, w in rows[x - 1]]
-                flagged += 1
+            rows, patterns = self.stencil_rows(cells, r)
+            assert len(patterns) == len(rows)
+            for x, (row, pattern) in enumerate(zip(rows, patterns)):
+                assert [w for _, w in pattern] == [w for _, w in row]
+                shared += bool(x and pattern and pattern is patterns[x - 1])
             loop_w = circle_square_area(0.0, 0.0, r)
             loops = tuple(rng.choice((0.0, 1.0, loop_w)) for _ in cells)
             label_index = {cell: x for x, cell in enumerate(cells)}
             for mode in LoopMode:
-                reused = _assemble(cells, rows, loops, mode, label_index, repeats)
-                summed = _assemble(cells, rows, loops, mode, label_index)
+                reused = _assemble(cells, rows, loops, mode, label_index, patterns)
+                summed = _assemble(cells, tuple(rows), loops, mode, label_index)
                 for field in ("d", "W", "band", "loop_term"):
                     assert list(map(float.hex, getattr(reused, field))) == list(
                         map(float.hex, getattr(summed, field))
                     ), (field, r)
-        assert flagged > 1_000
+        assert shared > 1_000
 
-    @staticmethod
-    def shared_pairs(width, height, r):
-        # a weight depends only on the offset, so the rows need no more
-        # distinct (y, w) objects than cells times distinct weights
-        cells = GridInstance.rectangle(width, height, r).cells
-        rows = TestRowBuildersAgree.stencil_rows(cells, r)[0]
-        held = [pair for row in rows for pair in row]
-        weights = {w for _, w in held}
-        return len(held), len({id(pair) for pair in held}), len(cells) * len(weights)
+    def test_a_grid_graph_makes_only_the_rows_a_solve_reads(self):
+        graph = build_grid_graph(GridInstance.rectangle(40, 38, 3.1))
 
-    def test_stencil_rows_share_one_pair_per_cell_and_weight(self):
-        entries, distinct, bound = self.shared_pairs(40, 38, 3.1)
-        assert entries == 61_372
-        assert distinct <= bound == 12_160
+        def held():
+            return sum(row is not None for row in graph.adjacency._rows)
 
-    def test_rows_sliced_from_segments_share_the_same_pairs(self):
-        # 8 x 120 at r = 2.1: each column probes 5 cells and slices 115
-        entries, distinct, bound = self.shared_pairs(8, 120, 2.1)
-        assert entries == 16_404
-        assert distinct <= bound == 3_840
+        assert held() == 0
+        demands = squares_demands(graph, DemandScheme.HALF_DEGREE)
+        partition, _ = solve(graph, demands)
+        assert verify_partition(graph, demands, partition) == []
+        assert 0 < held() <= graph.n // 5
+        row = graph.adjacency[700]
+        assert graph.adjacency[700] is row
+        assert graph.adjacency[700 - graph.n] is row
+
+
+def assembled_both_ways(cells, r, loop_mode):
+    """The cells' grid graph assembled over the stencil's rows, made on
+    first read, and over the pair scan's rows, made up front."""
+    loop_w = circle_square_area(0.0, 0.0, r)
+    loops = (loop_w if loop_w > MIN_EDGE_WEIGHT else 0.0,) * len(cells)
+    label_index = {cell: x for x, cell in enumerate(cells)}
+    rows, patterns = TestRowBuildersAgree.stencil_rows(cells, r)
+    return (
+        _assemble(cells, rows, loops, loop_mode, label_index, patterns),
+        _assemble(cells, _pair_rows(cells, r, r + math.sqrt(0.5)), loops, loop_mode, label_index),
+    )
+
+
+# physical-scheme rectangles (half-degree demands on ONCE loops) whose climb
+# reads rows again and again before it stops on a move that does not gain
+NON_IMPROVING_RECTANGLES = [(5, 5, 3.1), (5, 5, 4.4), (7, 4, 4.4), (7, 5, 4.4), (7, 7, 4.4)]
+
+
+class TestRowsMadeOnRead:
+    """A stencil-built grid graph makes each row on its first read.  It
+    compares, hashes, pickles and copies as the graph of the same rows made
+    up front, and solves the same."""
+
+    def test_same_graph_as_rows_made_up_front(self):
+        cells = GridInstance.rectangle(40, 38, 3.1).cells
+        for mode in LoopMode:
+            lazy, eager = assembled_both_ways(cells, 3.1, mode)
+            assert not isinstance(lazy.adjacency, tuple)
+            assert len(lazy.adjacency) == eager.n == 1_520
+            assert lazy.adjacency[-1] == eager.adjacency[-1] == eager.adjacency[1_519]
+            assert all(type(row) is tuple for row in lazy.adjacency)
+            assert lazy.adjacency == eager.adjacency and eager.adjacency == lazy.adjacency
+            assert lazy.adjacency != eager.adjacency[:-1]
+            assert lazy == eager and eager == lazy
+            assert hash(lazy.adjacency) == hash(eager.adjacency)
+            assert hash(lazy) == hash(eager)
+            for copied in (pickle.loads(pickle.dumps(lazy)), copy.deepcopy(lazy)):
+                assert type(copied.adjacency) is tuple
+                assert copied == eager
+
+    @pytest.mark.parametrize("loop_mode", [LoopMode.ONCE, LoopMode.DOUBLE])
+    def test_same_solve(self, loop_mode):
+        cases = [(GridInstance(cells, r).cells, r) for cells in GRID_SHAPES.values() for r in (1.0, 2.1, 4.4)]
+        cases += [(GridInstance.rectangle(w, h, r).cells, r) for w, h, r in NON_IMPROVING_RECTANGLES]
+        raised = []
+        for cells, r in cases:
+            outcomes = []
+            for graph in assembled_both_ways(cells, r, loop_mode):
+                try:
+                    outcomes.append(solve(graph, squares_demands(graph, DemandScheme.HALF_DEGREE)))
+                except SolverError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], (cells, r)
+            if outcomes[0][0] is NonImprovingMoveError:
+                raised.append((len(cells), r))
+        if loop_mode is LoopMode.ONCE:
+            assert raised[-5:] == [(w * h, r) for w, h, r in NON_IMPROVING_RECTANGLES]
+
+    def test_threads_reading_one_graph_get_the_same_rows(self):
+        cells = GridInstance.rectangle(40, 38, 3.1).cells
+        lazy, eager = assembled_both_ways(cells, 3.1, LoopMode.DOUBLE)
+        seen = [None] * 6
+
+        def read(k):
+            order = range(lazy.n) if k % 2 else range(lazy.n - 1, -1, -1)
+            seen[k] = {x: lazy.adjacency[x] for x in order}
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(len(seen))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for rows in seen:
+            assert [rows[x] for x in range(lazy.n)] == list(eager.adjacency)
 
 
 class TestSquaresDemands:
