@@ -77,11 +77,25 @@ cascades in place and undoes a failed trial from its degree log alone.
 A hill-climb side re-peels on copies of its flags and kept degrees, and only
 what a move can change.  A side that loses a vertex outside its core keeps
 its core: the core lies in the smaller side and meets its thresholds there,
-and it holds every subset that does.  A side that loses a core vertex is
-re-peeled whole.  A side that gains v keeps every vertex of its old core, so
-the cascade starts from the members outside the old core only and stops as
-soon as it deletes v: the new core then lies in the old side, and so in the
-old core.
+and it holds every subset that does.  A side that gains v keeps every vertex
+of its old core, so the cascade starts from the members outside the old
+core only and stops as soon as it deletes v: the new core then lies in the
+old side, and so in the old core.
+
+A side with a non-empty core may hold an anchor: a member u with
+core(S - u) = {}.  A side that loses a core vertex v is re-peeled whole,
+but the cascade stops as soon as it would delete u, and the core is then
+empty: core(S - v) lies in S - v, and if it missed u it would lie in S - u,
+so in core(S - u) = {}.  If v is u itself, the core is empty at once.  A
+gain of v that turns an empty core non-empty makes v the anchor, since
+core((S + v) - v) = core(S) = {}.  The anchor stays through the loss of a
+vertex outside the core, and through a re-peel that leaves a non-empty
+core, which holds u.  A gain to a side with a non-empty core drops it, and
+that side's next core losses re-peel without a stop.  The climb's side A
+starts as the minimal set, which is its own core and from which every
+member's removal leaves an empty core, by inclusion-minimality: each member
+anchors it, and its first core loss empties the core without a cascade.  A
+gain ends that, as it ends any anchor: the core of A + v - x can hold v.
 
 ``minimal_satisfying_set`` also stops failing trials early.  Call a member
 essential once its own trial has failed, that is, left the rest's core empty.
@@ -221,9 +235,20 @@ class _KeptSet:
     vertices whose deletion ends a cascade, and ``updates`` counts the
     single-edge updates since each kept degree was last an exact sum.
     ``core`` is the members' core, kept across ``add`` and ``remove``.
+    ``_anchor`` is a member whose removal alone empties a non-empty core, or
+    None; ``minimal`` says the members are an inclusion-minimal set that
+    meets its thresholds, so the set is its own core and every member is an
+    anchor until the first ``add``.  A removal's re-peel stops at the
+    anchor, its core then empty (see the module docstring).
     """
 
-    def __init__(self, graph: WeightedGraph, members: Iterable[int], thresholds: Thresholds):
+    def __init__(
+        self,
+        graph: WeightedGraph,
+        members: Iterable[int],
+        thresholds: Thresholds,
+        minimal: bool = False,
+    ):
         n = graph.n
         self.flags = flags = _members(graph, members, thresholds)
         self.graph, self.thresholds = graph, thresholds
@@ -237,7 +262,9 @@ class _KeptSet:
                     updates[y] += 1
         self.deg, self.updates = deg, updates
         self.stop = bytearray(n)
-        self._core = None
+        # a minimal set is its own core, and each member is an anchor
+        self._core = frozenset(compress(range(n), flags)) if minimal else None
+        self._minimal, self._anchor = minimal, None
 
     def exact(self, x: int) -> float:
         """x's induced degree in the set plus x, as the exact ascending sum."""
@@ -245,13 +272,15 @@ class _KeptSet:
             return self.deg[x]
         return _side_degree(self.graph, self.flags, x)
 
-    def _peel(self, start) -> None:
+    def _peel(self, start) -> bool:
         # cascade from the members in ``start`` on copies of the flags and
         # degrees; the survivors become the core unless the cascade deletes
-        # a vertex flagged in ``stop``
+        # a vertex flagged in ``stop``, and then False
         flags = bytearray(self.flags)
-        if _cascade(self.graph, flags, list(self.deg), self.thresholds, self.stop, list(start)):
-            self._core = frozenset(compress(range(self.graph.n), flags))
+        if not _cascade(self.graph, flags, list(self.deg), self.thresholds, self.stop, list(start)):
+            return False
+        self._core = frozenset(compress(range(self.graph.n), flags))
+        return True
 
     @property
     def core(self) -> frozenset[int]:
@@ -284,15 +313,30 @@ class _KeptSet:
         self.deg[v] = degree
         self.updates[v] = 0
         self.stop[v] = 1
-        self._peel([x for x in compress(range(self.graph.n), self.flags) if x not in core])
+        grown = self._peel([x for x in compress(range(self.graph.n), self.flags) if x not in core])
         self.stop[v] = 0
+        # core(S + v - v) = core(S) is empty, so v anchors a core it made;
+        # an anchor of the old core need not anchor the grown set's
+        self._minimal, self._anchor = False, v if grown and not core else None
 
     def remove(self, v: int) -> None:
         core = self.core
         self.flags[v] = 0
         self._update(v, -1.0)
-        if v in core:
+        if v not in core:
+            return
+        anchor = self._anchor
+        if self._minimal or v == anchor:
+            self._core, self._minimal, self._anchor = frozenset(), False, None
+        elif anchor is None:
             self._peel(compress(range(self.graph.n), self.flags))
+        else:
+            # the new core holds the anchor or is empty, so the cascade ends
+            # as soon as it would delete the anchor
+            self.stop[anchor] = 1
+            if not self._peel(compress(range(self.graph.n), self.flags)):
+                self._core, self._anchor = frozenset(), None
+            self.stop[anchor] = 0
 
     def witness(self, target: Thresholds) -> tuple[int, float] | None:
         """The member of largest margin target - degree, lowest index first,

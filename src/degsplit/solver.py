@@ -54,7 +54,10 @@ decides as it does on the loop-reduced instance.
 Each side of the climb is a kept set from the core module, which holds the
 side's kept degrees and core across moves, and makes every decision that
 rests on rounding: the witness's exact margins and the gain's tie bound.
-The move's degrees and gain are exact sums, so the moves and h values are
+A side re-peels only what a move can change, and a side's loss of a core
+vertex stops its re-peel at an anchor, a member without which the core is
+empty; side A starts as the minimal set, which every member anchors.  The
+move's degrees and gain are exact sums, so the moves and h values are
 those of a climb that re-peels and re-sums everything.
 """
 
@@ -252,7 +255,7 @@ def find_stable_pair(
 
     cert.phase_log.append(PHASE_HILLCLIMB)
     cert.hillclimb_start = (side_a, side_b)
-    sa = _KeptSet(graph, side_a, a_dem)
+    sa = _KeptSet(graph, side_a, a_dem, minimal=True)
     strong_a = [a + w for a, w in zip(a_dem, graph.W)]
     strong_b = [b + w for b, w in zip(b_dem, graph.W)]
     order_a, order_b = sorted(side_a), sorted(side_b)

@@ -7,12 +7,24 @@ package functions they check.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from degsplit import Demands, LoopMode, build_graph, peel
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def complete_graph(n, w=1.0, loop_mode=LoopMode.DOUBLE):

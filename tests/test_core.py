@@ -13,6 +13,7 @@ from degsplit import (
     build_grid_graph,
     minimal_satisfying_set,
     peel,
+    solve,
     squares_demands,
 )
 from degsplit import core as core_module
@@ -25,6 +26,7 @@ from conftest import (
     mixed_graph,
     qualifying_subsets,
     random_graph,
+    load_script,
     reduce_loops,
     zero_band,
 )
@@ -834,3 +836,105 @@ class TestExactRows:
         )
         assert deg[1:] == [1.0, 1.0] and stack == [] and flags == bytearray(b"\x00\x01\x01")
         assert peel(g, range(3), thresholds) == reference_peel(g, range(3), thresholds)
+
+
+class TestAnchoredRemoval:
+    """A hill-climb side keeps an anchor, a member u with core(S - u) = {},
+    and a removal's peel ends as soon as it would delete u; a minimal set
+    has every member as its anchor.  Every core is still peel's."""
+
+    @staticmethod
+    def removal_case(kept, v):
+        # which path ``remove(v)`` takes, read before the call
+        if v not in kept.core:
+            return "non-core"
+        if kept._minimal:
+            return "minimal"
+        if kept._anchor is None:
+            return "no anchor"
+        return "anchor removed" if v == kept._anchor else "anchor held"
+
+    @staticmethod
+    def instance(rng, weight):
+        # weight None draws U(0.5, 1) weights; a fixed weight makes demands
+        # of whole multiples of it, so exact ties occur
+        n = rng.randint(8, 18)
+        if weight is None:
+            g = random_graph(rng, n, 0.5, weight_range=(0.5, 1.0))
+            return g, [rng.uniform(0.3, 0.6) * d for d in g.d]
+        g = random_graph(rng, n, 0.5, weight_range=(weight, weight))
+        return g, [weight * round(rng.uniform(0.3, 0.6) * d / weight) for d in g.d]
+
+    @pytest.mark.parametrize("weight", [1.0, 1.0 / 3.0, None], ids=["unit", "third", "uniform"])
+    def test_random_sequences_follow_peel(self, weight):
+        rng = random.Random(36)
+        cases = dict.fromkeys(
+            ("minimal", "anchor removed", "stop at anchor", "anchor held", "no anchor",
+             "non-core"),
+            0,
+        )
+        for trial in range(60):
+            g, demand = self.instance(rng, weight)
+            if trial % 2:
+                try:
+                    start = minimal_satisfying_set(g, demand)
+                except NoSatisfyingSetError:
+                    continue
+                kept = _KeptSet(g, start, demand, minimal=True)
+            else:
+                kept = _KeptSet(g, [x for x in range(g.n) if rng.random() < 0.5], demand)
+            assert kept.core == peel(g, members(kept), demand)
+            for _ in range(40):
+                v = rng.randrange(g.n)
+                if kept.flags[v]:
+                    case = self.removal_case(kept, v)
+                    kept.remove(v)
+                    if case == "anchor held" and not kept.core:
+                        case = "stop at anchor"
+                    cases[case] += 1
+                else:
+                    kept.add(v, branching_degree(g, members(kept) | {v}, v))
+                assert kept.core == peel(g, members(kept), demand)
+        assert all(cases.values()), cases
+
+    def test_a_minimal_set_grown_and_shrunk_by_one_keeps_its_core(self):
+        # core(A + v - v) = A: the add must end the minimal set's claim that
+        # every member anchors it, or this removal would empty the core
+        g = complete_graph(5)
+        demand = [2.0] * 5
+        side_a = minimal_satisfying_set(g, demand)
+        assert len(side_a) == 3
+        v = min(set(range(5)) - side_a)
+        kept = _KeptSet(g, side_a, demand, minimal=True)
+        kept.add(v, branching_degree(g, side_a | {v}, v))
+        assert kept.core == side_a | {v}
+        kept.remove(v)
+        assert kept.core == side_a
+
+    def test_removals_in_a_climb_stop_at_the_anchor(self, monkeypatch):
+        # the seed-1 G(100, 0.3) zero-slack climb of the climb ladder: its
+        # first removal leaves the minimal set and cascades not at all,
+        # and all its removals together delete at most 40 vertices
+        graph, demands = load_script("climb_ladder").zero_slack_instance(100, 0.3, 1)
+        inside, removals = [False], []
+        delete, remove = core_module._delete, _KeptSet.remove
+
+        def counting_delete(*args):
+            if inside[0]:
+                removals[-1][1] += 1
+            return delete(*args)
+
+        def counting_remove(self, v):
+            removals.append([members(self), 0])
+            inside[0] = True
+            try:
+                remove(self, v)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(core_module, "_delete", counting_delete)
+        monkeypatch.setattr(_KeptSet, "remove", counting_remove)
+        _, cert = solve(graph, demands)
+        assert len(removals) == len(cert.moves) == 13
+        assert removals[0] == [set(cert.hillclimb_start[0]), 0]
+        assert sum(count for _, count in removals) <= 40

@@ -1,20 +1,18 @@
 """The scripts run from a plain checkout: each puts ``src`` on its own path,
 so neither an install nor PYTHONPATH is needed.  The climb ladder's
-half-weight twin rungs climb as their unit rungs do, and make the digests
-recorded for them; the grid ladder's smallest rung makes its recorded
-digest."""
+half-weight twin rungs climb as their unit rungs do, and they and the
+weighted G(400, 0.3) rung make the digests recorded for them; the grid
+ladder's smallest rung makes its recorded digest."""
 
-import importlib.util
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from degsplit import solve
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from conftest import SCRIPTS, load_script
 
 
 @pytest.mark.parametrize(
@@ -33,13 +31,6 @@ def test_script_runs_without_pythonpath(tmp_path, argv):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +63,14 @@ def test_climb_ladder_twin_digests_are_pinned(ladder, n, moves, digest):
     # rungs', recorded before the twins existed
     _, got_moves, got_digest = ladder.climb_rung(n, 0.3, 0.5, repeats=1)
     assert (got_moves, got_digest) == (moves, digest)
+
+
+def test_climb_ladder_weighted_digest_is_pinned(ladder):
+    # U(0.5, 1) weights at a = s/2 and b = 0.999 s/2: rows that round, on
+    # dense sides; the digest is that of a climb that re-peels a side whole
+    # on every loss of a core vertex
+    _, moves, digest = ladder.climb_rung(400, 0.3, None, repeats=1)
+    assert (moves, digest) == ([99, 95], "86395e0e6c198c25")
 
 
 def test_grid_ladder_smallest_rung_digest_is_pinned():
